@@ -124,6 +124,13 @@ def _cmd_search(args):
     _check_dim(args, instance)
     if args.m is None:
         raise PreconditionError("search requires --m")
+    if args.window is not None:
+        if instance.mode == "sets":
+            raise PreconditionError("--window applies to vectors-mode instances only")
+        if args.window > instance.window:
+            raise PreconditionError(
+                f"--window {args.window} exceeds the instance window {instance.window}"
+            )
     if instance.mode == "sets":
         witness = find_mono_subset(instance, args.m)
         first_tuple = witness[: instance.dim] if witness else None
@@ -178,8 +185,15 @@ def _add_common(parser):
                         help="seed recorded in the run configuration (current subcommands are deterministic)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reports usage errors as FormatError instead of exiting."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="irl",
         description="Finite-window colouring, reduction, and witness-search workbench.",
     )
@@ -251,9 +265,8 @@ def _emit(text, args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         text = args.handler(args)
         _emit(text, args)
     except IrlError as exc:

@@ -284,7 +284,11 @@ def colouring_from_json(data):
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
             raise FormatError(f"malformed entry: {item!r}")
         t = tuple(item[0])
-        if t in table:
+        try:
+            duplicate = t in table
+        except TypeError:  # an unhashable component, such as a nested list
+            raise FormatError(f"tuple entries must be integers: {item[0]!r}") from None
+        if duplicate:
             raise FormatError(f"duplicate tuple in entries: {list(t)}")
         table[t] = item[1]
     if mode == "differences":

@@ -154,6 +154,36 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
     assert payload["error"]["code"] == expected_code
 
 
+def test_argument_errors_are_format_errors(files, capsys):
+    code, out = run(capsys, "search", "--input", files["parity"], "--m", "abc")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "format"
+
+
+def test_help_still_exits_cleanly(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["search", "--help"])
+    assert info.value.code == 0
+    assert "usage: irl search" in capsys.readouterr().out
+
+
+def test_search_window_above_instance_window_is_refused(files, capsys, tmp_path):
+    vec = Colouring(1, 12, 2, "vectors", {(z,): z % 2 for z in range(1, 13)})
+    path = tmp_path / "vec.json"
+    path.write_text(json.dumps(colouring_to_json(vec)))
+    code, out = run(capsys, "search", "--input", str(path), "--m", "3",
+                    "--window", "99999999999999999999")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
+def test_search_window_on_sets_instance_is_refused(files, capsys):
+    code, out = run(capsys, "search", "--input", files["parity"], "--m", "4", "--window", "12")
+    assert code == 1
+    assert json.loads(out)["error"]["code"] == "precondition"
+
+
 def test_malformed_colouring_file(files, capsys):
     code, out = run(capsys, "check-invariance", "--input", files["broken"])
     assert code == 1

@@ -164,6 +164,12 @@ def test_json_rejects_malformed_payloads():
             colouring_from_json(data)
 
 
+def test_json_rejects_non_integer_key_components():
+    data = {"dim": 2, "window": 3, "palette": 2, "mode": "sets", "entries": [[[0, [1]], 0]]}
+    with pytest.raises(FormatError):
+        colouring_from_json(data)
+
+
 def test_table_validation():
     with pytest.raises(FormatError):
         Colouring(2, 4, 2, "sets", {(3, 1): 0})

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -170,3 +171,81 @@ def test_finite_number_cap_exceeded_reports_counterexample():
 def test_finite_number_budget_refusal():
     with pytest.raises(BudgetExceededError):
         finite_number(FiniteNumberQuery("RT", 2, 2, 3, 12), budget=50)
+
+
+def reference_finite_number(query, budget):
+    """Exhaustive reference: search every colouring in enumeration order at each size."""
+    sets_mode = query.principle in ("RT", "ZRT", "SEPZRT")
+    invariant = query.principle in ("ZRT", "SEPZRT")
+    for size in range(1, query.cap + 1):
+        window = size - 1 if sets_mode else size
+        first_witness = None
+        counterexample = None
+        for index, c in enumerate(enumerate_colourings(
+                query.dim, window, query.palette, mode="sets" if sets_mode else "vectors",
+                invariant=invariant, budget=budget)):
+            if sets_mode:
+                witness = find_mono_subset(c, query.size, separated=query.principle == "SEPZRT")
+            else:
+                witness = find_afs_mono(c, query.size, window=window,
+                                        apart=query.principle == "APAHT")
+            if index == 0:
+                first_witness = witness
+            if witness is None:
+                counterexample = c
+                break
+        if counterexample is None:
+            return size, first_witness, None
+    return None, None, counterexample
+
+
+REFERENCE_BUDGET = 70_000  # colourings per size; covers R(3, 3) at 2^15
+
+
+@pytest.mark.parametrize("principle", ["RT", "ZRT", "SEPZRT", "AHT", "APAHT"])
+def test_finite_number_matches_exhaustive_reference(principle):
+    # the grid holds the edge cases: k = 1, ZRT/SEPZRT at dim 1 (one colour
+    # per window), and m < dim for AHT/APAHT (every sequence is a witness)
+    compared = 0
+    for dim in (1, 2, 3):
+        for k in (1, 2, 3):
+            for m in (1, 2, 3, 4):
+                query = FiniteNumberQuery(principle, dim, k, m, 8)
+                if principle in ("RT", "ZRT", "SEPZRT") and m < dim:
+                    with pytest.raises(PreconditionError):
+                        finite_number(query)
+                    continue
+                try:
+                    expected = reference_finite_number(query, REFERENCE_BUDGET)
+                except BudgetExceededError:
+                    continue
+                result = finite_number(query)
+                assert (result.value, result.witness, result.counterexample) == expected, query
+                compared += 1
+    assert compared >= 20
+
+
+def test_finite_number_closed_forms():
+    for k in (1, 2, 3):
+        for m in (1, 2, 3, 4):
+            assert finite_number(FiniteNumberQuery("RT", 1, k, m, 16)).value == k * (m - 1) + 1
+    for m in (1, 2, 3, 4, 5):
+        assert finite_number(FiniteNumberQuery("AHT", 1, 1, m, 20)).value == m * (m + 1) // 2
+        assert finite_number(FiniteNumberQuery("APAHT", 1, 1, m, 40)).value == 2 ** m - 1
+    # Schur numbers S(1), S(2) = 1, 4
+    for k, schur in ((1, 1), (2, 4)):
+        assert finite_number(FiniteNumberQuery("ZRT", 2, k, 3, 16)).value == schur + 2
+    assert finite_number(FiniteNumberQuery("RT", 2, 2, 3, 12)).value == 6  # R(3, 3)
+
+
+def test_finite_number_schur_three():
+    started = time.monotonic()
+    result = finite_number(FiniteNumberQuery("ZRT", 2, 3, 3, 16))
+    assert result.value == 13 + 2  # Schur number S(3) = 13
+    assert time.monotonic() - started <= 10.0
+
+
+def test_finite_number_budget_counts_search_work():
+    with pytest.raises(BudgetExceededError) as info:
+        finite_number(FiniteNumberQuery("ZRT", 2, 3, 3, 16), budget=1000)
+    assert info.value.count == 1001
