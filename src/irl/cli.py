@@ -11,6 +11,7 @@ configurations can carry one, and is reserved for sampled generation.
 """
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -264,9 +265,13 @@ def _emit(text, args):
         sys.stdout.write(text + "\n")
 
 
+# Parsing leaves a parser unchanged, so one per process serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         text = args.handler(args)
         _emit(text, args)
     except IrlError as exc:

@@ -17,7 +17,9 @@ immutable after construction by convention.
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
+from math import comb
 
 from irl.budget import candidate_budget
 from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
@@ -42,6 +44,17 @@ def vectors_domain(dim: int, window: int):
 
     if window >= dim:
         yield from rec((), window, dim)
+
+
+def charge_domain(mode: str, dim: int, window: int) -> None:
+    """Refuse, naming its size, a ``standard_domain`` larger than the candidate budget."""
+    size = comb(window + 1, dim) if mode == "sets" else comb(window, dim)
+    limit = candidate_budget()
+    if size > limit:
+        raise BudgetExceededError(
+            f"materializing {size} {dim}-tuples over window {window} exceeds the budget of {limit}",
+            count=size,
+        )
 
 
 def standard_domain(mode: str, dim: int, window: int):
@@ -78,6 +91,51 @@ def _check_entry(t, colour, dim, window, palette, mode):
         raise FormatError(f"colour {colour!r} out of palette range [0, {palette})")
 
 
+def _check_table(table, dim, window, palette, mode):
+    """Validate every entry of a table for ``mode`` ("sets", "vectors" or "differences").
+
+    Entries made of plain ints and tuples pass on a fast path; any other
+    entry gets the exact per-entry check, which either accepts it (an int
+    subclass such as an IntEnum) or raises the same error as it always has.
+    """
+    for t, colour in table.items():
+        if type(t) is tuple and len(t) == dim and type(colour) is int and 0 <= colour < palette:
+            if mode == "sets":
+                prev = -1
+                for x in t:
+                    if type(x) is not int or x <= prev:
+                        break
+                    prev = x
+                else:
+                    if prev <= window:
+                        continue
+            else:
+                total = 0
+                for x in t:
+                    if type(x) is not int or not 1 <= x <= window:
+                        break
+                    total += x
+                else:
+                    if mode == "vectors" or total <= window:
+                        continue
+        _check_entry(t, colour, dim, window, palette, "sets" if mode == "sets" else "vectors")
+        if mode == "differences" and sum(t) > window:
+            raise FormatError(f"difference vector total {sum(t)} exceeds window {window}: {t!r}")
+
+
+def _unchecked(cls, *values):
+    """A Colouring or DifferenceColouring built by this package, without validation.
+
+    For tables the package derives from an already valid object, whose
+    entries are valid by construction; input from outside goes through the
+    public constructors instead.
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Colouring:
     """A finite colouring of dim-tuples over a bounded window."""
@@ -92,12 +150,16 @@ class Colouring:
         _check_shape(self.dim, self.window, self.palette)
         if self.mode not in MODES:
             raise FormatError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for t, colour in self.table.items():
-            _check_entry(t, colour, self.dim, self.window, self.palette, self.mode)
+        _check_table(self.table, self.dim, self.window, self.palette, self.mode)
 
     def is_total(self) -> bool:
         """True iff every tuple of the canonical domain is coloured."""
         return set(self.table) >= set(standard_domain(self.mode, self.dim, self.window))
+
+    @cached_property
+    def points(self) -> tuple:
+        """Every coordinate of a coloured tuple, ascending (computed once; tables stay fixed)."""
+        return tuple(sorted(set().union(*self.table)))
 
 
 @dataclass(frozen=True)
@@ -111,10 +173,7 @@ class DifferenceColouring:
 
     def __post_init__(self):
         _check_shape(self.dim, self.window, self.palette)
-        for t, colour in self.table.items():
-            _check_entry(t, colour, self.dim, self.window, self.palette, "vectors")
-            if sum(t) > self.window:
-                raise FormatError(f"difference vector total {sum(t)} exceeds window {self.window}: {t!r}")
+        _check_table(self.table, self.dim, self.window, self.palette, "differences")
 
     def is_total(self) -> bool:
         return set(self.table) >= set(vectors_domain(self.dim, self.window))
@@ -166,7 +225,7 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     table = {}
     for t, colour in c.table.items():
         table[tuple(b - a for a, b in zip(t, t[1:]))] = colour
-    return DifferenceColouring(dim=c.dim - 1, window=c.window, palette=c.palette, table=table)
+    return _unchecked(DifferenceColouring, c.dim - 1, c.window, c.palette, table)
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
@@ -177,13 +236,14 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     """
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise FormatError(f"window must be an integer >= 0, got {window!r}")
+    charge_domain("sets", dc.dim + 1, window)
     table = {}
     for t in sets_domain(dc.dim + 1, window):
         dv = tuple(b - a for a, b in zip(t, t[1:]))
         colour = dc.table.get(dv)
         if colour is not None:
             table[t] = colour
-    return Colouring(dim=dc.dim + 1, window=window, palette=dc.palette, mode="sets", table=table)
+    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", table)
 
 
 def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, budget=None):
@@ -204,8 +264,8 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
         if dim == 1:
             # a shift-invariant unary colouring is constant
             for colour in range(palette):
-                yield Colouring(dim, window, palette, "sets",
-                                {t: colour for t in sets_domain(1, window)})
+                yield _unchecked(Colouring, dim, window, palette, "sets",
+                                 {t: colour for t in sets_domain(1, window)})
             return
         domain = tuple(vectors_domain(dim - 1, window))
         count = palette ** len(domain)
@@ -215,7 +275,7 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
                 count=count,
             )
         for assignment in product(range(palette), repeat=len(domain)):
-            dc = DifferenceColouring(dim - 1, window, palette, dict(zip(domain, assignment)))
+            dc = _unchecked(DifferenceColouring, dim - 1, window, palette, dict(zip(domain, assignment)))
             yield from_differences(dc, window)
         return
     domain = tuple(standard_domain(mode, dim, window))
@@ -226,7 +286,7 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
             count=count,
         )
     for assignment in product(range(palette), repeat=len(domain)):
-        yield Colouring(dim, window, palette, mode, dict(zip(domain, assignment)))
+        yield _unchecked(Colouring, dim, window, palette, mode, dict(zip(domain, assignment)))
 
 
 def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0, count=1):
@@ -239,19 +299,19 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
         if dim == 1:
             for _ in range(count):
                 colour = rng.randrange(palette)
-                yield Colouring(dim, window, palette, "sets",
-                                {t: colour for t in sets_domain(1, window)})
+                yield _unchecked(Colouring, dim, window, palette, "sets",
+                                 {t: colour for t in sets_domain(1, window)})
             return
         domain = tuple(vectors_domain(dim - 1, window))
         for _ in range(count):
-            dc = DifferenceColouring(dim - 1, window, palette,
-                                     {t: rng.randrange(palette) for t in domain})
+            dc = _unchecked(DifferenceColouring, dim - 1, window, palette,
+                            {t: rng.randrange(palette) for t in domain})
             yield from_differences(dc, window)
         return
     domain = tuple(standard_domain(mode, dim, window))
     for _ in range(count):
-        yield Colouring(dim, window, palette, mode,
-                        {t: rng.randrange(palette) for t in domain})
+        yield _unchecked(Colouring, dim, window, palette, mode,
+                         {t: rng.randrange(palette) for t in domain})
 
 
 def colouring_to_json(obj) -> dict:

@@ -19,7 +19,7 @@ sequence directly from the settle stage.
 from dataclasses import dataclass
 
 from irl.bits import WORD_BITS, highest_bit, lowest_bit
-from irl.colouring import Colouring
+from irl.colouring import Colouring, _unchecked
 from irl.errors import (
     FormatError,
     OverflowLimitError,
@@ -105,7 +105,7 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
             i = 1 if low[x] < low[y] else 0
             j = 1 if base == cached(low[x], high[y]) else 0
             table[(x, y)] = encode_colour(i, j)
-    return Colouring(dim=2, window=window, palette=4, mode="vectors", table=table)
+    return _unchecked(Colouring, 2, window, 4, "vectors", table)
 
 
 def synthesize_solution(oracle: EnumerationOracle, m: int) -> tuple:

@@ -22,12 +22,15 @@ not an error.
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
+    _unchecked,
+    charge_domain,
     colouring_to_json,
     invariance_witness,
     sets_domain,
@@ -69,11 +72,12 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
     if kind == "RT_TO_ZRT":
         _require_mode(kind, instance, "sets")
         n = instance.dim
+        charge_domain("sets", n + 1, instance.window)
         for t in sets_domain(n + 1, instance.window):
             colour = instance.table.get(tuple(x - t[0] for x in t[1:]))
             if colour is not None:
                 table[t] = colour
-        return Colouring(n + 1, instance.window, instance.palette, "sets", table)
+        return _unchecked(Colouring, n + 1, instance.window, instance.palette, "sets", table)
     if kind == "ZRT_TO_AHT":
         _require_mode(kind, instance, "sets")
         if instance.dim < 2:
@@ -84,6 +88,7 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
                 "ZRT_TO_AHT requires a shift-invariant instance", witness=witness
             )
         d = instance.dim - 1
+        charge_domain("vectors", d, instance.window)
         for v in vectors_domain(d, instance.window):
             anchored = [0]
             for z in v:
@@ -91,25 +96,27 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
             colour = instance.table.get(tuple(anchored))
             if colour is not None:
                 table[v] = colour
-        return Colouring(d, instance.window, instance.palette, "vectors", table)
+        return _unchecked(Colouring, d, instance.window, instance.palette, "vectors", table)
     if kind == "AHT_TO_ZRT":
         _require_mode(kind, instance, "vectors")
         d = instance.dim
+        charge_domain("sets", d + 1, instance.window)
         for t in sets_domain(d + 1, instance.window):
             colour = instance.table.get(tuple(b - a for a, b in zip(t, t[1:])))
             if colour is not None:
                 table[t] = colour
-        return Colouring(d + 1, instance.window, instance.palette, "sets", table)
+        return _unchecked(Colouring, d + 1, instance.window, instance.palette, "sets", table)
     # APAHT_TO_RT
     _require_mode(kind, instance, "vectors")
     n = instance.dim
     positions = bit_window(instance.window)
+    charge_domain("sets", n + 1, positions)
     for t in sets_domain(n + 1, positions):
         blocks = tuple(block(t[i], t[i + 1] - 1) for i in range(n))
         colour = instance.table.get(blocks)
         if colour is not None:
             table[t] = colour
-    return Colouring(n + 1, positions, instance.palette, "sets", table)
+    return _unchecked(Colouring, n + 1, positions, instance.palette, "sets", table)
 
 
 def backward_transform(kind: str, solution) -> tuple:
@@ -144,7 +151,8 @@ class ReductionReport:
     ``passed`` is True when a witness was found and the mapped-back object
     is monochromatic on the original instance with the same colour, None
     when the window held no witness, and False only on a genuine failure
-    of the reduction (which the theorems rule out).
+    of the reduction (which the theorems rule out).  The digests of the
+    instance and the transformed instance are computed on first access.
     """
 
     kind: str
@@ -155,8 +163,21 @@ class ReductionReport:
     mapped: tuple | None
     passed: bool | None
     colour: int | None
-    instance_digest: str
-    transformed_digest: str
+    instance: Colouring = field(repr=False)
+    transformed: Colouring = field(repr=False)
+
+    def __hash__(self):
+        # the colourings hold dicts; equal reports agree on these fields
+        return hash((self.kind, self.param, self.window, self.target, self.witness,
+                     self.mapped, self.passed, self.colour))
+
+    @cached_property
+    def instance_digest(self) -> str:
+        return _digest(self.instance)
+
+    @cached_property
+    def transformed_digest(self) -> str:
+        return _digest(self.transformed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -221,8 +242,8 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
             mapped=mapped,
             passed=passed,
             colour=colour,
-            instance_digest=_digest(instance),
-            transformed_digest=_digest(transformed),
+            instance=instance,
+            transformed=transformed,
         )
 
     if witness is None:

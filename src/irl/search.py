@@ -21,7 +21,7 @@ from itertools import combinations
 
 from irl.bits import highest_bit, lowest_bit
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, colouring_to_json, sets_domain, vectors_domain
+from irl.colouring import Colouring, _unchecked, colouring_to_json, sets_domain, vectors_domain
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.sums import adjacent_tuples
@@ -35,7 +35,9 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
 
     Returns the subset as an increasing tuple, or None when the window
     holds no witness.  With ``separated=True`` the subset's successive
-    differences must additionally be apart.
+    differences must additionally be apart.  Since m >= dim, every element
+    of a witness lies in one of its coloured tuples, so only the points of
+    coloured tuples are tried.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
@@ -43,13 +45,14 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
         raise PreconditionError(f"subset size must be an integer >= dim {c.dim}, got {m!r}")
     dim = c.dim
     table = c.table
+    points = c.points
     prefix = []
 
     def extend(colour, start):
         if len(prefix) == m:
             return tuple(prefix)
-        need = m - len(prefix)
-        for x in range(start, c.window + 2 - need):
+        for i in range(start, len(points) + len(prefix) + 1 - m):
+            x = points[i]
             if separated and len(prefix) >= 2:
                 gap_prev = prefix[-1] - prefix[-2]
                 if not highest_bit(gap_prev) < lowest_bit(x - prefix[-1]):
@@ -66,7 +69,7 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
                         got_colour = got
             if ok:
                 prefix.append(x)
-                found = extend(got_colour, x + 1)
+                found = extend(got_colour, i + 1)
                 if found is not None:
                     return found
                 prefix.pop()
@@ -298,7 +301,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
             table = {t: colour_of[t if key is None else key(t)] for t in sets_domain(dim, window)}
         else:
             table = colour_of
-        return Colouring(dim, window, palette, mode, table)
+        return _unchecked(Colouring, dim, window, palette, mode, table)
 
     for size in range(1, query.cap + 1):
         window = size - 1 if sets_mode else size

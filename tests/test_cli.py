@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import irl
 from irl.cli import main
 from irl.colouring import (
     Colouring,
@@ -214,3 +219,85 @@ def test_seed_flag_is_accepted(files, capsys):
     code, out = run(capsys, "check-invariance", "--input", files["parity"], "--seed", "7")
     assert code == 0
     assert out == '{"invariant": true}\n'
+
+
+SRC = str(Path(irl.__file__).resolve().parent.parent)
+
+
+def fresh(*argv):
+    """(exit code, stdout) of ``irl`` run in a new interpreter, with a 10 s ceiling."""
+    env = dict(os.environ, PYTHONPATH=SRC, COLUMNS="80")
+    done = subprocess.run([sys.executable, "-m", "irl.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=10)
+    return done.returncode, done.stdout
+
+
+@pytest.fixture
+def wide(tmp_path):
+    """Two-entry inputs whose windows are far too wide to materialize."""
+    def dump(name, payload):
+        path = tmp_path / name
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    return {
+        "differences": dump("wide_differences.json", {
+            "dim": 1, "window": 5, "palette": 2, "mode": "differences",
+            "entries": [[[1], 0], [[2], 1]]}),
+        "sets": dump("wide_sets.json", {
+            "dim": 2, "window": 100000, "palette": 2, "mode": "sets",
+            "entries": [[[0, 5], 0], [[7, 99999], 1]]}),
+        "vectors": dump("wide_vectors.json", {
+            "dim": 2, "window": 100000, "palette": 2, "mode": "vectors",
+            "entries": [[[1, 2], 0], [[3, 4], 1]]}),
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ("from-differences", "--input", "{differences}", "--window", "100000"),
+    ("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", "{sets}"),
+    ("reduce", "--kind", "AHT_TO_ZRT", "--op", "forward", "--input", "{vectors}"),
+    ("reduce", "--kind", "RT_TO_ZRT", "--input", "{sets}", "--m", "3"),
+])
+def test_materialization_beyond_the_budget_is_refused(wide, argv):
+    code, out = fresh(*(arg.format(**wide) for arg in argv))
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "budget"
+
+
+def test_search_on_a_sparse_wide_sets_instance_is_fast(wide):
+    code, out = fresh("search", "--input", wide["sets"], "--m", "3")
+    assert code == 0
+    assert out == '{"witness": null, "colour": null}\n'
+
+
+def test_cached_parser_prints_what_a_fresh_process_prints(files, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    target = files["dir"] / "cached.json"
+    sequence = [
+        ("search", "--input", files["parity"], "--m", "abc"),
+        ("search", "--input", files["parity"], "--m", "4"),
+        ("reduce", "--kind", "ZRT_TO_AHT", "--input", files["parity"], "--m", "3"),
+        ("check-invariance", "--input", files["anchored"], "--out", str(target)),
+        ("check-invariance", "--input", files["anchored"]),
+        ("to-differences", "--input", files["parity"]),
+        ("search", "--help"),
+        ("finite-number", "--principle", "RT", "--dim", "1", "--k", "2", "--m", "3", "--cap", "10"),
+    ]
+
+    def in_process(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    def outcome(runner, argv):
+        result = runner(argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return result, written
+
+    for argv in sequence:
+        assert outcome(in_process, argv) == outcome(lambda a: fresh(*a), argv), argv

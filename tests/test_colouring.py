@@ -1,11 +1,16 @@
 import json
+import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irl.bits import block
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
+    _check_entry,
+    _check_table,
     colouring_from_json,
     colouring_to_json,
     enumerate_colourings,
@@ -17,6 +22,9 @@ from irl.colouring import (
     vectors_domain,
 )
 from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
+from irl.oracle import EnumerationOracle, lower_bound_colouring
+from irl.reduce import forward_transform
+from irl.search import FiniteNumberQuery, finite_number
 
 
 def pair_colouring(window, fn, palette=2):
@@ -177,3 +185,122 @@ def test_table_validation():
         Colouring(1, 4, 2, "vectors", {(0,): 0})
     with pytest.raises(FormatError):
         DifferenceColouring(2, 4, 2, {(3, 3): 0})
+
+
+def test_from_differences_charges_the_domain_to_the_budget(monkeypatch):
+    dc = DifferenceColouring(1, 5, 2, {(1,): 0, (2,): 1})
+    with pytest.raises(BudgetExceededError) as info:
+        from_differences(dc, 100_000)
+    assert info.value.count == 100_001 * 100_000 // 2  # C(100001, 2) pairs
+    monkeypatch.setenv("IRL_BUDGET", str(13 * 12 // 2))
+    assert len(from_differences(dc, 12).table) == 12 + 11
+    with pytest.raises(BudgetExceededError):
+        from_differences(dc, 13)
+
+
+def _rechecked(c):
+    """``c`` rebuilt through its checked public constructor."""
+    if isinstance(c, DifferenceColouring):
+        return DifferenceColouring(c.dim, c.window, c.palette, dict(c.table))
+    return Colouring(c.dim, c.window, c.palette, c.mode, dict(c.table))
+
+
+def _trusted_outputs():
+    """Every kind of colouring the package builds without validation, over a small grid."""
+    rng = random.Random(8)
+    for window in range(13):
+        for dim in (1, 2, 3):
+            sets = Colouring(dim, window, 3, "sets",
+                             {t: rng.randrange(3) for t in sets_domain(dim, window)})
+            vectors = Colouring(dim, window, 3, "vectors",
+                                {t: rng.randrange(3) for t in vectors_domain(dim, window)})
+            dc = DifferenceColouring(dim, window, 2,
+                                     {t: rng.randrange(2) for t in vectors_domain(dim, window)})
+            invariant = from_differences(dc, window)
+            blocks = Colouring(dim, 2 ** window - 1, 2, "vectors", {
+                tuple(block(t[i], t[i + 1] - 1) for i in range(dim)): rng.randrange(2)
+                for t in sets_domain(dim + 1, window)})
+            yield from (invariant, to_differences(invariant),
+                        forward_transform("RT_TO_ZRT", sets),
+                        forward_transform("ZRT_TO_AHT", invariant),
+                        forward_transform("AHT_TO_ZRT", vectors),
+                        forward_transform("APAHT_TO_RT", blocks),
+                        forward_transform("APAHT_TO_RT", vectors))
+    for dim, window, mode in ((1, 3, "sets"), (2, 3, "sets"), (1, 4, "vectors"), (2, 4, "vectors")):
+        yield from enumerate_colourings(dim, window, 2, mode=mode)
+        yield from sample_colourings(dim, window, 3, mode=mode, seed=dim, count=5)
+    for dim in (1, 2, 3):
+        yield from enumerate_colourings(dim, 4, 2, invariant=True, budget=2**10)
+        yield from sample_colourings(dim, 6, 3, invariant=True, seed=dim, count=5)
+    for window in (1, 5, 12, 40):
+        yield lower_bound_colouring(EnumerationOracle(((0, 2), (3, 5), (1, 1))), window)
+    for principle, m in (("RT", 3), ("ZRT", 3), ("AHT", 3), ("APAHT", 3)):
+        result = finite_number(FiniteNumberQuery(principle, 2 if principle == "ZRT" else 1, 2, m, 3))
+        assert result.value is None
+        yield result.counterexample
+
+
+def test_trusted_outputs_pass_the_public_constructor():
+    count = 0
+    for c in _trusted_outputs():
+        assert _rechecked(c) == c
+        count += 1
+    assert count > 500
+
+
+class Level(IntEnum):
+    LOW = 0
+    MID = 1
+    HIGH = 2
+
+
+_components = st.one_of(
+    st.integers(min_value=-2, max_value=14),
+    st.booleans(),
+    st.floats(min_value=-2, max_value=14, allow_nan=False),
+    st.sampled_from(Level),
+)
+_keys = st.one_of(st.lists(_components, max_size=4).map(tuple), _components)
+
+
+def _reference_check(t, colour, dim, window, palette, mode):
+    """The per-entry check that the constructors ran before the one-pass table check."""
+    if mode == "differences":
+        _check_entry(t, colour, dim, window, palette, "vectors")
+        if sum(t) > window:
+            raise FormatError(f"difference vector total {sum(t)} exceeds window {window}: {t!r}")
+    else:
+        _check_entry(t, colour, dim, window, palette, mode)
+
+
+def _error(check):
+    try:
+        check()
+    except FormatError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(("sets", "vectors", "differences")), st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=12), st.integers(min_value=1, max_value=3),
+       st.lists(st.tuples(_keys, _components), max_size=4))
+def test_table_check_raises_what_the_per_entry_check_raised(mode, dim, window, palette, entries):
+    table = dict(entries)
+
+    def per_entry():
+        for t, colour in table.items():
+            _reference_check(t, colour, dim, window, palette, mode)
+
+    assert _error(lambda: _check_table(table, dim, window, palette, mode)) == _error(per_entry)
+
+
+@pytest.mark.parametrize("mode", ("sets", "vectors", "differences"))
+def test_table_check_matches_the_per_entry_check_at_the_edges(mode):
+    keys = [(-1, 2), (0, 1), (0, 6), (0, 7), (1, 5), (1, 6), (5, 6), (6, 7), (2, 2), (3, 1),
+            (1,), (1, 2, 3), (True, 2), (1.0, 2), (Level.LOW, Level.HIGH), 3]
+    for t in keys:
+        for colour in (0, 2, 3, -1, True, 1.0, Level.HIGH):
+            expected = _error(lambda: _reference_check(t, colour, 2, 6, 3, mode))
+            assert _error(lambda: _check_table({t: colour}, 2, 6, 3, mode)) == expected, (t, colour)
+

@@ -1,0 +1,158 @@
+"""CLI stdout pinned byte for byte over seeded inputs.
+
+The pinned file was written once, by an earlier version of the package,
+from the cases below.  Outputs longer than ``INLINE_LIMIT`` bytes are
+pinned by their SHA-256 and length.  Pins are only ever added, never
+rewritten to make a test pass.
+"""
+
+import hashlib
+import io
+import json
+import random
+from contextlib import redirect_stdout
+from itertools import combinations, product
+from pathlib import Path
+
+from irl.cli import main
+
+GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.json"
+INLINE_LIMIT = 1024
+SEED = 20240
+REPLICAS = 2
+
+# (kind, maker, dim, window, palette, target): the reduction acceptance shapes
+VERIFY_SHAPES = [
+    ("RT_TO_ZRT", "sets", 1, 10, 2, 3),
+    ("RT_TO_ZRT", "sets", 1, 12, 3, 3),
+    ("RT_TO_ZRT", "sets", 2, 8, 2, 3),
+    ("RT_TO_ZRT", "sets", 2, 10, 3, 3),
+    ("RT_TO_ZRT", "sets", 2, 3, 2, 4),  # too small a window: null verdict
+    ("ZRT_TO_AHT", "invariant", 2, 14, 2, 3),
+    ("ZRT_TO_AHT", "invariant", 2, 14, 3, 3),
+    ("ZRT_TO_AHT", "invariant", 3, 12, 2, 3),
+    ("ZRT_TO_AHT", "invariant", 3, 10, 3, 3),
+    ("AHT_TO_ZRT", "vectors", 1, 14, 2, 4),
+    ("AHT_TO_ZRT", "vectors", 1, 14, 3, 4),
+    ("AHT_TO_ZRT", "vectors", 2, 12, 2, 4),
+    ("AHT_TO_ZRT", "vectors", 2, 10, 3, 4),
+    ("APAHT_TO_RT", "blocks", 1, 12, 2, 2),
+    ("APAHT_TO_RT", "blocks", 2, 10, 2, 3),
+    ("APAHT_TO_RT", "blocks", 2, 12, 3, 3),
+]
+FORWARD_SHAPES = [  # (kind, maker, dim, window, palette)
+    ("RT_TO_ZRT", "sets", 1, 12, 2),
+    ("RT_TO_ZRT", "sets", 2, 14, 2),
+    ("RT_TO_ZRT", "sets", 3, 14, 3),
+    ("ZRT_TO_AHT", "invariant", 2, 12, 3),
+    ("ZRT_TO_AHT", "invariant", 3, 12, 2),
+    ("AHT_TO_ZRT", "vectors", 1, 12, 2),
+    ("AHT_TO_ZRT", "vectors", 2, 12, 3),
+    ("APAHT_TO_RT", "blocks", 1, 10, 3),
+    ("APAHT_TO_RT", "blocks", 2, 12, 2),
+]
+SEARCH_SHAPES = [  # (maker, dim, window, palette, m)
+    ("sets", 1, 14, 2, 4),
+    ("sets", 2, 14, 2, 4),
+    ("sets", 3, 12, 2, 4),
+    ("vectors", 1, 14, 3, 3),
+    ("vectors", 2, 14, 2, 3),
+]
+
+
+def _sets(dim, window):
+    return list(combinations(range(window + 1), dim))
+
+
+def _vectors(dim, window):
+    return [v for v in product(range(1, window + 1), repeat=dim) if sum(v) <= window]
+
+
+def _diffs(t):
+    return tuple(b - a for a, b in zip(t, t[1:]))
+
+
+def _lift(differences, dim, window):
+    return {t: differences[_diffs(t)] for t in _sets(dim, window) if _diffs(t) in differences}
+
+
+def _instance(rng, maker, dim, window, palette):
+    """(mode, window, table) of a seeded instance; ``window`` counts bit positions for blocks."""
+    if maker == "sets":
+        return "sets", window, {t: rng.randrange(palette) for t in _sets(dim, window)}
+    if maker == "invariant":
+        differences = {v: rng.randrange(palette) for v in _vectors(dim - 1, window)}
+        return "sets", window, _lift(differences, dim, window)
+    if maker == "vectors":
+        return "vectors", window, {v: rng.randrange(palette) for v in _vectors(dim, window)}
+    table = {tuple(2 ** t[i + 1] - 2 ** t[i] for i in range(dim)): rng.randrange(palette)
+             for t in _sets(dim + 1, window)}
+    return "vectors", 2 ** window - 1, table
+
+
+def _payload(dim, window, palette, mode, table):
+    return {"dim": dim, "window": window, "palette": palette, "mode": mode,
+            "entries": [[list(t), table[t]] for t in sorted(table)]}
+
+
+def cases(directory):
+    """[(case id, argv)] over input files written into ``directory``."""
+    rng = random.Random(SEED)
+    out = []
+
+    def add(name, data, argv):
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(data))
+        out.append((name, [argv[0], "--input", str(path), *argv[1:]]))
+
+    for r in range(REPLICAS):
+        for kind, maker, dim, window, palette, target in VERIFY_SHAPES:
+            mode, w, table = _instance(rng, maker, dim, window, palette)
+            add(f"verify-{kind}-d{dim}w{window}k{palette}m{target}-{r}",
+                _payload(dim, w, palette, mode, table),
+                ["reduce", "--kind", kind, "--m", str(target)])
+        for kind, maker, dim, window, palette in FORWARD_SHAPES:
+            mode, w, table = _instance(rng, maker, dim, window, palette)
+            add(f"forward-{kind}-d{dim}w{window}k{palette}-{r}",
+                _payload(dim, w, palette, mode, table),
+                ["reduce", "--kind", kind, "--op", "forward"])
+        for maker, dim, window, palette, m in SEARCH_SHAPES:
+            mode, w, table = _instance(rng, maker, dim, window, palette)
+            add(f"search-{maker}-d{dim}w{window}k{palette}m{m}-{r}",
+                _payload(dim, w, palette, mode, table), ["search", "--m", str(m)])
+        for maker, dim in (("invariant", 3), ("sets", 2)):
+            mode, w, table = _instance(rng, maker, dim, 12, 3)
+            add(f"check-invariance-{maker}-d{dim}-{r}", _payload(dim, w, 3, mode, table),
+                ["check-invariance"])
+        mode, w, table = _instance(rng, "invariant", 3, 12, 2)
+        add(f"to-differences-{r}", _payload(3, w, 2, mode, table), ["to-differences"])
+        _, _, differences = _instance(rng, "vectors", 2, 12, 2)
+        add(f"from-differences-{r}", _payload(2, 12, 2, "differences", differences),
+            ["from-differences", "--window", "14"])
+    return out
+
+
+def run(argv):
+    buffer = io.StringIO()
+    with redirect_stdout(buffer):
+        code = main(argv)
+    return code, buffer.getvalue()
+
+
+def pin(text):
+    """The pinned form of one stdout: the text itself, or its digest and length."""
+    if len(text.encode()) <= INLINE_LIMIT:
+        return text
+    return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "bytes": len(text.encode())}
+
+
+def test_golden_stdout(tmp_path):
+    golden = json.loads(GOLDEN.read_text())
+    seen = []
+    for name, argv in cases(tmp_path):
+        code, text = run(argv)
+        assert code == 0, (name, text)
+        assert pin(text) == golden[name], name
+        seen.append(name)
+    assert sorted(seen) == sorted(golden)
+

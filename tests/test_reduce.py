@@ -210,5 +210,15 @@ def test_report_json_shape_and_determinism():
     assert first.instance_digest != first.transformed_digest
 
 
+def test_reports_of_different_instances_differ_even_with_equal_verdicts():
+    first = verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: 0), 3)
+    second = verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: y), 3)
+    assert first.to_json_dict() == second.to_json_dict()
+    assert first != second
+    assert first.instance_digest != second.instance_digest
+    assert first == verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: 0), 3)
+    assert len({first, second}) == 2  # reports stay hashable
+
+
 def test_kinds_are_complete():
     assert set(KINDS) == {"RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT"}

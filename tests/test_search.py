@@ -249,3 +249,28 @@ def test_finite_number_budget_counts_search_work():
     with pytest.raises(BudgetExceededError) as info:
         finite_number(FiniteNumberQuery("ZRT", 2, 3, 3, 16), budget=1000)
     assert info.value.count == 1001
+
+
+def brute_least_subset(c, m, separated=False):
+    """Least m-subset of the window with every dim-tuple coloured alike (absent tuples fail)."""
+    for cand in combinations(range(c.window + 1), m):
+        if separated and not is_separated(cand):
+            continue
+        colours = {c.table.get(t) for t in combinations(cand, c.dim)}
+        if len(colours) == 1 and None not in colours:
+            return cand
+    return None
+
+
+def test_find_mono_subset_on_partial_tables_against_brute_force():
+    rng = random.Random(23)
+    for trial in range(150):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 9)
+        keep = rng.choice((0.2, 0.5, 0.9))
+        table = {t: rng.randrange(2) for t in sets_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, 2, "sets", table)
+        for m in range(dim, dim + 3):
+            for separated in (False, True):
+                assert find_mono_subset(c, m, separated) == brute_least_subset(c, m, separated)
+
