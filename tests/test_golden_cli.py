@@ -16,6 +16,8 @@ from pathlib import Path
 
 from irl.cli import main
 
+KINDS = ("RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT")
+
 GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.json"
 INLINE_LIMIT = 1024
 SEED = 20240
@@ -58,6 +60,13 @@ SEARCH_SHAPES = [  # (maker, dim, window, palette, m)
     ("vectors", 1, 14, 3, 3),
     ("vectors", 2, 14, 2, 3),
 ]
+# Inputs with one or more faults for some kinds; their pins fix which error wins.
+ERROR_SHAPES = [  # (maker, dim, window, palette, label)
+    ("sets", 1, 6, 2, "sets-d1"),
+    ("sets", 2, 6, 3, "noninvariant-d2"),
+    ("vectors", 1, 6, 2, "vectors-d1"),
+]
+BACKWARD_SOLUTIONS = ["[]", "[3]", "[3,1]", "[-1,2]", "[0,1,3]"]
 
 
 def _sets(dim, window):
@@ -129,6 +138,25 @@ def cases(directory):
         _, _, differences = _instance(rng, "vectors", 2, 12, 2)
         add(f"from-differences-{r}", _payload(2, 12, 2, "differences", differences),
             ["from-differences", "--window", "14"])
+    # drawn from a second generator, so the cases above keep their inputs
+    rng = random.Random(SEED + 1)
+    for maker, dim, window, palette, label in ERROR_SHAPES:
+        mode, w, table = _instance(rng, maker, dim, window, palette)
+        data = _payload(dim, w, palette, mode, table)
+        for kind in KINDS:
+            add(f"reduce-forward-{kind}-{label}", data, ["reduce", "--kind", kind, "--op", "forward"])
+            for target in (1, 2, 3):
+                add(f"reduce-verify-{kind}-{label}-m{target}", data,
+                    ["reduce", "--kind", kind, "--m", str(target)])
+    for kind in KINDS:
+        for solution in BACKWARD_SOLUTIONS:
+            out.append((f"reduce-backward-{kind}-{solution}",
+                        ["reduce", "--kind", kind, "--op", "backward", "--solution", solution]))
+    out.append(("reduce-backward-unknown-kind",
+                ["reduce", "--kind", "NOPE", "--op", "backward", "--solution", "[]"]))
+    data = _payload(1, 6, 2, "sets", {(x,): x % 2 for x in range(7)})
+    add("reduce-forward-unknown-kind", data, ["reduce", "--kind", "NOPE", "--op", "forward"])
+    add("reduce-verify-unknown-kind", data, ["reduce", "--kind", "NOPE", "--m", "0"])
     return out
 
 
@@ -151,7 +179,7 @@ def test_golden_stdout(tmp_path):
     seen = []
     for name, argv in cases(tmp_path):
         code, text = run(argv)
-        assert code == 0, (name, text)
+        assert code == (1 if text.startswith('{"error"') else 0), (name, text)
         assert pin(text) == golden[name], name
         seen.append(name)
     assert sorted(seen) == sorted(golden)

@@ -21,6 +21,7 @@ from irl.reduce import (
     backward_transform,
     bit_window,
     forward_transform,
+    kind_param,
     verify_reduction,
 )
 from irl.sums import adjacent_tuples
@@ -222,3 +223,20 @@ def test_reports_of_different_instances_differ_even_with_equal_verdicts():
 
 def test_kinds_are_complete():
     assert set(KINDS) == {"RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT"}
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: kind_param("NOPE", inst),
+    lambda inst: forward_transform("NOPE", inst),
+    lambda inst: backward_transform("NOPE", ()),
+    lambda inst: verify_reduction("NOPE", inst, 2),
+])
+def test_unknown_kind_is_refused_before_any_other_fault(call):
+    with pytest.raises(PreconditionError) as info:
+        call(vector_colouring(1, 4, lambda t: 0))
+    assert str(info.value) == f"kind must be one of {KINDS}, got 'NOPE'"
+
+
+def test_verify_checks_the_target_before_the_kind():
+    with pytest.raises(PreconditionError, match="target must be an integer >= 1"):
+        verify_reduction("NOPE", unary_colouring(3, lambda y: 0), 0)
