@@ -27,6 +27,7 @@ from irl.search import (
     find_mono_subset,
     finite_number,
     sweep_finite_numbers,
+    witness_colour,
 )
 from irl.sums import adjacent_tuples
 
@@ -37,7 +38,7 @@ def _load_json(path):
             return json.load(handle)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer literal above 4300 digits
         raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -50,7 +51,7 @@ def _load_sequence(text):
     if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise FormatError(f"inline solution is not valid JSON: {exc}") from None
     else:
         data = _load_json(text)
@@ -134,15 +135,9 @@ def _cmd_search(args):
             )
     if instance.mode == "sets":
         witness = find_mono_subset(instance, args.m)
-        first_tuple = witness[: instance.dim] if witness else None
     else:
-        window = args.window if args.window is not None else instance.window
-        witness = find_afs_mono(instance, args.m, window=window)
-        first_tuple = None
-        if witness is not None:
-            tuples = sorted(adjacent_tuples(witness, instance.dim))
-            first_tuple = tuples[0] if tuples else None
-    colour = instance.table.get(first_tuple) if first_tuple else None
+        witness = find_afs_mono(instance, args.m, window=args.window)
+    colour = None if witness is None else witness_colour(instance, witness)
     return json.dumps({"witness": None if witness is None else list(witness), "colour": colour})
 
 

@@ -29,32 +29,57 @@ MODES = ("sets", "vectors")
 
 def sets_domain(dim: int, window: int):
     """Strictly increasing dim-tuples over [0, window], in lexicographic order."""
+    if dim > window + 1:
+        return iter(())  # none exist, but combinations would still allocate dim indices
     return combinations(range(window + 1), dim)
 
 
 def vectors_domain(dim: int, window: int):
     """Positive dim-tuples with coordinate sum <= window, in lexicographic order."""
-
-    def rec(prefix, left_budget, left):
-        if left == 0:
-            yield prefix
+    if window < dim:
+        return
+    v = [1] * dim
+    total = dim
+    while True:
+        yield tuple(v)
+        i = dim - 1
+        while total == window and i > 0:  # v[i] cannot grow: drop it to 1 and move left
+            total -= v[i] - 1
+            v[i] = 1
+            i -= 1
+        if total == window or i < 0:
             return
-        for z in range(1, left_budget - (left - 1) + 1):
-            yield from rec(prefix + (z,), left_budget - z, left - 1)
-
-    if window >= dim:
-        yield from rec((), window, dim)
+        v[i] += 1
+        total += 1
 
 
-def charge_domain(mode: str, dim: int, window: int) -> None:
-    """Refuse, naming its size, a ``standard_domain`` larger than the candidate budget."""
-    size = comb(window + 1, dim) if mode == "sets" else comb(window, dim)
-    limit = candidate_budget()
-    if size > limit:
-        raise BudgetExceededError(
-            f"materializing {size} {dim}-tuples over window {window} exceeds the budget of {limit}",
-            count=size,
-        )
+def _count_text(count: int) -> str:
+    """A count for a message; int-to-str conversion is capped at 4300 digits."""
+    return str(count) if count.bit_length() <= 14_000 else f"at least 2^{count.bit_length() - 1}"
+
+
+def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
+    """Size of a ``standard_domain``, refused before it is built when above ``limit``.
+
+    ``limit`` defaults to the candidate budget.  A domain of tuples longer
+    than the limit is refused as well.  The refusal names the size, or
+    None when the size is too large to be worth computing exactly.
+    """
+    limit = candidate_budget() if limit is None else limit
+    n = window + 1 if mode == "sets" else window
+    if dim > n:
+        return 0
+    # C(n, k) >= 2^k for k <= n/2, and an exact C(n, k) with k in the
+    # hundreds of thousands takes seconds
+    k = min(dim, n - dim)
+    size = comb(n, k) if k <= limit.bit_length() else None
+    if size is not None and size <= limit and dim <= limit:
+        return size
+    shown = f"more than {limit}" if size is None else _count_text(size)
+    raise BudgetExceededError(
+        f"materializing {shown} {dim}-tuples over window {window} exceeds the budget of {limit}",
+        count=size,
+    )
 
 
 def standard_domain(mode: str, dim: int, window: int):
@@ -246,6 +271,21 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", table)
 
 
+def _domain(mode, dim, window, limit, palette=1, what="colourings"):
+    """Every tuple of a standard domain, refused before any is built.
+
+    The domain must fit ``limit``, and so must the ``palette ** size``
+    colourings of it that an exhaustive enumeration visits (the default
+    palette of 1 checks the domain alone).
+    """
+    count = palette ** charge_domain(mode, dim, window, limit)
+    if count > limit:
+        raise BudgetExceededError(
+            f"exhaustive enumeration needs {_count_text(count)} {what}, budget is {limit}", count=count
+        )
+    return tuple(standard_domain(mode, dim, window))
+
+
 def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, budget=None):
     """Yield every colouring of the given shape exactly once, in a fixed order.
 
@@ -253,8 +293,8 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
     are counted in base ``palette`` with the colour of the lex-greatest
     tuple varying fastest.  ``invariant=True`` enumerates shift-invariant
     sets colourings through their difference tables (palette^(#difference
-    vectors) instances).  Refuses, naming the count, when the enumeration
-    exceeds the budget.
+    vectors) instances).  Refuses, naming the count, when the domain or the
+    enumeration exceeds the budget.
     """
     _check_shape(dim, window, palette)
     limit = candidate_budget() if budget is None else budget
@@ -263,52 +303,46 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
             raise PreconditionError("invariant enumeration applies to sets-mode colourings")
         if dim == 1:
             # a shift-invariant unary colouring is constant
+            domain = _domain("sets", 1, window, limit)
             for colour in range(palette):
                 yield _unchecked(Colouring, dim, window, palette, "sets",
-                                 {t: colour for t in sets_domain(1, window)})
+                                 {t: colour for t in domain})
             return
-        domain = tuple(vectors_domain(dim - 1, window))
-        count = palette ** len(domain)
-        if count > limit:
-            raise BudgetExceededError(
-                f"exhaustive enumeration needs {count} difference tables, budget is {limit}",
-                count=count,
-            )
+        domain = _domain("vectors", dim - 1, window, limit, palette, "difference tables")
         for assignment in product(range(palette), repeat=len(domain)):
             dc = _unchecked(DifferenceColouring, dim - 1, window, palette, dict(zip(domain, assignment)))
             yield from_differences(dc, window)
         return
-    domain = tuple(standard_domain(mode, dim, window))
-    count = palette ** len(domain)
-    if count > limit:
-        raise BudgetExceededError(
-            f"exhaustive enumeration needs {count} colourings, budget is {limit}",
-            count=count,
-        )
+    domain = _domain(mode, dim, window, limit, palette)
     for assignment in product(range(palette), repeat=len(domain)):
         yield _unchecked(Colouring, dim, window, palette, mode, dict(zip(domain, assignment)))
 
 
 def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0, count=1):
-    """Yield ``count`` colourings drawn reproducibly from ``seed``."""
+    """Yield ``count`` colourings drawn reproducibly from ``seed``.
+
+    Refuses a domain larger than the budget before building it.
+    """
     _check_shape(dim, window, palette)
+    limit = candidate_budget()
     rng = random.Random(seed)
     if invariant:
         if mode != "sets":
             raise PreconditionError("invariant sampling applies to sets-mode colourings")
         if dim == 1:
+            domain = _domain("sets", 1, window, limit)
             for _ in range(count):
                 colour = rng.randrange(palette)
                 yield _unchecked(Colouring, dim, window, palette, "sets",
-                                 {t: colour for t in sets_domain(1, window)})
+                                 {t: colour for t in domain})
             return
-        domain = tuple(vectors_domain(dim - 1, window))
+        domain = _domain("vectors", dim - 1, window, limit)
         for _ in range(count):
             dc = _unchecked(DifferenceColouring, dim - 1, window, palette,
                             {t: rng.randrange(palette) for t in domain})
             yield from_differences(dc, window)
         return
-    domain = tuple(standard_domain(mode, dim, window))
+    domain = _domain(mode, dim, window, limit)
     for _ in range(count):
         yield _unchecked(Colouring, dim, window, palette, mode,
                          {t: rng.randrange(palette) for t in domain})

@@ -1,4 +1,7 @@
-"""The four instance/solution transform pairs and a finite-window verifier.
+"""The four instance/solution transform pairs, as one table, and a finite-window verifier.
+
+``REDUCTIONS`` holds one ``Reduction`` record per kind; the transforms and
+the verifier below are shared by all four kinds and read the record.
 
 Kinds (instance direction / solution direction):
 
@@ -22,6 +25,7 @@ not an error.
 
 import hashlib
 import json
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -33,19 +37,11 @@ from irl.colouring import (
     charge_domain,
     colouring_to_json,
     invariance_witness,
-    sets_domain,
-    vectors_domain,
+    standard_domain,
 )
 from irl.errors import NotInvariantError, PreconditionError
-from irl.search import find_afs_mono, find_mono_subset
+from irl.search import find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import adjacent_tuples, differences, gap_increasing, partial_sums
-
-KINDS = ("RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT")
-
-
-def _require_mode(kind, instance, mode):
-    if instance.mode != mode:
-        raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
 
 
 def bit_window(value_window: int) -> int:
@@ -53,95 +49,136 @@ def bit_window(value_window: int) -> int:
     return (value_window + 1).bit_length() - 1
 
 
+# Forward maps: the coloured part of the target domain, from the instance.
+# Each keeps its own loop, since a call per tuple costs measurably.
+
+def _anchored_differences(instance, domain):
+    colours = instance.table
+    table = {}
+    for t in domain:
+        colour = colours.get(tuple(x - t[0] for x in t[1:]))
+        if colour is not None:
+            table[t] = colour
+    return table
+
+
+def _anchored_partial_sums(instance, domain):
+    colours = instance.table
+    table = {}
+    for v in domain:
+        anchored = [0]
+        for z in v:
+            anchored.append(anchored[-1] + z)
+        colour = colours.get(tuple(anchored))
+        if colour is not None:
+            table[v] = colour
+    return table
+
+
+def _successive_differences(instance, domain):
+    colours = instance.table
+    table = {}
+    for t in domain:
+        colour = colours.get(tuple(b - a for a, b in zip(t, t[1:])))
+        if colour is not None:
+            table[t] = colour
+    return table
+
+
+def _half_open_blocks(instance, domain):
+    colours = instance.table
+    n = instance.dim
+    table = {}
+    for t in domain:
+        colour = colours.get(tuple(block(t[i], t[i + 1] - 1) for i in range(n)))
+        if colour is not None:
+            table[t] = colour
+    return table
+
+
+def _consecutive_blocks(positions):
+    if positions[0] < 0:
+        raise PreconditionError("bit positions must be non-negative")
+    return tuple(block(a, b - 1) for a, b in zip(positions, positions[1:]))
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """What sets one reduction kind apart from the others."""
+
+    source_mode: str
+    target_mode: str
+    shift: int  # target arity minus source arity
+    forward: Callable[[Colouring, Iterable], dict]  # (instance, target domain) -> target table
+    backward: Callable[[tuple], tuple]  # checked witness -> solution
+    window: Callable[[int], int] = lambda window: window  # instance window -> target window
+    extra: int = 0  # how much longer a witness is than the solution it maps to
+    min_len: int = 1  # least solution length
+    invariant: bool = False  # the instance must be shift-invariant
+    apart: bool = False  # the mapped-back solution must be apart
+
+
+# The backward maps look their helpers up at call time, so wrappers installed
+# on this module's names see the calls.
+REDUCTIONS: dict[str, Reduction] = {
+    "RT_TO_ZRT": Reduction("sets", "sets", +1, _anchored_differences,
+                           lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
+    "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_partial_sums,
+                            lambda witness: partial_sums(witness), invariant=True),
+    "AHT_TO_ZRT": Reduction("vectors", "sets", +1, _successive_differences,
+                            lambda witness: differences(gap_increasing(witness)), min_len=2),
+    "APAHT_TO_RT": Reduction("vectors", "sets", +1, _half_open_blocks, _consecutive_blocks,
+                             window=bit_window, extra=1, min_len=2, apart=True),
+}
+KINDS = tuple(REDUCTIONS)
+
+
+def _reduction(kind) -> Reduction:
+    try:
+        return REDUCTIONS[kind]
+    except (KeyError, TypeError):
+        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}") from None
+
+
 def kind_param(kind: str, instance: Colouring) -> int:
     """The arity parameter (the n or d of the kind) implied by the instance."""
-    if kind not in KINDS:
-        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind == "ZRT_TO_AHT":
-        if instance.dim < 2:
-            raise PreconditionError("ZRT_TO_AHT expects tuple arity >= 2")
-        return instance.dim - 1
-    return instance.dim
+    shift = _reduction(kind).shift
+    if instance.dim + shift < 1:
+        raise PreconditionError(f"{kind} expects tuple arity >= {1 - shift}")
+    return min(instance.dim, instance.dim + shift)
 
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
     """Transform an instance of the source problem into one of the target problem."""
-    if kind not in KINDS:
-        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
-    table = {}
-    if kind == "RT_TO_ZRT":
-        _require_mode(kind, instance, "sets")
-        n = instance.dim
-        charge_domain("sets", n + 1, instance.window)
-        for t in sets_domain(n + 1, instance.window):
-            colour = instance.table.get(tuple(x - t[0] for x in t[1:]))
-            if colour is not None:
-                table[t] = colour
-        return _unchecked(Colouring, n + 1, instance.window, instance.palette, "sets", table)
-    if kind == "ZRT_TO_AHT":
-        _require_mode(kind, instance, "sets")
-        if instance.dim < 2:
-            raise PreconditionError("ZRT_TO_AHT expects tuple arity >= 2")
+    reduction = _reduction(kind)
+    if instance.mode != reduction.source_mode:
+        raise PreconditionError(
+            f"{kind} expects a {reduction.source_mode}-mode instance, got {instance.mode!r}"
+        )
+    kind_param(kind, instance)  # refuses an arity the shift would take below 1
+    if reduction.invariant:
         witness = invariance_witness(instance)
         if witness is not None:
-            raise NotInvariantError(
-                "ZRT_TO_AHT requires a shift-invariant instance", witness=witness
-            )
-        d = instance.dim - 1
-        charge_domain("vectors", d, instance.window)
-        for v in vectors_domain(d, instance.window):
-            anchored = [0]
-            for z in v:
-                anchored.append(anchored[-1] + z)
-            colour = instance.table.get(tuple(anchored))
-            if colour is not None:
-                table[v] = colour
-        return _unchecked(Colouring, d, instance.window, instance.palette, "vectors", table)
-    if kind == "AHT_TO_ZRT":
-        _require_mode(kind, instance, "vectors")
-        d = instance.dim
-        charge_domain("sets", d + 1, instance.window)
-        for t in sets_domain(d + 1, instance.window):
-            colour = instance.table.get(tuple(b - a for a, b in zip(t, t[1:])))
-            if colour is not None:
-                table[t] = colour
-        return _unchecked(Colouring, d + 1, instance.window, instance.palette, "sets", table)
-    # APAHT_TO_RT
-    _require_mode(kind, instance, "vectors")
-    n = instance.dim
-    positions = bit_window(instance.window)
-    charge_domain("sets", n + 1, positions)
-    for t in sets_domain(n + 1, positions):
-        blocks = tuple(block(t[i], t[i + 1] - 1) for i in range(n))
-        colour = instance.table.get(blocks)
-        if colour is not None:
-            table[t] = colour
-    return _unchecked(Colouring, n + 1, positions, instance.palette, "sets", table)
+            raise NotInvariantError(f"{kind} requires a shift-invariant instance", witness=witness)
+    dim = instance.dim + reduction.shift
+    mode = reduction.target_mode
+    window = reduction.window(instance.window)
+    charge_domain(mode, dim, window)
+    table = reduction.forward(instance, standard_domain(mode, dim, window))
+    return _unchecked(Colouring, dim, window, instance.palette, mode, table)
 
 
 def backward_transform(kind: str, solution) -> tuple:
     """Map a solution of the target problem back to one of the source problem."""
-    if kind not in KINDS:
-        raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}")
+    reduction = _reduction(kind)
     entries = tuple(solution)
     if not entries:
         raise PreconditionError("backward_transform requires a nonempty solution")
     if any(a >= b for a, b in zip(entries, entries[1:])):
         raise PreconditionError(f"solution must be strictly increasing, got {entries}")
-    if kind == "RT_TO_ZRT":
-        return tuple(x - entries[0] for x in entries[1:])
-    if kind == "ZRT_TO_AHT":
-        return partial_sums(entries)
-    if kind == "AHT_TO_ZRT":
-        if len(entries) < 2:
-            raise PreconditionError("AHT_TO_ZRT needs a solution of length >= 2")
-        return differences(gap_increasing(entries))
-    # APAHT_TO_RT: half-open blocks of consecutive bit positions
-    if len(entries) < 2:
-        raise PreconditionError("APAHT_TO_RT needs a solution of length >= 2")
-    if entries[0] < 0:
-        raise PreconditionError("bit positions must be non-negative")
-    return tuple(block(a, b - 1) for a, b in zip(entries, entries[1:]))
+    if len(entries) < reduction.min_len:
+        raise PreconditionError(f"{kind} needs a solution of length >= {reduction.min_len}")
+    return reduction.backward(entries)
 
 
 @dataclass(frozen=True)
@@ -215,58 +252,46 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     """Run one full reduction round trip and record the verdict.
 
     ``target`` is the solution size sought on the original problem; the
-    witness searched on the transformed instance is one element longer for
-    RT_TO_ZRT and APAHT_TO_RT (the backward transform consumes the extra
-    element) and exactly ``target`` long otherwise.
+    witness searched on the transformed instance is ``extra`` elements
+    longer (the backward transform consumes them).
     """
     if not isinstance(target, int) or isinstance(target, bool) or target < 1:
         raise PreconditionError(f"target must be an integer >= 1, got {target!r}")
     param = kind_param(kind, instance)
+    reduction = REDUCTIONS[kind]
     transformed = forward_transform(kind, instance)
-    if kind == "RT_TO_ZRT" or kind == "APAHT_TO_RT":
-        witness = find_mono_subset(transformed, target + 1)
-    elif kind == "AHT_TO_ZRT":
-        if target < 2:
-            raise PreconditionError("AHT_TO_ZRT needs target >= 2")
-        witness = find_mono_subset(transformed, target)
+    length = target + reduction.extra
+    if length < reduction.min_len:
+        raise PreconditionError(f"{kind} needs target >= {reduction.min_len - reduction.extra}")
+    if transformed.mode == "sets":
+        witness = find_mono_subset(transformed, length)
     else:
-        witness = find_afs_mono(transformed, target, window=transformed.window)
-
-    def report(mapped=None, passed=None, colour=None):
-        return ReductionReport(
-            kind=kind,
-            param=param,
-            window=instance.window,
-            target=target,
-            witness=witness,
-            mapped=mapped,
-            passed=passed,
-            colour=colour,
-            instance=instance,
-            transformed=transformed,
-        )
-
-    if witness is None:
-        return report()
-    mapped = backward_transform(kind, witness)
-
-    # colour observed on the transformed side (None if the check is vacuous)
-    if kind == "ZRT_TO_AHT":
-        witness_tuples = sorted(adjacent_tuples(witness, transformed.dim))
-        witness_colour = transformed.table.get(witness_tuples[0]) if witness_tuples else None
-    else:
-        first = next(combinations(witness, transformed.dim), None)
-        witness_colour = transformed.table.get(first) if first else None
-
-    # tuples the mapped-back object must colour monochromatically
-    if kind == "RT_TO_ZRT" or kind == "ZRT_TO_AHT":
-        tuples = combinations(mapped, instance.dim)
-    else:
-        tuples = sorted(adjacent_tuples(mapped, instance.dim))
-    mono, colour = _mono_colour(instance.table, tuples)
-    passed = mono
-    if passed and colour is not None and witness_colour is not None:
-        passed = colour == witness_colour
-    if kind == "APAHT_TO_RT":
-        passed = passed and is_apart(mapped)
-    return report(mapped=mapped, passed=passed, colour=colour)
+        witness = find_afs_mono(transformed, length)
+    mapped = passed = colour = None
+    if witness is not None:
+        mapped = backward_transform(kind, witness)
+        # tuples the mapped-back object must colour monochromatically
+        if instance.mode == "vectors":
+            tuples = sorted(adjacent_tuples(mapped, instance.dim))
+        elif len(mapped) >= instance.dim:
+            tuples = combinations(mapped, instance.dim)
+        else:  # none (and combinations would still allocate dim indices)
+            tuples = ()
+        passed, colour = _mono_colour(instance.table, tuples)
+        seen = witness_colour(transformed, witness)  # None if the check is vacuous
+        if passed and colour is not None and seen is not None:
+            passed = colour == seen
+        if reduction.apart:
+            passed = passed and is_apart(mapped)
+    return ReductionReport(
+        kind=kind,
+        param=param,
+        window=instance.window,
+        target=target,
+        witness=witness,
+        mapped=mapped,
+        passed=passed,
+        colour=colour,
+        instance=instance,
+        transformed=transformed,
+    )

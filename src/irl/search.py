@@ -21,13 +21,26 @@ from itertools import combinations
 
 from irl.bits import highest_bit, lowest_bit
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, _unchecked, colouring_to_json, sets_domain, vectors_domain
+from irl.colouring import (
+    Colouring,
+    _unchecked,
+    charge_domain,
+    colouring_to_json,
+    sets_domain,
+    standard_domain,
+)
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.sums import adjacent_tuples
 
 PRINCIPLES = ("RT", "ZRT", "SEPZRT", "AHT", "APAHT")
 _SETS_PRINCIPLES = ("RT", "ZRT", "SEPZRT")
+MAX_WITNESS = 500  # the searches recurse once per witness element
+
+
+def _check_depth(m):
+    if m > MAX_WITNESS:
+        raise PreconditionError(f"witness length {m} exceeds the supported maximum of {MAX_WITNESS}")
 
 
 def find_mono_subset(c: Colouring, m: int, separated: bool = False):
@@ -46,6 +59,9 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     dim = c.dim
     table = c.table
     points = c.points
+    if m > len(points):
+        return None
+    _check_depth(m)
     prefix = []
 
     def extend(colour, start):
@@ -85,7 +101,9 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     adjacent sums stay within the window (equivalently, total <= window).
     ``apart=True`` restricts to apartness-satisfying sequences; a fixed
     ``colour`` restricts the monochromatic colour sought.  Returns None
-    when no candidate survives.
+    when no candidate survives.  Below m = dim every candidate qualifies;
+    from there on every element of a witness is a whole run of one of its
+    coloured tuples, so only the points of coloured tuples are tried.
     """
     if c.mode != "vectors":
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")
@@ -94,8 +112,15 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     limit = c.window if window is None else window
     if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
         raise PreconditionError(f"window must be an integer >= 1, got {limit!r}")
+    if m * (m + 1) // 2 > limit:  # not even 1, 2, ..., m fits
+        return None
+    _check_depth(m)
     d = c.dim
+    if m < d:  # no adjacent d-tuple to check: the least candidate is the witness
+        least = tuple(1 << j for j in range(m)) if apart else tuple(range(1, m + 1))
+        return least if sum(least) <= limit else None
     table = c.table
+    points = c.points
     prefix = []
     psums = [0]
 
@@ -103,7 +128,8 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
         if len(prefix) == m:
             return tuple(prefix)
         after = m - len(prefix) - 1
-        for x in range(start, limit + 1):
+        for j in range(start, len(points)):
+            x = points[j]
             # cheapest possible completion is x, x+1, ..., x+after
             if psums[-1] + (after + 1) * x + after * (after + 1) // 2 > limit:
                 break
@@ -126,14 +152,28 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
                     if got_colour is None:
                         got_colour = got
             if ok:
-                found = extend(got_colour, x + 1)
+                found = extend(got_colour, j + 1)
                 if found is not None:
                     return found
             prefix.pop()
             psums.pop()
         return None
 
-    return extend(colour, 1)
+    return extend(colour, 0)
+
+
+def witness_colour(c: Colouring, witness):
+    """Colour of a witness's first tuple, or None when it has none.
+
+    The first tuple is the leading dim-prefix in sets mode and the least
+    adjacent tuple in vectors mode.
+    """
+    if c.mode == "sets":
+        first = witness[: c.dim] if len(witness) >= c.dim else None
+    else:
+        tuples = adjacent_tuples(witness, c.dim)
+        first = min(tuples) if tuples else None
+    return None if first is None else c.table.get(first)
 
 
 @dataclass(frozen=True)
@@ -184,18 +224,22 @@ def _search_witness(principle, colouring, m, window):
     return find_afs_mono(colouring, m, window=window, apart=True)
 
 
-def _variables(principle, dim, window):
+def _variables(principle, dim, window, limit):
     """The colour variables of a window in enumeration order, and the key of each tuple.
 
     A shift-invariant colouring is a colouring of difference vectors, so
     ZRT/SEPZRT tuples are keyed by their difference vector (the empty
-    vector at dim 1: one colour for the whole window).
+    vector at dim 1: one colour for the whole window).  Refuses more
+    variables than ``limit`` before building them.
     """
     if principle == "RT":
-        return list(sets_domain(dim, window)), None
-    if principle in _SETS_PRINCIPLES:
-        return list(vectors_domain(dim - 1, window)), lambda t: tuple(b - a for a, b in zip(t, t[1:]))
-    return list(vectors_domain(dim, window)), None
+        mode, d, key = "sets", dim, None
+    elif principle in _SETS_PRINCIPLES:
+        mode, d, key = "vectors", dim - 1, lambda t: tuple(b - a for a, b in zip(t, t[1:]))
+    else:
+        mode, d, key = "vectors", dim, None
+    charge_domain(mode, d, window, limit)
+    return list(standard_domain(mode, d, window)), key
 
 
 def _candidate_witnesses(principle, dim, m, window, key):
@@ -205,6 +249,8 @@ def _candidate_witnesses(principle, dim, m, window, key):
     budget; None stands for one that fails the SEPZRT separation condition.
     """
     if principle in _SETS_PRINCIPLES:
+        if m > window + 1:  # none fits; combinations would still allocate m indices
+            return
         for subset in combinations(range(window + 1), m):
             if principle == "SEPZRT" and any(not highest_bit(b - a) < lowest_bit(c - b)
                                              for a, b, c in zip(subset, subset[1:], subset[2:])):
@@ -249,7 +295,7 @@ def _least_witness_free(buckets, palette, spent, limit):
     """
     n = len(buckets)
     assignment = [-1] * n
-    members = [0] * palette  # bitmask of the indices holding each colour
+    members = [0] * min(palette, n)  # bitmask of the indices holding each colour
     top = [-1] * (n + 1)  # top[i]: largest colour among indices below i
     i = 0
     while 0 <= i < n:
@@ -298,14 +344,22 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     def colouring(window, variables, key, assignment):
         colour_of = dict(zip(variables, assignment))
         if sets_mode:
+            charge_domain("sets", dim, window, limit)
             table = {t: colour_of[t if key is None else key(t)] for t in sets_domain(dim, window)}
         else:
             table = colour_of
         return _unchecked(Colouring, dim, window, palette, mode, table)
 
-    for size in range(1, query.cap + 1):
+    # no witness fits in fewer than m points (sets) or a window below 1 + 2 + ... + m
+    first = m if sets_mode else m * (m + 1) // 2
+    if first <= query.cap:
+        _check_depth(m)
+    for size in range(min(first, query.cap), query.cap + 1):
+        spent += 1  # a size with nothing to search still costs one unit
+        if spent > limit:
+            raise _over_budget(spent, limit)
         window = size - 1 if sets_mode else size
-        variables, key = _variables(principle, dim, window)
+        variables, key = _variables(principle, dim, window, limit)
         index = {v: i for i, v in enumerate(variables)}
         buckets = [[] for _ in variables]
         seen = set()

@@ -64,6 +64,8 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise PreconditionError(f"arity must be >= 1, got {d!r}")
     entries = _positive_entries(seq, "adjacent_tuples")
+    if d > len(entries):
+        return frozenset()  # no d runs fit, but combinations would still allocate d + 1 indices
     p = _prefix_sums(entries)
     out = set()
     for bounds in combinations(range(len(entries) + 1), d + 1):

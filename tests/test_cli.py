@@ -189,6 +189,16 @@ def test_search_window_on_sets_instance_is_refused(files, capsys):
     assert json.loads(out)["error"]["code"] == "precondition"
 
 
+def test_integer_literals_above_the_conversion_limit_are_format_errors(files, capsys):
+    path = files["dir"] / "long.json"
+    path.write_text('{"dim": ' + "1" * 5000 + ', "window": 3, "palette": 2, "mode": "sets", "entries": []}')
+    for argv in (("check-invariance", "--input", str(path)),
+                 ("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", "[" + "1" * 5000 + "]")):
+        code, out = run(capsys, *argv)
+        assert code == 1 and out.count("\n") == 1
+        assert json.loads(out)["error"]["code"] == "format"
+
+
 def test_malformed_colouring_file(files, capsys):
     code, out = run(capsys, "check-invariance", "--input", files["broken"])
     assert code == 1

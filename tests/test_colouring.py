@@ -1,10 +1,12 @@
 import json
 import random
+import time
 from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irl import colouring
 from irl.bits import block
 from irl.colouring import (
     Colouring,
@@ -111,6 +113,34 @@ def test_enumeration_budget_refusal_names_count():
     with pytest.raises(BudgetExceededError) as info:
         list(enumerate_colourings(2, 6, 2, budget=100))
     assert info.value.count == 2 ** 21
+
+
+def test_enumeration_refuses_a_huge_count_without_building_the_domain(monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the domain was materialized")
+
+    monkeypatch.setattr(colouring, "standard_domain", unbuilt)
+    with pytest.raises(BudgetExceededError) as info:
+        next(enumerate_colourings(2, 1000, 2))  # 2 ** 500500 colourings
+    assert info.value.count == 2 ** 500_500
+    assert "at least 2^500500 colourings" in str(info.value)
+    with pytest.raises(BudgetExceededError) as info:
+        next(enumerate_colourings(2, 1500, 2))  # C(1501, 2) tuples exceed the budget
+    assert info.value.count == 1501 * 1500 // 2
+
+
+def test_sampling_charges_the_domain_to_the_budget(monkeypatch):
+    with pytest.raises(BudgetExceededError) as info:
+        next(sample_colourings(2, 1500, 2))
+    assert info.value.count == 1501 * 1500 // 2
+    with pytest.raises(BudgetExceededError):
+        next(sample_colourings(3, 1500, 2, invariant=True))  # C(1500, 2) difference vectors
+    monkeypatch.setenv("IRL_BUDGET", "10")
+    assert len(next(sample_colourings(1, 9, 2)).table) == 10
+    with pytest.raises(BudgetExceededError):
+        next(sample_colourings(1, 10, 2))
+    with pytest.raises(BudgetExceededError):
+        next(sample_colourings(1, 10, 2, invariant=True))
 
 
 def test_sampling_is_reproducible():
@@ -304,3 +334,18 @@ def test_table_check_matches_the_per_entry_check_at_the_edges(mode):
             expected = _error(lambda: _reference_check(t, colour, 2, 6, 3, mode))
             assert _error(lambda: _check_table({t: colour}, 2, 6, 3, mode)) == expected, (t, colour)
 
+
+
+def test_domains_of_long_tuples_are_refused_or_empty_without_building_them(monkeypatch):
+    assert list(sets_domain(10**12, 5)) == []
+    assert list(vectors_domain(10**12, 5)) == []
+    assert list(vectors_domain(5000, 5000)) == [(1,) * 5000]  # no recursion per coordinate
+    started = time.monotonic()
+    with pytest.raises(BudgetExceededError) as info:  # C(10^6 + 1, 500001) is never computed
+        from_differences(DifferenceColouring(500_000, 10**6, 2, {}), 10**6)
+    assert info.value.count is None
+    assert time.monotonic() - started < 1.0
+    monkeypatch.setenv("IRL_BUDGET", "2000")
+    with pytest.raises(BudgetExceededError):  # one tuple, but longer than the budget
+        from_differences(DifferenceColouring(2999, 2999, 1, {}), 2999)
+    assert len(from_differences(DifferenceColouring(1999, 1999, 1, {}), 1999).table) == 0

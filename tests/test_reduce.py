@@ -240,3 +240,10 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
 def test_verify_checks_the_target_before_the_kind():
     with pytest.raises(PreconditionError, match="target must be an integer >= 1"):
         verify_reduction("NOPE", unary_colouring(3, lambda y: 0), 0)
+
+
+def test_verify_on_an_instance_of_huge_arity_is_vacuous():
+    report = verify_reduction("ZRT_TO_AHT", Colouring(10**12, 100, 2, "sets", {}), 2)
+    assert report.to_json_dict() == {
+        "kind": "ZRT_TO_AHT", "params": 10**12 - 1, "window": 100, "target": 2,
+        "witness": [1, 2], "mapped": [1, 3], "pass": True, "colour": None}

@@ -274,3 +274,51 @@ def test_find_mono_subset_on_partial_tables_against_brute_force():
             for separated in (False, True):
                 assert find_mono_subset(c, m, separated) == brute_least_subset(c, m, separated)
 
+
+
+def brute_least_sequence(c, m, window, apart=False, colour=None):
+    """Least increasing length-m sequence (total <= window) with monochromatic adjacent tuples."""
+    for cand in combinations(range(1, window + 1), m):
+        if sum(cand) > window or (apart and not is_apart(cand)):
+            continue
+        colours = {c.table.get(t) for t in adjacent_tuples(cand, c.dim)}
+        if None in colours or len(colours) > 1 or (colour is not None and colours - {colour}):
+            continue
+        return cand
+    return None
+
+
+def test_find_afs_mono_on_partial_tables_against_brute_force():
+    rng = random.Random(29)
+    for trial in range(150):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 13)
+        keep = rng.choice((0.2, 0.5, 0.9))
+        table = {t: rng.randrange(2) for t in vectors_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, 2, "vectors", table)
+        for m in range(1, dim + 3):
+            limit = rng.randint(1, window)
+            for apart, colour in ((False, None), (True, None), (False, 1)):
+                assert find_afs_mono(c, m, limit, apart, colour) == \
+                    brute_least_sequence(c, m, limit, apart, colour), (table, m, limit, apart, colour)
+
+
+def test_find_afs_mono_on_a_sparse_wide_instance_is_fast():
+    c = Colouring(2, 10**9, 2, "vectors", {(1, 2): 0, (2, 3): 0, (1, 5): 0, (3, 3): 0, (3, 4): 1})
+    started = time.monotonic()
+    assert find_afs_mono(c, 3) == (1, 2, 3)
+    assert find_afs_mono(c, 4) is None
+    assert time.monotonic() - started <= 1.0
+
+
+def test_huge_parameters_end_in_an_answer_or_a_structured_error():
+    assert finite_number(FiniteNumberQuery("RT", 1, 10**12, 1, 1)).value == 1
+    result = finite_number(FiniteNumberQuery("RT", 1, 1, 10**12, 5))
+    assert result.value is None and result.counterexample.window == 4
+    with pytest.raises(PreconditionError, match="exceeds the supported maximum"):
+        finite_number(FiniteNumberQuery("RT", 2000, 1, 2000, 2000))
+    assert find_afs_mono(Colouring(3, 10**30, 2, "vectors", {}), 2) == (1, 2)
+    wide = Colouring(1, 10**30, 2, "vectors", {})
+    assert find_afs_mono(wide, 10**16) is None  # 1 + 2 + ... + m is above the window
+    with pytest.raises(PreconditionError, match="exceeds the supported maximum"):
+        find_afs_mono(wide, 10**6)

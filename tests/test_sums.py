@@ -133,3 +133,8 @@ def test_gap_increasing_gaps_strictly_increase():
         gaps = differences(kept) if len(kept) > 1 else ()
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
         assert kept[0] == xs[0] and kept[1] == xs[1]
+
+
+def test_adjacent_tuples_of_an_arity_above_the_length_are_empty():
+    assert adjacent_tuples((1, 2), 3) == frozenset()
+    assert adjacent_tuples((1, 2), 10**12) == frozenset()  # no index array of that size
