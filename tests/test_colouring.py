@@ -109,6 +109,26 @@ def test_enumeration_counts():
     assert len(unary) == 8
 
 
+def test_invariant_unary_enumeration_yields_the_constants_in_colour_order():
+    for window in (0, 1, 5):
+        for k in (1, 2, 3):
+            got = [(c.dim, c.window, c.palette, c.mode, c.table)
+                   for c in enumerate_colourings(1, window, k, invariant=True)]
+            assert got == [(1, window, k, "sets", {(x,): colour for x in range(window + 1)})
+                           for colour in range(k)]
+
+
+def test_invariant_unary_sampling_draws_one_constant_per_sample():
+    for seed in (0, 7):
+        for window, k, count in ((0, 2, 3), (4, 3, 6), (6, 5, 4)):
+            rng = random.Random(seed)
+            expected = [{(x,): colour for x in range(window + 1)}
+                        for colour in [rng.randrange(k) for _ in range(count)]]
+            got = [c.table for c in sample_colourings(1, window, k, invariant=True,
+                                                       seed=seed, count=count)]
+            assert got == expected
+
+
 def test_enumeration_budget_refusal_names_count():
     with pytest.raises(BudgetExceededError) as info:
         list(enumerate_colourings(2, 6, 2, budget=100))

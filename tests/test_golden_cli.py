@@ -7,6 +7,7 @@ rewritten to make a test pass.
 """
 
 import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -15,6 +16,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 from irl.cli import main
+from irl.search import sweep_finite_numbers
 
 KINDS = ("RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT")
 
@@ -67,6 +69,16 @@ ERROR_SHAPES = [  # (maker, dim, window, palette, label)
     ("vectors", 1, 6, 2, "vectors-d1"),
 ]
 BACKWARD_SOLUTIONS = ["[]", "[3]", "[3,1]", "[-1,2]", "[0,1,3]"]
+# (principle, dim, k, m, cap): the benchmark's finite-number queries (the last
+# two exceed their caps), then one more query per principle whose cap is
+# exceeded, so a counterexample of every principle is pinned
+FINITE_QUERIES = [
+    ("RT", 1, 2, 3, 12), ("RT", 1, 2, 4, 12), ("RT", 1, 3, 3, 12), ("AHT", 1, 1, 3, 12),
+    ("AHT", 1, 1, 4, 12), ("AHT", 1, 2, 2, 12), ("APAHT", 1, 1, 3, 12), ("ZRT", 2, 2, 3, 12),
+    ("SEPZRT", 2, 2, 3, 12), ("RT", 2, 2, 3, 12), ("ZRT", 2, 3, 3, 11),
+    ("RT", 1, 2, 3, 4), ("AHT", 1, 2, 2, 8), ("APAHT", 1, 2, 2, 5),
+]
+SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "finite_number_sweep.py"
 
 
 def _sets(dim, window):
@@ -157,6 +169,13 @@ def cases(directory):
     data = _payload(1, 6, 2, "sets", {(x,): x % 2 for x in range(7)})
     add("reduce-forward-unknown-kind", data, ["reduce", "--kind", "NOPE", "--op", "forward"])
     add("reduce-verify-unknown-kind", data, ["reduce", "--kind", "NOPE", "--m", "0"])
+    for query in FINITE_QUERIES:
+        principle, dim, k, m, cap = map(str, query)
+        argv = ["finite-number", "--principle", principle, "--dim", dim, "--k", k, "--m", m,
+                "--cap", cap]
+        for fmt in ("json", "csv"):
+            out.append((f"finite-number-{principle}-d{dim}k{k}m{m}cap{cap}-{fmt}",
+                        argv + ["--format", fmt]))
     return out
 
 
@@ -184,3 +203,13 @@ def test_golden_stdout(tmp_path):
         seen.append(name)
     assert sorted(seen) == sorted(golden)
 
+
+
+def test_finite_number_sweep_matches_pinned_csv():
+    spec = importlib.util.spec_from_file_location("finite_number_sweep", SWEEP)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    buffer = io.StringIO()
+    sweep_finite_numbers(sweep.default_queries(12), buffer)
+    pinned = GOLDEN.parent / "finite_number_sweep_cap12.csv"
+    assert buffer.getvalue().encode() == pinned.read_bytes()  # byte for byte: rows end in \r\n
