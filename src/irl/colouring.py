@@ -293,21 +293,17 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
     are counted in base ``palette`` with the colour of the lex-greatest
     tuple varying fastest.  ``invariant=True`` enumerates shift-invariant
     sets colourings through their difference tables (palette^(#difference
-    vectors) instances).  Refuses, naming the count, when the domain or the
-    enumeration exceeds the budget.
+    vectors) instances), each lifted by ``from_differences``, which charges
+    the lift to the default budget.  At dim 1 the one difference vector is
+    the empty one, so the instances are the palette constant colourings.
+    Refuses, naming the count, when the domain or the enumeration exceeds
+    the budget.
     """
     _check_shape(dim, window, palette)
     limit = candidate_budget() if budget is None else budget
     if invariant:
         if mode != "sets":
             raise PreconditionError("invariant enumeration applies to sets-mode colourings")
-        if dim == 1:
-            # a shift-invariant unary colouring is constant
-            domain = _domain("sets", 1, window, limit)
-            for colour in range(palette):
-                yield _unchecked(Colouring, dim, window, palette, "sets",
-                                 {t: colour for t in domain})
-            return
         domain = _domain("vectors", dim - 1, window, limit, palette, "difference tables")
         for assignment in product(range(palette), repeat=len(domain)):
             dc = _unchecked(DifferenceColouring, dim - 1, window, palette, dict(zip(domain, assignment)))
@@ -329,13 +325,6 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
     if invariant:
         if mode != "sets":
             raise PreconditionError("invariant sampling applies to sets-mode colourings")
-        if dim == 1:
-            domain = _domain("sets", 1, window, limit)
-            for _ in range(count):
-                colour = rng.randrange(palette)
-                yield _unchecked(Colouring, dim, window, palette, "sets",
-                                 {t: colour for t in domain})
-            return
         domain = _domain("vectors", dim - 1, window, limit)
         for _ in range(count):
             dc = _unchecked(DifferenceColouring, dim - 1, window, palette,

@@ -18,17 +18,11 @@ import csv
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from irl.bits import highest_bit, lowest_bit
 from irl.budget import candidate_budget
-from irl.colouring import (
-    Colouring,
-    _unchecked,
-    charge_domain,
-    colouring_to_json,
-    sets_domain,
-    standard_domain,
-)
+from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, sets_domain
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.sums import adjacent_tuples
@@ -201,8 +195,8 @@ class FiniteNumberResult:
 
     ``value`` is the least sufficient window size, or None when the cap was
     exhausted; in that case ``counterexample`` holds a witness-free
-    colouring at the cap size.  ``witness`` is the witness found for the
-    first colouring in enumeration order at the answer size.
+    colouring at the cap size.  ``witness`` is the least candidate witness
+    at the answer size: the witness of every constant colouring there.
     """
 
     query: FiniteNumberQuery
@@ -212,16 +206,6 @@ class FiniteNumberResult:
 
     def exceeded_cap(self) -> bool:
         return self.value is None
-
-
-def _search_witness(principle, colouring, m, window):
-    if principle == "RT" or principle == "ZRT":
-        return find_mono_subset(colouring, m)
-    if principle == "SEPZRT":
-        return find_mono_subset(colouring, m, separated=True)
-    if principle == "AHT":
-        return find_afs_mono(colouring, m, window=window)
-    return find_afs_mono(colouring, m, window=window, apart=True)
 
 
 def _variables(principle, dim, window, limit):
@@ -238,32 +222,36 @@ def _variables(principle, dim, window, limit):
         mode, d, key = "vectors", dim - 1, lambda t: tuple(b - a for a, b in zip(t, t[1:]))
     else:
         mode, d, key = "vectors", dim, None
-    charge_domain(mode, d, window, limit)
-    return list(standard_domain(mode, d, window)), key
+    return _domain(mode, d, window, limit), key
 
 
 def _candidate_witnesses(principle, dim, m, window, key):
-    """Yield the tuples coloured by each candidate witness over the window.
+    """Yield (candidate, tuples it colours, budget cost) for each candidate witness.
 
-    Every enumerated subset yields once, so the caller can charge it to the
-    budget; None stands for one that fails the SEPZRT separation condition.
+    Candidates come in lexicographic order, so the first one that passes
+    the SEPZRT separation condition is the least witness of a constant
+    colouring.  The tuples are keyed through ``key`` when it is given, and
+    the cost is their number; a subset that fails the separation
+    condition yields None for its tuples and costs one.
     """
     if principle in _SETS_PRINCIPLES:
         if m > window + 1:  # none fits; combinations would still allocate m indices
             return
+        cost = comb(m, dim)
         for subset in combinations(range(window + 1), m):
             if principle == "SEPZRT" and any(not highest_bit(b - a) < lowest_bit(c - b)
                                              for a, b, c in zip(subset, subset[1:], subset[2:])):
-                yield None
+                yield subset, None, 1
                 continue
             tuples = combinations(subset, dim)
-            yield tuples if key is None else map(key, tuples)
+            yield subset, (tuples if key is None else map(key, tuples)), cost
         return
     apart = principle == "APAHT"
 
     def extend(prefix, start, room):
         if len(prefix) == m:
-            yield adjacent_tuples(prefix, dim)
+            tuples = adjacent_tuples(prefix, dim)
+            yield prefix, tuples, len(tuples)
             return
         after = m - len(prefix) - 1
         for x in range(start, room + 1):
@@ -279,7 +267,7 @@ def _candidate_witnesses(principle, dim, m, window, key):
 
 def _over_budget(spent, limit):
     return BudgetExceededError(
-        f"finite-number search exceeds the budget of {limit} DFS nodes and candidate witnesses",
+        f"finite-number search exceeds the budget of {limit} DFS nodes and candidate witness tuples",
         count=spent)
 
 
@@ -328,9 +316,11 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     vectors) for ZRT/SEPZRT and arbitrary otherwise.  Each size is decided
     by a depth-first search over the colour variables in enumeration order,
     pruning as soon as a candidate witness becomes monochromatic, so the
-    counterexample found is the first one in ``enumerate_colourings`` order
-    and the witness is the one found on the constant colouring.  Refuses
-    once the DFS nodes and candidates of the query exceed the budget.
+    counterexample found is the first one in ``enumerate_colourings`` order.
+    The witness is the first candidate of the answer size's own
+    enumeration, the least witness of the constant colouring.  Refuses once
+    the query's budget units exceed the budget: one per size, per DFS node,
+    per tuple of a candidate, and per subset that fails the SEPZRT filter.
     """
     principle = query.principle
     sets_mode = principle in _SETS_PRINCIPLES
@@ -339,17 +329,6 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         raise PreconditionError(f"witness size {m} below tuple arity {dim}")
     limit = candidate_budget() if budget is None else budget
     spent = 0
-    mode = "sets" if sets_mode else "vectors"
-
-    def colouring(window, variables, key, assignment):
-        colour_of = dict(zip(variables, assignment))
-        if sets_mode:
-            charge_domain("sets", dim, window, limit)
-            table = {t: colour_of[t if key is None else key(t)] for t in sets_domain(dim, window)}
-        else:
-            table = colour_of
-        return _unchecked(Colouring, dim, window, palette, mode, table)
-
     # no witness fits in fewer than m points (sets) or a window below 1 + 2 + ... + m
     first = m if sets_mode else m * (m + 1) // 2
     if first <= query.cap:
@@ -363,13 +342,16 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         index = {v: i for i, v in enumerate(variables)}
         buckets = [[] for _ in variables]
         seen = set()
+        witness = None
         always_mono = False
-        for tuples in _candidate_witnesses(principle, dim, m, window, key):
-            spent += 1
+        for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window, key):
+            spent += cost
             if spent > limit:
                 raise _over_budget(spent, limit)
             if tuples is None:
                 continue
+            if witness is None:
+                witness = candidate
             mask = 0
             for t in tuples:
                 mask |= 1 << index[t]
@@ -386,10 +368,13 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         if not always_mono:
             assignment, spent = _least_witness_free(buckets, palette, spent, limit)
         if assignment is None:
-            zero = colouring(window, variables, key, [0] * len(variables))
-            return FiniteNumberResult(query, size, None, _search_witness(principle, zero, m, window))
-        counterexample = (window, variables, key, assignment)
-    return FiniteNumberResult(query, None, colouring(*counterexample), None)
+            return FiniteNumberResult(query, size, None, witness)
+    table = dict(zip(variables, assignment))
+    if key is not None:  # lift the difference table to the window's tuples
+        charge_domain("sets", dim, window, limit)
+        table = {t: table[key(t)] for t in sets_domain(dim, window)}
+    mode = "sets" if sets_mode else "vectors"
+    return FiniteNumberResult(query, None, _unchecked(Colouring, dim, window, palette, mode, table), None)
 
 
 def sweep_finite_numbers(queries, out, budget=None):

@@ -276,6 +276,15 @@ def test_materialization_beyond_the_budget_is_refused(wide, argv):
     assert json.loads(out)["error"]["code"] == "budget"
 
 
+def test_finite_number_charges_each_tuple_of_a_candidate():
+    # each candidate 60-subset colours C(60, 2) = 1770 pairs
+    code, out = fresh("finite-number", "--principle", "RT", "--dim", "2", "--k", "2",
+                      "--m", "60", "--cap", "300")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "budget"
+
+
 def test_search_on_a_sparse_wide_sets_instance_is_fast(wide):
     code, out = fresh("search", "--input", wide["sets"], "--m", "3")
     assert code == 0

@@ -129,6 +129,12 @@ def test_invariant_unary_sampling_draws_one_constant_per_sample():
             assert got == expected
 
 
+def test_invariant_unary_enumeration_charges_the_palette_to_the_budget():
+    with pytest.raises(BudgetExceededError) as info:
+        next(enumerate_colourings(1, 3, 10**6 + 1, invariant=True))
+    assert info.value.count == 10**6 + 1
+
+
 def test_enumeration_budget_refusal_names_count():
     with pytest.raises(BudgetExceededError) as info:
         list(enumerate_colourings(2, 6, 2, budget=100))
