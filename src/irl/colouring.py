@@ -283,7 +283,8 @@ def _domain(mode, dim, window, limit, palette=1, what="colourings"):
         raise BudgetExceededError(
             f"exhaustive enumeration needs {_count_text(count)} {what}, budget is {limit}", count=count
         )
-    return tuple(standard_domain(mode, dim, window))
+    # a list: a tuple built from a generator on every call let the peak RSS creep up across calls
+    return list(standard_domain(mode, dim, window))
 
 
 def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, budget=None):
