@@ -69,9 +69,9 @@ ERROR_SHAPES = [  # (maker, dim, window, palette, label)
     ("vectors", 1, 6, 2, "vectors-d1"),
 ]
 BACKWARD_SOLUTIONS = ["[]", "[3]", "[3,1]", "[-1,2]", "[0,1,3]"]
-# (principle, dim, k, m, cap): the benchmark's finite-number queries (the last
-# two exceed their caps), then one more query per principle whose cap is
-# exceeded, so a counterexample of every principle is pinned
+# (principle, dim, k, m, cap): the benchmark's finite-number queries (SEPZRT
+# and ZRT d2k3 exceed their caps), then one more query per principle whose cap
+# is exceeded, so a counterexample of every principle is pinned
 FINITE_QUERIES = [
     ("RT", 1, 2, 3, 12), ("RT", 1, 2, 4, 12), ("RT", 1, 3, 3, 12), ("AHT", 1, 1, 3, 12),
     ("AHT", 1, 1, 4, 12), ("AHT", 1, 2, 2, 12), ("APAHT", 1, 1, 3, 12), ("ZRT", 2, 2, 3, 12),
@@ -202,7 +202,6 @@ def test_golden_stdout(tmp_path):
         assert pin(text) == golden[name], name
         seen.append(name)
     assert sorted(seen) == sorted(golden)
-
 
 
 def test_finite_number_sweep_matches_pinned_csv():
