@@ -45,47 +45,86 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     differences must additionally be apart.  Since m >= dim, every element
     of a witness lies in one of its coloured tuples, so only the points of
     coloured tuples are tried.
+
+    Each prefix carries a bitmask over the indices of ``c.points``: the
+    points that can still extend it.  Once the first tuple fixes the
+    colour, that mask is the AND of one mask per (dim-1)-subset S of the
+    prefix, the points y with S + (y,) coloured alike.  Those masks are
+    built on first use and kept for the call.  A separated prefix also
+    ANDs in the points whose gap from its last element is a multiple of
+    2^(bit length of its last gap), which is the apartness test.  Set bits
+    are tried lowest first, and a prefix with fewer candidates than
+    elements still needed is dropped.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
     if not isinstance(m, int) or isinstance(m, bool) or m < c.dim:
         raise PreconditionError(f"subset size must be an integer >= dim {c.dim}, got {m!r}")
     dim = c.dim
-    table = c.table
+    get = c.table.get
     points = c.points
-    if m > len(points):
+    n = len(points)
+    if m > n:
         return None
     _check_depth(m)
     prefix = []
+    colour_masks = {}  # (S, colour) -> points y above S with S + (y,) of that colour
+    residue_masks = {}  # (step, x % step) -> points y with y - x a multiple of step
 
-    def extend(colour, start):
-        if len(prefix) == m:
-            return tuple(prefix)
-        for i in range(start, len(points) + len(prefix) + 1 - m):
-            x = points[i]
-            if separated and len(prefix) >= 2:
-                gap_prev = prefix[-1] - prefix[-2]
-                if not highest_bit(gap_prev) < lowest_bit(x - prefix[-1]):
+    def colour_mask(rest, colour, low):
+        mask = colour_masks.get((rest, colour))
+        if mask is None:
+            mask = 0
+            for j in range(low, n):
+                if get(rest + (points[j],)) == colour:
+                    mask |= 1 << j
+            colour_masks[rest, colour] = mask
+        return mask
+
+    def residue_mask(step, x):
+        key = (step, x % step)
+        mask = residue_masks.get(key)
+        if mask is None:
+            mask = 0
+            for j, y in enumerate(points):
+                if (y - x) % step == 0:
+                    mask |= 1 << j
+            residue_masks[key] = mask
+        return mask
+
+    def extend(allowed, colour, low):
+        # allowed: the candidates above the prefix; low: the index above its last element
+        need = m - len(prefix)
+        size = len(prefix) + 1  # the prefix's size once x joins it
+        while allowed.bit_count() >= need:
+            bit = allowed & -allowed
+            allowed ^= bit
+            j = bit.bit_length() - 1
+            x = points[j]
+            got = colour
+            if size == dim:  # x completes the first tuple, which fixes the colour
+                got = get(tuple(prefix) + (x,))
+                if got is None:
                     continue
-            got_colour = colour
-            ok = True
-            if len(prefix) + 1 >= dim:
-                for rest in combinations(prefix, dim - 1):
-                    got = table.get(rest + (x,))
-                    if got is None or (got_colour is not None and got != got_colour):
-                        ok = False
-                        break
-                    if got_colour is None:
-                        got_colour = got
-            if ok:
+            if size == m:
+                return tuple(prefix) + (x,)
+            after = allowed
+            if size == dim:
+                after &= colour_mask(tuple(prefix), got, low)
+            if size >= dim > 1:
+                for rest in combinations(prefix, dim - 2):
+                    after &= colour_mask(rest + (x,), got, j + 1)
+            if separated and size >= 2:
+                after &= residue_mask(1 << (x - prefix[-1]).bit_length(), x)
+            if after.bit_count() >= need - 1:
                 prefix.append(x)
-                found = extend(got_colour, i + 1)
+                found = extend(after, got, j + 1)
                 if found is not None:
                     return found
                 prefix.pop()
         return None
 
-    return extend(None, 0)
+    return extend((1 << n) - 1, None, 0)
 
 
 def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour=None):
@@ -254,12 +293,12 @@ def _candidate_witnesses(principle, dim, m, window, key):
             yield prefix, tuples, len(tuples)
             return
         after = m - len(prefix) - 1
-        for x in range(start, room + 1):
+        # x > prefix[-1] is apart from it iff x is a multiple of 2^(bit length of prefix[-1])
+        step = 1 << prefix[-1].bit_length() if apart and prefix else 1
+        for x in range(max(start, step), room + 1, step):
             # cheapest possible completion is x, x+1, ..., x+after
             if (after + 1) * x + after * (after + 1) // 2 > room:
                 break
-            if apart and prefix and not highest_bit(prefix[-1]) < lowest_bit(x):
-                continue
             yield from extend(prefix + (x,), x + 1, room - x)
 
     yield from extend((), 1, window)

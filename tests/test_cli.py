@@ -285,6 +285,17 @@ def test_finite_number_charges_each_tuple_of_a_candidate():
     assert json.loads(out)["error"]["code"] == "budget"
 
 
+def test_finite_number_steps_through_apart_candidates(monkeypatch):
+    # each next APAHT element is a multiple of 2^(bit length of the last one),
+    # so the refusal comes after about 3 M budget units, not 12 M skipped values
+    monkeypatch.setenv("IRL_BUDGET", "3000000")
+    code, out = fresh("finite-number", "--principle", "APAHT", "--dim", "1", "--k", "2",
+                      "--m", "3", "--cap", "1000000")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"]["code"] == "budget"
+
+
 def test_search_on_a_sparse_wide_sets_instance_is_fast(wide):
     code, out = fresh("search", "--input", wide["sets"], "--m", "3")
     assert code == 0

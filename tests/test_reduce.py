@@ -15,7 +15,7 @@ from irl.colouring import (
     sets_domain,
     vectors_domain,
 )
-from irl.errors import NotInvariantError, PreconditionError
+from irl.errors import BudgetExceededError, NotInvariantError, PreconditionError
 from irl.reduce import (
     KINDS,
     backward_transform,
@@ -24,6 +24,7 @@ from irl.reduce import (
     kind_param,
     verify_reduction,
 )
+from irl.search import FiniteNumberQuery, finite_number
 from irl.sums import adjacent_tuples
 
 
@@ -247,3 +248,30 @@ def test_verify_on_an_instance_of_huge_arity_is_vacuous():
     assert report.to_json_dict() == {
         "kind": "ZRT_TO_AHT", "params": 10**12 - 1, "window": 100, "target": 2,
         "witness": [1, 2], "mapped": [1, 3], "pass": True, "colour": None}
+
+
+def test_finite_number_counterexamples_stay_witness_free_forward():
+    # a witness-free colouring, pushed forward, has no witness at the target
+    # length: the finite contrapositive of each reduction
+    checked = refused = 0
+    for principle, kind in (("RT", "RT_TO_ZRT"), ("ZRT", "ZRT_TO_AHT"), ("APAHT", "APAHT_TO_RT")):
+        for dim in (1, 2, 3):
+            for k in (1, 2, 3):
+                for m in range(dim if principle in ("RT", "ZRT") else 1, 6):
+                    for cap in (3, 5, 8):
+                        try:
+                            result = finite_number(FiniteNumberQuery(principle, dim, k, m, cap))
+                        except BudgetExceededError:
+                            continue
+                        if result.value is not None:
+                            continue
+                        try:
+                            report = verify_reduction(kind, result.counterexample, m)
+                        except PreconditionError:  # ZRT_TO_AHT at arity 1
+                            assert kind == "ZRT_TO_AHT" and dim == 1
+                            refused += 1
+                            continue
+                        assert report.passed is None and report.witness is None, \
+                            (principle, dim, k, m, cap)
+                        checked += 1
+    assert (checked, refused) == (164, 6)

@@ -7,7 +7,13 @@ import pytest
 from irl.bits import is_apart, is_separated
 from irl.colouring import Colouring, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
 from irl.errors import BudgetExceededError, PreconditionError
-from irl.search import FiniteNumberQuery, find_afs_mono, find_mono_subset, finite_number
+from irl.search import (
+    FiniteNumberQuery,
+    _candidate_witnesses,
+    find_afs_mono,
+    find_mono_subset,
+    finite_number,
+)
 from irl.sums import adjacent_sums, adjacent_tuples
 
 
@@ -322,3 +328,53 @@ def test_huge_parameters_end_in_an_answer_or_a_structured_error():
     assert find_afs_mono(wide, 10**16) is None  # 1 + 2 + ... + m is above the window
     with pytest.raises(PreconditionError, match="exceeds the supported maximum"):
         find_afs_mono(wide, 10**6)
+
+
+def paley_colouring(p):
+    """colour(a, b) = 0 iff b - a is a quadratic residue mod p (a prime with p % 4 == 1)."""
+    residues = {x * x % p for x in range(1, p)}
+    return pair_colouring(p - 1, lambda a, b: 0 if (b - a) % p in residues else 1)
+
+
+def test_paley_colourings_have_no_witness_below_the_ramsey_number():
+    assert find_mono_subset(paley_colouring(5), 3) is None  # R(3, 3) = 6
+    assert find_mono_subset(paley_colouring(17), 4) is None  # R(4, 4) = 18
+    assert find_mono_subset(paley_colouring(17), 3) is not None
+
+
+def test_every_two_colouring_of_k6_has_a_monochromatic_triangle():
+    assert all(find_mono_subset(c, 3) is not None for c in enumerate_colourings(2, 5, 2))
+
+
+def test_find_mono_subset_three_colours_against_brute_force():
+    rng = random.Random(31)
+    for trial in range(90):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 9)
+        keep = rng.choice((0.6, 0.9, 1.0))
+        table = {t: rng.randrange(3) for t in sets_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, 3, "sets", table)
+        for m in range(dim, dim + 5):
+            for separated in (False, True):
+                assert find_mono_subset(c, m, separated) == brute_least_subset(c, m, separated), \
+                    (table, m, separated)
+
+
+def test_apaht_candidates_step_through_the_apart_ones():
+    for dim in (1, 2, 3):
+        for m in range(1, 9):
+            apart = [cand for cand in _candidate_witnesses("AHT", dim, m, 40, None)
+                     if is_apart(cand[0])]
+            for window in range(1, 41):
+                assert list(_candidate_witnesses("APAHT", dim, m, window, None)) == \
+                    [cand for cand in apart if sum(cand[0]) <= window]
+
+
+def test_separated_search_answers_for_gaps_beyond_the_word_width():
+    # the next gap must be a multiple of 2^(bit length of the last gap), a test
+    # that needs no bit endpoints, so a gap above 64 bits is no overflow
+    far = 2**66 + 1
+    c = Colouring(2, far + 1, 1, "sets", {(0, 1): 0, (0, far): 0, (1, far): 0})
+    assert find_mono_subset(c, 3, separated=True) == (0, 1, far)
+    odd = Colouring(2, far + 1, 1, "sets", {(0, 1): 0, (0, far + 1): 0, (1, far + 1): 0})
+    assert find_mono_subset(odd, 3, separated=True) is None
