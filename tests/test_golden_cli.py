@@ -77,6 +77,24 @@ FINITE_QUERIES = [
     ("AHT", 1, 1, 4, 12), ("AHT", 1, 2, 2, 12), ("APAHT", 1, 1, 3, 12), ("ZRT", 2, 2, 3, 12),
     ("SEPZRT", 2, 2, 3, 12), ("RT", 2, 2, 3, 12), ("ZRT", 2, 3, 3, 11),
     ("RT", 1, 2, 3, 4), ("AHT", 1, 2, 2, 8), ("APAHT", 1, 2, 2, 5),
+    # SEPZRT's counterexample at cap 31 is a lifted difference table; 32 is a
+    # regression value; AHT d1 k3 m2 is the weak Schur number WS(3) + 1 = 24
+    ("SEPZRT", 2, 2, 3, 31), ("SEPZRT", 2, 2, 3, 40), ("AHT", 1, 3, 2, 30),
+]
+# (maker, dim, window, palette, keep): partial instances for the translation
+# lifts; vectors coordinates run over [1, window], so some totals exceed it
+PARTIAL_SHAPES = [
+    ("sets", 1, 9, 2, 0.6),
+    ("sets", 2, 8, 3, 0.5),
+    ("sets", 3, 9, 2, 0.3),
+    ("vectors", 1, 9, 2, 0.6),
+    ("vectors", 2, 7, 2, 0.5),
+    ("vectors", 3, 5, 3, 0.4),
+]
+SPARSE_DIFFERENCES = [  # (dim, table window, lift window, palette, keep)
+    (1, 4, 15, 2, 0.5),
+    (2, 6, 14, 3, 0.3),
+    (3, 5, 12, 2, 0.4),
 ]
 SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "finite_number_sweep.py"
 
@@ -169,6 +187,25 @@ def cases(directory):
     data = _payload(1, 6, 2, "sets", {(x,): x % 2 for x in range(7)})
     add("reduce-forward-unknown-kind", data, ["reduce", "--kind", "NOPE", "--op", "forward"])
     add("reduce-verify-unknown-kind", data, ["reduce", "--kind", "NOPE", "--m", "0"])
+    # a third generator for the partial-instance cases
+    rng = random.Random(SEED + 2)
+    for maker, dim, window, palette, keep in PARTIAL_SHAPES:
+        if maker == "sets":
+            domain = _sets(dim, window)
+        else:
+            domain = list(product(range(1, window + 1), repeat=dim))
+        table = {t: rng.randrange(palette) for t in domain if rng.random() < keep}
+        data = _payload(dim, window, palette, maker, table)
+        kind = "RT_TO_ZRT" if maker == "sets" else "AHT_TO_ZRT"
+        label = f"{kind}-d{dim}w{window}k{palette}"
+        add(f"partial-forward-{label}", data, ["reduce", "--kind", kind, "--op", "forward"])
+        for target in (dim + 1, dim + 2):
+            add(f"partial-verify-{label}-m{target}", data, ["reduce", "--kind", kind, "--m", str(target)])
+    for dim, window, lift, palette, keep in SPARSE_DIFFERENCES:
+        table = {v: rng.randrange(palette) for v in _vectors(dim, window) if rng.random() < keep}
+        add(f"sparse-from-differences-d{dim}w{window}-to{lift}",
+            _payload(dim, window, palette, "differences", table),
+            ["from-differences", "--window", str(lift)])
     for query in FINITE_QUERIES:
         principle, dim, k, m, cap = map(str, query)
         argv = ["finite-number", "--principle", principle, "--dim", dim, "--k", k, "--m", m,

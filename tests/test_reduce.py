@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -275,3 +276,81 @@ def test_finite_number_counterexamples_stay_witness_free_forward():
                             (principle, dim, k, m, cap)
                         checked += 1
     assert (checked, refused) == (164, 6)
+
+
+def _differences_walk(table, dim, window):
+    """The target-domain walk: each dim-set of [0, window] coloured by its difference vector."""
+    out = {}
+    for t in sets_domain(dim, window):
+        colour = table.get(tuple(b - a for a, b in zip(t, t[1:])))
+        if colour is not None:
+            out[t] = colour
+    return out
+
+
+def test_translation_lifts_match_the_differences_walk():
+    # from_differences, RT_TO_ZRT and AHT_TO_ZRT each colour a set by the
+    # class of its translates; vectors coordinates run over [1, window], so
+    # some AHT_TO_ZRT entries total more than the window and have no translate
+    rng = random.Random(2024)
+    for dim in (1, 2, 3):
+        for window in range(13):
+            for keep in (0.2, 0.6, 1.0):
+                palette = rng.randint(1, 3)
+
+                def partial(domain):
+                    return {t: rng.randrange(palette) for t in domain if rng.random() < keep}
+
+                dc = DifferenceColouring(dim, window, palette, partial(vectors_domain(dim, window)))
+                lift = rng.randint(0, 12)
+                assert from_differences(dc, lift).table == _differences_walk(dc.table, dim + 1, lift)
+
+                sets = partial(sets_domain(dim, window))
+                anchored = {tuple(b - a for a, b in zip((0,) + s, s)): colour
+                            for s, colour in sets.items() if s[0] > 0}
+                got = forward_transform("RT_TO_ZRT", Colouring(dim, window, palette, "sets", sets))
+                assert got.table == _differences_walk(anchored, dim + 1, window)
+
+                vectors = partial(product(range(1, window + 1), repeat=dim))
+                got = forward_transform("AHT_TO_ZRT", Colouring(dim, window, palette, "vectors", vectors))
+                assert got.table == _differences_walk(vectors, dim + 1, window)
+
+
+def test_length_preserving_passes_by_kind():
+    # a pass maps back to a solution of the target's length, except through
+    # AHT_TO_ZRT, whose gap-increasing subsequence is usually shorter
+    rng = random.Random(11)
+
+    def colour(_):
+        return rng.randrange(2)
+
+    instances = {
+        "RT_TO_ZRT": [Colouring(dim, w, 2, "sets", {t: colour(t) for t in sets_domain(dim, w)})
+                      for dim in (1, 2) for w in (6, 9)],
+        "ZRT_TO_AHT": [from_differences(DifferenceColouring(
+                           dim - 1, w, 2, {v: colour(v) for v in vectors_domain(dim - 1, w)}), w)
+                       for dim in (2, 3) for w in (8, 11)],
+        "AHT_TO_ZRT": [vector_colouring(dim, w, colour) for dim in (1, 2) for w in (9, 12)],
+        "APAHT_TO_RT": [block_instance(n, positions, colour) for n in (1, 2) for positions in (5, 7)],
+    }
+    counts = {}
+    for kind, colourings in instances.items():
+        same = shorter = none = 0
+        for c in colourings:
+            for target in (2, 3, 4, 5):
+                try:
+                    report = verify_reduction(kind, c, target)
+                except PreconditionError:
+                    continue
+                if report.passed is None:
+                    none += 1
+                else:
+                    assert report.passed is True
+                    if len(report.mapped) == target:
+                        same += 1
+                    else:
+                        shorter += 1
+        counts[kind] = (same, shorter, none)
+    # (passes of the target's length, shorter passes, windows with no witness)
+    assert counts == {"RT_TO_ZRT": (7, 0, 9), "ZRT_TO_AHT": (5, 0, 11),
+                      "AHT_TO_ZRT": (0, 12, 2), "APAHT_TO_RT": (7, 0, 9)}
