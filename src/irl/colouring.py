@@ -18,7 +18,7 @@ immutable after construction by convention.
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 
 from irl.budget import candidate_budget
@@ -204,6 +204,21 @@ class DifferenceColouring:
         return set(self.table) >= set(vectors_domain(self.dim, self.window))
 
 
+def _difference_scan(c: Colouring):
+    """(first clash or None, difference table): one lexicographic scan of a sets colouring."""
+    table, first = {}, {}  # difference vector -> its colour, and -> its least tuple
+    for t in sorted(c.table):
+        dv = tuple(b - a for a, b in zip(t, t[1:]))
+        colour = c.table[t]
+        prev = table.get(dv)
+        if prev is None:
+            table[dv] = colour
+            first[dv] = t
+        elif prev != colour:
+            return ((first[dv], prev), (t, colour)), table
+    return None, table
+
+
 def invariance_witness(c: Colouring):
     """A pair of same-difference tuples with unequal colours, or None.
 
@@ -213,16 +228,7 @@ def invariance_witness(c: Colouring):
     """
     if c.mode != "sets":
         raise PreconditionError("shift invariance is defined for sets-mode colourings")
-    seen = {}
-    for t in sorted(c.table):
-        dv = tuple(b - a for a, b in zip(t, t[1:]))
-        colour = c.table[t]
-        prev = seen.get(dv)
-        if prev is None:
-            seen[dv] = (t, colour)
-        elif prev[1] != colour:
-            return (prev, (t, colour))
-    return None
+    return _difference_scan(c)[0]
 
 
 def is_shift_invariant(c: Colouring) -> bool:
@@ -240,35 +246,37 @@ def to_differences(c: Colouring) -> DifferenceColouring:
         raise PreconditionError("to_differences applies to sets-mode colourings")
     if c.dim < 2:
         raise PreconditionError("to_differences requires tuple arity >= 2")
-    witness = invariance_witness(c)
+    witness, table = _difference_scan(c)
     if witness is not None:
         raise NotInvariantError(
             f"colouring is not shift-invariant: {witness[0][0]} -> {witness[0][1]} "
             f"but {witness[1][0]} -> {witness[1][1]}",
             witness=witness,
         )
-    table = {}
-    for t, colour in c.table.items():
-        table[tuple(b - a for a, b in zip(t, t[1:]))] = colour
     return _unchecked(DifferenceColouring, c.dim - 1, c.window, c.palette, table)
+
+
+def lift_translates(anchored, window) -> dict:
+    """A table colouring each translate inside [0, window] of every (tuple from 0, colour) pair."""
+    table = {}
+    for t, colour in anchored:
+        room = window - t[-1] + 1  # the number of shifts that fit
+        for translate in zip(*[range(x, x + room) for x in t]):
+            table[translate] = colour
+    return table
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     """Lift a difference colouring to a sets colouring on [0, window].
 
-    Tuples whose difference vector is absent from ``dc`` are left
-    uncoloured; the result is shift-invariant by construction.
+    Each difference vector colours the translates of its partial sums from
+    0; the rest is left uncoloured, so the result is shift-invariant.
     """
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise FormatError(f"window must be an integer >= 0, got {window!r}")
     charge_domain("sets", dc.dim + 1, window)
-    table = {}
-    for t in sets_domain(dc.dim + 1, window):
-        dv = tuple(b - a for a, b in zip(t, t[1:]))
-        colour = dc.table.get(dv)
-        if colour is not None:
-            table[t] = colour
-    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", table)
+    anchored = (((0, *accumulate(v)), colour) for v, colour in dc.table.items())
+    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", lift_translates(anchored, window))
 
 
 def _domain(mode, dim, window, limit, palette=1, what="colourings"):

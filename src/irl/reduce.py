@@ -6,12 +6,12 @@ the verifier below are shared by all four kinds and read the record.
 Kinds (instance direction / solution direction):
 
 * ``RT_TO_ZRT``:   n-subset colouring -> shift-invariant (n+1)-subset
-  colouring via anchored differences / subtract the minimum element.
+  colouring via translates of {0} + s, s an n-set / subtract the minimum element.
 * ``ZRT_TO_AHT``:  shift-invariant (d+1)-subset colouring -> d-vector
   colouring of gap tuples / initial partial sums.
 * ``AHT_TO_ZRT``:  d-vector colouring -> shift-invariant (d+1)-subset
-  colouring via successive differences / differences of the
-  gap-increasing subsequence.
+  colouring via the translates of its partial sums from 0 / differences
+  of the gap-increasing subsequence.
 * ``APAHT_TO_RT``: vector colouring over bit-block values -> subset
   colouring of bit positions via half-open blocks [x_i, x_{i+1}-1] /
   blocks of consecutive position pairs (the output is always apart).
@@ -25,10 +25,10 @@ not an error.
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from irl.bits import block, is_apart
 from irl.colouring import (
@@ -37,7 +37,9 @@ from irl.colouring import (
     charge_domain,
     colouring_to_json,
     invariance_witness,
-    standard_domain,
+    lift_translates,
+    sets_domain,
+    vectors_domain,
 )
 from irl.errors import NotInvariantError, PreconditionError
 from irl.search import find_afs_mono, find_mono_subset, witness_colour
@@ -49,47 +51,33 @@ def bit_window(value_window: int) -> int:
     return (value_window + 1).bit_length() - 1
 
 
-# Forward maps: the coloured part of the target domain, from the instance.
-# Each keeps its own loop, since a call per tuple costs measurably.
+# Forward maps: (instance, target window) -> the coloured part of the target
+# domain.  The maps into shift-invariant colourings lift anchored tuples; the
+# others walk the target domain, which is smaller than the instance or keyed by blocks.
 
-def _anchored_differences(instance, domain):
+def _translates_of_instance(instance, window):
+    return lift_translates((((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0), window)
+
+
+def _translates_of_runs(instance, window):
+    return lift_translates((((0, *accumulate(v)), colour) for v, colour in instance.table.items()), window)
+
+
+def _anchored_partial_sums(instance, window):
     colours = instance.table
     table = {}
-    for t in domain:
-        colour = colours.get(tuple(x - t[0] for x in t[1:]))
-        if colour is not None:
-            table[t] = colour
-    return table
-
-
-def _anchored_partial_sums(instance, domain):
-    colours = instance.table
-    table = {}
-    for v in domain:
-        anchored = [0]
-        for z in v:
-            anchored.append(anchored[-1] + z)
-        colour = colours.get(tuple(anchored))
+    for v in vectors_domain(instance.dim - 1, window):
+        colour = colours.get((0, *accumulate(v)))
         if colour is not None:
             table[v] = colour
     return table
 
 
-def _successive_differences(instance, domain):
-    colours = instance.table
-    table = {}
-    for t in domain:
-        colour = colours.get(tuple(b - a for a, b in zip(t, t[1:])))
-        if colour is not None:
-            table[t] = colour
-    return table
-
-
-def _half_open_blocks(instance, domain):
+def _half_open_blocks(instance, window):
     colours = instance.table
     n = instance.dim
     table = {}
-    for t in domain:
+    for t in sets_domain(n + 1, window):
         colour = colours.get(tuple(block(t[i], t[i + 1] - 1) for i in range(n)))
         if colour is not None:
             table[t] = colour
@@ -109,7 +97,7 @@ class Reduction:
     source_mode: str
     target_mode: str
     shift: int  # target arity minus source arity
-    forward: Callable[[Colouring, Iterable], dict]  # (instance, target domain) -> target table
+    forward: Callable[[Colouring, int], dict]  # (instance, target window) -> target table
     backward: Callable[[tuple], tuple]  # checked witness -> solution
     window: Callable[[int], int] = lambda window: window  # instance window -> target window
     extra: int = 0  # how much longer a witness is than the solution it maps to
@@ -121,11 +109,11 @@ class Reduction:
 # The backward maps look their helpers up at call time, so wrappers installed
 # on this module's names see the calls.
 REDUCTIONS: dict[str, Reduction] = {
-    "RT_TO_ZRT": Reduction("sets", "sets", +1, _anchored_differences,
+    "RT_TO_ZRT": Reduction("sets", "sets", +1, _translates_of_instance,
                            lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
     "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_partial_sums,
                             lambda witness: partial_sums(witness), invariant=True),
-    "AHT_TO_ZRT": Reduction("vectors", "sets", +1, _successive_differences,
+    "AHT_TO_ZRT": Reduction("vectors", "sets", +1, _translates_of_runs,
                             lambda witness: differences(gap_increasing(witness)), min_len=2),
     "APAHT_TO_RT": Reduction("vectors", "sets", +1, _half_open_blocks, _consecutive_blocks,
                              window=bit_window, extra=1, min_len=2, apart=True),
@@ -164,8 +152,7 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
     mode = reduction.target_mode
     window = reduction.window(instance.window)
     charge_domain(mode, dim, window)
-    table = reduction.forward(instance, standard_domain(mode, dim, window))
-    return _unchecked(Colouring, dim, window, instance.palette, mode, table)
+    return _unchecked(Colouring, dim, window, instance.palette, mode, reduction.forward(instance, window))
 
 
 def backward_transform(kind: str, solution) -> tuple:

@@ -17,12 +17,12 @@ as one candidate witness is monochromatic.
 import csv
 import json
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from irl.bits import highest_bit, lowest_bit
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, sets_domain
+from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, lift_translates
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.sums import adjacent_tuples
@@ -411,7 +411,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     table = dict(zip(variables, assignment))
     if key is not None:  # lift the difference table to the window's tuples
         charge_domain("sets", dim, window, limit)
-        table = {t: table[key(t)] for t in sets_domain(dim, window)}
+        table = lift_translates((((0, *accumulate(v)), colour) for v, colour in table.items()), window)
     mode = "sets" if sets_mode else "vectors"
     return FiniteNumberResult(query, None, _unchecked(Colouring, dim, window, palette, mode, table), None)
 

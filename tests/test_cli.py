@@ -276,6 +276,17 @@ def test_materialization_beyond_the_budget_is_refused(wide, argv):
     assert json.loads(out)["error"]["code"] == "budget"
 
 
+def test_lifting_an_empty_table_of_long_vectors_builds_nothing(tmp_path):
+    # the lift walks the table's entries, not the 100,000 tuples of the window
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"dim": 99_998, "window": 99_999, "palette": 1,
+                                "mode": "differences", "entries": []}))
+    code, out = fresh("from-differences", "--input", str(path), "--window", "99999")
+    assert code == 0
+    assert json.loads(out) == {"dim": 99_999, "window": 99_999, "palette": 1, "mode": "sets",
+                               "entries": []}
+
+
 def test_finite_number_charges_each_tuple_of_a_candidate():
     # each candidate 60-subset colours C(60, 2) = 1770 pairs
     code, out = fresh("finite-number", "--principle", "RT", "--dim", "2", "--k", "2",
