@@ -161,12 +161,13 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
         if len(prefix) == m:
             return tuple(prefix)
         after = m - len(prefix) - 1
+        step = 1 << prefix[-1].bit_length() if apart and prefix else 1  # apart: x a multiple of step
         for j in range(start, len(points)):
             x = points[j]
             # cheapest possible completion is x, x+1, ..., x+after
             if psums[-1] + (after + 1) * x + after * (after + 1) // 2 > limit:
                 break
-            if apart and prefix and not highest_bit(prefix[-1]) < lowest_bit(x):
+            if x % step:
                 continue
             t = len(prefix)
             prefix.append(x)

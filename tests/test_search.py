@@ -378,3 +378,14 @@ def test_separated_search_answers_for_gaps_beyond_the_word_width():
     assert find_mono_subset(c, 3, separated=True) == (0, 1, far)
     odd = Colouring(2, far + 1, 1, "sets", {(0, 1): 0, (0, far + 1): 0, (1, far + 1): 0})
     assert find_mono_subset(odd, 3, separated=True) is None
+
+
+def test_apart_adjacent_search_answers_for_points_beyond_the_word_width():
+    # the next point must be a multiple of 2^(bit length of the last one), a
+    # test that needs no bit endpoints, so a point above 64 bits is no overflow
+    big = 2**66
+    c = Colouring(1, 4 * big, 1, "vectors", {(big,): 0, (2 * big,): 0, (3 * big,): 0})
+    assert find_afs_mono(c, 2, apart=True) == (big, 2 * big)
+    odd = Colouring(1, 4 * big, 1, "vectors", {(big,): 0, (big + 1,): 0, (2 * big + 1,): 0})
+    assert find_afs_mono(odd, 2, apart=True) is None
+    assert find_afs_mono(odd, 2) == (big, big + 1)
