@@ -287,10 +287,13 @@ def _candidate_witnesses(principle, dim, m, window, key):
             yield subset, (tuples if key is None else map(key, tuples)), cost
         return
     apart = principle == "APAHT"
+    # an adjacent tuple is dim runs between dim + 1 of the m + 1 prefix sums (none below 1 + ... + m)
+    fits = dim <= m and m * (m + 1) // 2 <= window
+    runs = [tuple(zip(b, b[1:])) for b in combinations(range(m + 1), dim + 1)] if fits else []
 
-    def extend(prefix, start, room):
+    def extend(prefix, sums, start, room):
         if len(prefix) == m:
-            tuples = adjacent_tuples(prefix, dim)
+            tuples = {tuple([sums[j] - sums[i] for i, j in r]) for r in runs}
             yield prefix, tuples, len(tuples)
             return
         after = m - len(prefix) - 1
@@ -300,9 +303,9 @@ def _candidate_witnesses(principle, dim, m, window, key):
             # cheapest possible completion is x, x+1, ..., x+after
             if (after + 1) * x + after * (after + 1) // 2 > room:
                 break
-            yield from extend(prefix + (x,), x + 1, room - x)
+            yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1, room - x)
 
-    yield from extend((), 1, window)
+    yield from extend((), (0,), 1, window)
 
 
 def _over_budget(spent, limit):
