@@ -306,10 +306,11 @@ def test_translation_lifts_match_the_differences_walk():
                 assert from_differences(dc, lift).table == _differences_walk(dc.table, dim + 1, lift)
 
                 sets = partial(sets_domain(dim, window))
-                anchored = {tuple(b - a for a, b in zip((0,) + s, s)): colour
-                            for s, colour in sets.items() if s[0] > 0}
+                # the set {0} + s has difference vector (s[0], s[1] - s[0], ...)
+                differences = {tuple(b - a for a, b in zip((0,) + s, s)): colour
+                               for s, colour in sets.items() if s[0] > 0}
                 got = forward_transform("RT_TO_ZRT", Colouring(dim, window, palette, "sets", sets))
-                assert got.table == _differences_walk(anchored, dim + 1, window)
+                assert got.table == _differences_walk(differences, dim + 1, window)
 
                 vectors = partial(product(range(1, window + 1), repeat=dim))
                 got = forward_transform("AHT_TO_ZRT", Colouring(dim, window, palette, "vectors", vectors))
