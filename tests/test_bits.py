@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -125,3 +127,26 @@ def test_separated_agrees_with_apart_of_differences(values):
     xs = tuple(sorted(values))
     diffs = [b - a for a, b in zip(xs, xs[1:])]
     assert is_separated(xs) == is_apart(diffs)
+
+
+def _apart_by_endpoints(a, b):
+    """The apartness of a before b as the bit endpoints state it."""
+    return highest_bit(a) < lowest_bit(b)
+
+
+def test_apartness_is_a_multiple_of_a_power_of_two():
+    # b lies apart above a iff b is a multiple of 2^(bit length of a)
+    rng = random.Random(11)
+    edges = [1 << j for j in range(64)] + [2**63, 2**64 - 1, 2**63 + 1, 3, 5, 6, 7, 12, 96]
+    pairs = [(a, b) for a in edges for b in edges]
+    for _ in range(3000):
+        a = rng.getrandbits(rng.randint(1, 64)) or 1
+        b = (rng.getrandbits(rng.randint(1, 20)) | 1) << rng.randint(0, 43)
+        pairs.append((a, b))
+    for a, b in pairs:
+        expected = _apart_by_endpoints(a, b)
+        assert (b % (1 << a.bit_length()) == 0) == expected, (a, b)
+        assert is_apart((a, b)) is expected, (a, b)
+    for _ in range(500):
+        seq = [(rng.getrandbits(rng.randint(1, 8)) | 1) << rng.randint(0, 55) for _ in range(rng.randint(0, 5))]
+        assert is_apart(seq) is all(_apart_by_endpoints(a, b) for a, b in zip(seq, seq[1:])), seq

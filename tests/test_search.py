@@ -13,6 +13,7 @@ from irl.search import (
     find_afs_mono,
     find_mono_subset,
     finite_number,
+    witness_colour,
 )
 from irl.sums import adjacent_sums, adjacent_tuples
 
@@ -389,3 +390,28 @@ def test_apart_adjacent_search_answers_for_points_beyond_the_word_width():
     odd = Colouring(1, 4 * big, 1, "vectors", {(big,): 0, (big + 1,): 0, (2 * big + 1,): 0})
     assert find_afs_mono(odd, 2, apart=True) is None
     assert find_afs_mono(odd, 2) == (big, big + 1)
+
+
+def test_least_adjacent_tuple_is_the_leading_prefix():
+    # the d runs of the least adjacent d-tuple of x1 < ... < xm are x1, ..., xd
+    rng = random.Random(5)
+    for _ in range(600):
+        d = rng.randint(1, 4)
+        w = tuple(sorted(rng.sample(range(1, 80), rng.randint(d, 7))))
+        assert min(adjacent_tuples(w, d)) == w[:d], w
+    checked = 0
+    for dim in (1, 2, 3):
+        for trial in range(8):
+            window = rng.randint(dim, 16)
+            c = next(sample_colourings(dim, window, rng.randint(1, 3), mode="vectors", seed=trial, count=1))
+            for m in range(1, 6):
+                for apart in (False, True):
+                    witness = find_afs_mono(c, m, apart=apart)
+                    if witness is None:
+                        continue
+                    tuples = adjacent_tuples(witness, dim)
+                    first = min(tuples) if tuples else None
+                    assert first == (witness[:dim] if m >= dim else None), (c, witness)
+                    assert witness_colour(c, witness) == (None if first is None else c.table.get(first))
+                    checked += 1
+    assert checked > 100
