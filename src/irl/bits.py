@@ -65,13 +65,12 @@ def block(a: int, b: int) -> int:
 def is_apart(seq) -> bool:
     """True iff each entry's highest bit lies strictly below the next entry's lowest bit.
 
-    Vacuously true for sequences of length <= 1.  Zero entries are rejected
-    because the bit endpoints are undefined there.
+    That is, each next entry is a multiple of 2^(bit length of the entry
+    before it).  Vacuously true for sequences of length <= 1.  Zero entries
+    are rejected because the bit endpoints are undefined there.
     """
     entries = [_positive(x) for x in seq]
-    return all(
-        highest_bit(a) < lowest_bit(b) for a, b in zip(entries, entries[1:])
-    )
+    return all(b % (1 << a.bit_length()) == 0 for a, b in zip(entries, entries[1:]))
 
 
 def is_separated(xs) -> bool:

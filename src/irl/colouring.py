@@ -266,6 +266,11 @@ def lift_translates(anchored, window) -> dict:
     return table
 
 
+def lift_differences(table, window) -> dict:
+    """``lift_translates`` of each difference vector's partial sums from 0, with its colour."""
+    return lift_translates((((0, *accumulate(v)), colour) for v, colour in table.items()), window)
+
+
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     """Lift a difference colouring to a sets colouring on [0, window].
 
@@ -275,8 +280,7 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise FormatError(f"window must be an integer >= 0, got {window!r}")
     charge_domain("sets", dc.dim + 1, window)
-    anchored = (((0, *accumulate(v)), colour) for v, colour in dc.table.items())
-    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", lift_translates(anchored, window))
+    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", lift_differences(dc.table, window))
 
 
 def _domain(mode, dim, window, limit, palette=1, what="colourings"):

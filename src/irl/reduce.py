@@ -37,6 +37,7 @@ from irl.colouring import (
     charge_domain,
     colouring_to_json,
     invariance_witness,
+    lift_differences,
     lift_translates,
     sets_domain,
     vectors_domain,
@@ -59,10 +60,6 @@ def _translates_of_instance(instance, window):
     return lift_translates((((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0), window)
 
 
-def _translates_of_runs(instance, window):
-    return lift_translates((((0, *accumulate(v)), colour) for v, colour in instance.table.items()), window)
-
-
 def _anchored_partial_sums(instance, window):
     colours = instance.table
     table = {}
@@ -73,21 +70,20 @@ def _anchored_partial_sums(instance, window):
     return table
 
 
-def _half_open_blocks(instance, window):
-    colours = instance.table
-    n = instance.dim
-    table = {}
-    for t in sets_domain(n + 1, window):
-        colour = colours.get(tuple(block(t[i], t[i + 1] - 1) for i in range(n)))
-        if colour is not None:
-            table[t] = colour
-    return table
-
-
 def _consecutive_blocks(positions):
     if positions[0] < 0:
         raise PreconditionError("bit positions must be non-negative")
     return tuple(block(a, b - 1) for a, b in zip(positions, positions[1:]))
+
+
+def _half_open_blocks(instance, window):
+    colours = instance.table
+    table = {}
+    for t in sets_domain(instance.dim + 1, window):
+        colour = colours.get(_consecutive_blocks(t))
+        if colour is not None:
+            table[t] = colour
+    return table
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,8 @@ REDUCTIONS: dict[str, Reduction] = {
                            lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
     "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_partial_sums,
                             lambda witness: partial_sums(witness), invariant=True),
-    "AHT_TO_ZRT": Reduction("vectors", "sets", +1, _translates_of_runs,
+    "AHT_TO_ZRT": Reduction("vectors", "sets", +1,
+                            lambda instance, window: lift_differences(instance.table, window),
                             lambda witness: differences(gap_increasing(witness)), min_len=2),
     "APAHT_TO_RT": Reduction("vectors", "sets", +1, _half_open_blocks, _consecutive_blocks,
                              window=bit_window, extra=1, min_len=2, apart=True),
@@ -256,10 +253,10 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
         witness = find_afs_mono(transformed, length)
     mapped = passed = colour = None
     if witness is not None:
-        mapped = backward_transform(kind, witness)
+        mapped = reduction.backward(witness)  # a search result passes backward_transform's checks
         # tuples the mapped-back object must colour monochromatically
         if instance.mode == "vectors":
-            tuples = sorted(adjacent_tuples(mapped, instance.dim))
+            tuples = adjacent_tuples(mapped, instance.dim)
         elif len(mapped) >= instance.dim:
             tuples = combinations(mapped, instance.dim)
         else:  # none (and combinations would still allocate dim indices)

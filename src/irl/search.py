@@ -17,15 +17,14 @@ as one candidate witness is monochromatic.
 import csv
 import json
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import comb
 
-from irl.bits import highest_bit, lowest_bit
+from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, lift_translates
+from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, lift_differences
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
-from irl.sums import adjacent_tuples
 
 PRINCIPLES = ("RT", "ZRT", "SEPZRT", "AHT", "APAHT")
 _SETS_PRINCIPLES = ("RT", "ZRT", "SEPZRT")
@@ -197,17 +196,13 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
 
 
 def witness_colour(c: Colouring, witness):
-    """Colour of a witness's first tuple, or None when it has none.
+    """Colour of a witness's first tuple, or None when it is shorter than dim.
 
-    The first tuple is the leading dim-prefix in sets mode and the least
-    adjacent tuple in vectors mode.
+    The first tuple is the leading dim-prefix in both modes: in vectors
+    mode the least adjacent tuple of x1 < ... < xm is made of the d
+    one-element runs x1, ..., xd.
     """
-    if c.mode == "sets":
-        first = witness[: c.dim] if len(witness) >= c.dim else None
-    else:
-        tuples = adjacent_tuples(witness, c.dim)
-        first = min(tuples) if tuples else None
-    return None if first is None else c.table.get(first)
+    return c.table.get(tuple(witness[: c.dim])) if len(witness) >= c.dim else None
 
 
 @dataclass(frozen=True)
@@ -279,7 +274,8 @@ def _candidate_witnesses(principle, dim, m, window, key):
             return
         cost = comb(m, dim)
         for subset in combinations(range(window + 1), m):
-            if principle == "SEPZRT" and any(not highest_bit(b - a) < lowest_bit(c - b)
+            # separated: each next gap is a multiple of 2^(bit length of the gap before it)
+            if principle == "SEPZRT" and any((c - b) % (1 << (b - a).bit_length())
                                              for a, b, c in zip(subset, subset[1:], subset[2:])):
                 yield subset, None, 1
                 continue
@@ -415,7 +411,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     table = dict(zip(variables, assignment))
     if key is not None:  # lift the difference table to the window's tuples
         charge_domain("sets", dim, window, limit)
-        table = lift_translates((((0, *accumulate(v)), colour) for v, colour in table.items()), window)
+        table = lift_differences(table, window)
     mode = "sets" if sets_mode else "vectors"
     return FiniteNumberResult(query, None, _unchecked(Colouring, dim, window, palette, mode, table), None)
 

@@ -11,7 +11,7 @@ are formed; the subset-style inputs of ``differences``/``gap_increasing``
 may start at 0.
 """
 
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from irl.bits import check_value
 from irl.errors import PreconditionError
@@ -40,17 +40,10 @@ def _increasing_entries(seq, name, min_len=1):
     return entries
 
 
-def _prefix_sums(entries):
-    out = [0]
-    for x in entries:
-        out.append(out[-1] + x)
-    return out
-
-
 def adjacent_sums(seq) -> frozenset:
     """All sums of contiguous nonempty runs of the sequence (a set of ints)."""
     entries = _positive_entries(seq, "adjacent_sums")
-    p = _prefix_sums(entries)
+    p = list(accumulate(entries, initial=0))
     n = len(entries)
     return frozenset(p[j] - p[i] for i in range(n) for j in range(i + 1, n + 1))
 
@@ -66,7 +59,7 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     entries = _positive_entries(seq, "adjacent_tuples")
     if d > len(entries):
         return frozenset()  # no d runs fit, but combinations would still allocate d + 1 indices
-    p = _prefix_sums(entries)
+    p = list(accumulate(entries, initial=0))
     out = set()
     for bounds in combinations(range(len(entries) + 1), d + 1):
         out.add(tuple(p[bounds[i + 1]] - p[bounds[i]] for i in range(d)))
@@ -127,5 +120,4 @@ def partial_sums(ys) -> tuple:
     entries = _positive_entries(ys, "partial_sums")
     if any(a >= b for a, b in zip(entries, entries[1:])):
         raise PreconditionError(f"partial_sums requires a strictly increasing sequence, got {entries}")
-    p = _prefix_sums(entries)
-    return tuple(p[1:])
+    return tuple(accumulate(entries))

@@ -415,3 +415,12 @@ def test_least_adjacent_tuple_is_the_leading_prefix():
                     assert witness_colour(c, witness) == (None if first is None else c.table.get(first))
                     checked += 1
     assert checked > 100
+
+
+def test_witness_colour_answers_for_sums_beyond_the_word_width():
+    # the first tuple is read off the witness, so no adjacent sum is formed
+    x, y = 2**63 + 1, 2**63 + 2
+    c = Colouring(1, 2**65, 2, "vectors", {(x,): 1, (y,): 1, (x + y,): 1})
+    witness = find_afs_mono(c, 2)
+    assert witness == (x, y)
+    assert witness_colour(c, witness) == 1
