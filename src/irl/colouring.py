@@ -58,6 +58,17 @@ def _count_text(count: int) -> str:
     return str(count) if count.bit_length() <= 14_000 else f"at least 2^{count.bit_length() - 1}"
 
 
+def _domain_size(mode: str, dim: int, window: int, bound: int):
+    """Size of a ``standard_domain``, or None when it certainly exceeds ``bound``."""
+    n = window + 1 if mode == "sets" else window
+    if dim > n:
+        return 0
+    # C(n, k) >= 2^k for k <= n/2, and an exact C(n, k) with k in the
+    # hundreds of thousands takes seconds
+    k = min(dim, n - dim)
+    return comb(n, k) if k <= bound.bit_length() else None
+
+
 def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
     """Size of a ``standard_domain``, refused before it is built when above ``limit``.
 
@@ -66,14 +77,8 @@ def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
     None when the size is too large to be worth computing exactly.
     """
     limit = candidate_budget() if limit is None else limit
-    n = window + 1 if mode == "sets" else window
-    if dim > n:
-        return 0
-    # C(n, k) >= 2^k for k <= n/2, and an exact C(n, k) with k in the
-    # hundreds of thousands takes seconds
-    k = min(dim, n - dim)
-    size = comb(n, k) if k <= limit.bit_length() else None
-    if size is not None and size <= limit and dim <= limit:
+    size = _domain_size(mode, dim, window, limit)
+    if size is not None and size <= limit and (size == 0 or dim <= limit):  # an empty domain is free
         return size
     shown = f"more than {limit}" if size is None else _count_text(size)
     raise BudgetExceededError(
@@ -178,8 +183,13 @@ class Colouring:
         _check_table(self.table, self.dim, self.window, self.palette, self.mode)
 
     def is_total(self) -> bool:
-        """True iff every tuple of the canonical domain is coloured."""
-        return set(self.table) >= set(standard_domain(self.mode, self.dim, self.window))
+        """True iff every tuple of the canonical domain is coloured.
+
+        Counts instead of building the domain: every validated sets key lies
+        in it, and a vectors key does when its total is at most the window.
+        """
+        keys = [t for t in self.table if sum(t) <= self.window] if self.mode == "vectors" else self.table
+        return _domain_size(self.mode, self.dim, self.window, len(keys)) == len(keys)
 
     @cached_property
     def points(self) -> tuple:
@@ -201,22 +211,30 @@ class DifferenceColouring:
         _check_table(self.table, self.dim, self.window, self.palette, "differences")
 
     def is_total(self) -> bool:
-        return set(self.table) >= set(vectors_domain(self.dim, self.window))
+        """True iff every difference vector of total at most the window is coloured."""
+        return _domain_size("vectors", self.dim, self.window, len(self.table)) == len(self.table)
 
 
 def _difference_scan(c: Colouring):
-    """(first clash or None, difference table): one lexicographic scan of a sets colouring."""
-    table, first = {}, {}  # difference vector -> its colour, and -> its least tuple
-    for t in sorted(c.table):
-        dv = tuple(b - a for a, b in zip(t, t[1:]))
-        colour = c.table[t]
-        prev = table.get(dv)
-        if prev is None:
-            table[dv] = colour
-            first[dv] = t
-        elif prev != colour:
-            return ((first[dv], prev), (t, colour)), table
+    """(first clash or None, difference table) of a sets colouring.
+
+    One pass in table order decides invariance.  Only a table with a clash
+    is scanned again, in lexicographic order, for its first clash.
+    """
+    table = {}  # difference vector -> its colour
+    for t, colour in c.table.items():
+        if table.setdefault(tuple(b - a for a, b in zip(t, t[1:])), colour) != colour:
+            return _first_clash(c.table), table
     return None, table
+
+
+def _first_clash(colours):
+    """The first tuple, in lexicographic order, coloured unlike the least tuple of its difference vector."""
+    first = {}  # difference vector -> its least tuple
+    for t in sorted(colours):
+        least = first.setdefault(tuple(b - a for a, b in zip(t, t[1:])), t)
+        if colours[least] != colours[t]:
+            return (least, colours[least]), (t, colours[t])
 
 
 def invariance_witness(c: Colouring):

@@ -19,8 +19,10 @@ sequence directly from the settle stage.
 from dataclasses import dataclass
 
 from irl.bits import WORD_BITS, highest_bit, lowest_bit
+from irl.budget import candidate_budget
 from irl.colouring import Colouring, _unchecked
 from irl.errors import (
+    BudgetExceededError,
     FormatError,
     OverflowLimitError,
     PreconditionError,
@@ -82,9 +84,16 @@ def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
 
 
 def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
-    """The membership-coding colouring materialized on ordered pairs over [1, window]."""
+    """The membership-coding colouring materialized on ordered pairs over [1, window].
+
+    Refuses, naming the count, when the window^2 pairs exceed the candidate budget.
+    """
     if not isinstance(window, int) or isinstance(window, bool) or window < 1:
         raise PreconditionError(f"window must be an integer >= 1, got {window!r}")
+    pairs, limit = window * window, candidate_budget()
+    if pairs > limit:
+        raise BudgetExceededError(
+            f"materializing {pairs} ordered pairs over window {window} exceeds the budget of {limit}", count=pairs)
     low = [0] * (window + 1)
     high = [0] * (window + 1)
     for v in range(1, window + 1):

@@ -416,12 +416,12 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     return FiniteNumberResult(query, None, _unchecked(Colouring, dim, window, palette, mode, table), None)
 
 
-def sweep_finite_numbers(queries, out, budget=None):
+def sweep_finite_numbers(queries, out):
     """Write one CSV row per query: principle, dim, k, m, N, witness_or_counterexample."""
     writer = csv.writer(out)
     writer.writerow(["principle", "dim", "k", "m", "N", "witness_or_counterexample"])
     for query in queries:
-        result = finite_number(query, budget=budget)
+        result = finite_number(query)
         if result.value is not None:
             cell = json.dumps(list(result.witness))
             answer = result.value

@@ -375,3 +375,33 @@ def test_domains_of_long_tuples_are_refused_or_empty_without_building_them(monke
     with pytest.raises(BudgetExceededError):  # one tuple, but longer than the budget
         from_differences(DifferenceColouring(2999, 2999, 1, {}), 2999)
     assert len(from_differences(DifferenceColouring(1999, 1999, 1, {}), 1999).table) == 0
+
+
+def test_is_total_counts_instead_of_building_the_domain():
+    start = time.perf_counter()
+    assert not Colouring(3, 10**6, 2, "sets", {}).is_total()
+    assert not Colouring(3, 10**6, 2, "vectors", {}).is_total()
+    assert not DifferenceColouring(3, 10**6, 2, {}).is_total()
+    assert time.perf_counter() - start < 1.0
+    assert Colouring(3, 1, 2, "sets", {}).is_total()  # no 3-subset of {0, 1}
+    assert Colouring(3, 2, 2, "vectors", {}).is_total()
+    assert DifferenceColouring(3, 2, 2, {}).is_total()
+
+
+def test_is_total_agrees_with_the_domain_on_partial_tables():
+    rng = random.Random(4)
+    for _ in range(300):
+        dim, window = rng.randint(1, 3), rng.randint(0, 7)
+        keep = rng.choice((1.0, 0.95, 0.5))
+        sets = {t: 0 for t in sets_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, 1, "sets", sets)
+        assert c.is_total() == (set(sets) >= set(sets_domain(dim, window)))
+        if window < 1:
+            continue
+        vectors = {t: 0 for t in vectors_domain(dim, window) if rng.random() < keep}
+        dc = DifferenceColouring(dim, window, 1, vectors)
+        assert dc.is_total() == (set(vectors) >= set(vectors_domain(dim, window)))
+        for _ in range(rng.randint(0, 3)):  # keys with a total above the window do not count
+            vectors[tuple(rng.randint(1, window) for _ in range(dim))] = 0
+        v = Colouring(dim, window, 1, "vectors", vectors)
+        assert v.is_total() == (set(vectors) >= set(vectors_domain(dim, window)))

@@ -1,12 +1,13 @@
 import json
 import random
+import time
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from irl.bits import highest_bit, is_apart, lowest_bit
-from irl.errors import FormatError, OverflowLimitError, PreconditionError, WindowExhaustedError
+from irl.errors import BudgetExceededError, FormatError, OverflowLimitError, PreconditionError, WindowExhaustedError
 from irl.oracle import (
     EnumerationOracle,
     approx,
@@ -63,6 +64,20 @@ def test_lower_bound_colouring_matches_pointwise_core():
     for (x, y), colour in c.table.items():
         assert colour == pair_colour(W, x, y)
     assert c.table[(4, 8)] == 3 and c.table[(8, 4)] == 1 and c.table[(2, 6)] == 0
+
+
+def test_lower_bound_colouring_charges_its_pairs_to_the_budget(monkeypatch):
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    assert len(lower_bound_colouring(W, 256).table) == 65_536
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="9000000 ordered pairs over window 3000") as info:
+        lower_bound_colouring(W, 3000)
+    assert info.value.count == 9_000_000
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv("IRL_BUDGET", "99")
+    with pytest.raises(BudgetExceededError):
+        lower_bound_colouring(W, 10)
+    assert len(lower_bound_colouring(W, 9).table) == 81
 
 
 def test_synthesize_examples():
