@@ -3,8 +3,12 @@
 A positive integer is viewed as the finite set of positions carrying a 1
 in its binary expansion (position 0 = least significant digit).  The two
 endpoint functions of that set, contiguous all-ones blocks, and the
-apartness/separation predicates built from them are the kernel that the
-reduction and oracle machinery sits on.
+apartness/separation predicates are the kernel that the reduction and
+oracle machinery sits on.
+
+x < y are apart when highest_bit(x) < lowest_bit(y), that is, when y is
+a multiple of 2^(bit length of x); every apartness test in the package
+uses the second form.
 
 Values are capped at WORD_BITS bits.  Anything larger is reported as a
 structured overflow, never silently accepted: a wrapped value would

@@ -229,7 +229,8 @@ def _difference_scan(c: Colouring):
 
 
 def _first_clash(colours):
-    """The first tuple, in lexicographic order, coloured unlike the least tuple of its difference vector."""
+    """The first tuple in lexicographic order coloured unlike the least tuple of
+    its difference vector, as a clash pair (least first), or None."""
     first = {}  # difference vector -> its least tuple
     for t in sorted(colours):
         least = first.setdefault(tuple(b - a for a, b in zip(t, t[1:])), t)
@@ -240,9 +241,9 @@ def _first_clash(colours):
 def invariance_witness(c: Colouring):
     """A pair of same-difference tuples with unequal colours, or None.
 
-    Scans the table in lexicographic order, so the reported witness is the
-    first clash against the earliest representative of its difference
-    vector.
+    The reported witness is the first clash of a lexicographic scan,
+    against the earliest representative of its difference vector, whatever
+    the table's own order.
     """
     if c.mode != "sets":
         raise PreconditionError("shift invariance is defined for sets-mode colourings")

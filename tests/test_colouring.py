@@ -17,6 +17,7 @@ from irl.colouring import (
     colouring_to_json,
     enumerate_colourings,
     from_differences,
+    invariance_witness,
     is_shift_invariant,
     sample_colourings,
     sets_domain,
@@ -39,6 +40,27 @@ def test_invariance_examples():
     assert not is_shift_invariant(pair_colouring(8, lambda x, y: x % 2))
     constant = Colouring(3, 6, 2, "sets", {t: 1 for t in sets_domain(3, 6)})
     assert is_shift_invariant(constant)
+
+
+def test_invariance_witness_is_the_first_clash_in_any_table_order():
+    # the reference: a lexicographic scan against each difference vector's least tuple
+    def first_clash(table):
+        least = {}
+        for t in sorted(table):
+            u = least.setdefault(tuple(b - a for a, b in zip(t, t[1:])), t)
+            if table[u] != table[t]:
+                return (u, table[u]), (t, table[t])
+        return None
+
+    rng = random.Random(8)
+    for trial in range(200):
+        dim, window = rng.randint(1, 3), rng.randint(1, 8)
+        c = next(sample_colourings(dim, window, 2, seed=trial))
+        items = list(c.table.items())
+        rng.shuffle(items)
+        for table in (dict(items), dict(reversed(list(c.table.items())))):
+            shuffled = Colouring(dim, window, 2, "sets", table)
+            assert invariance_witness(shuffled) == first_clash(table)
 
 
 def test_invariance_rejects_vectors_mode():

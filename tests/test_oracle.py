@@ -74,10 +74,10 @@ def test_lower_bound_colouring_charges_its_pairs_to_the_budget(monkeypatch):
         lower_bound_colouring(W, 3000)
     assert info.value.count == 9_000_000
     assert time.perf_counter() - start < 1.0
-    monkeypatch.setenv("IRL_BUDGET", "99")
+    monkeypatch.setenv("IRL_BUDGET", "100")
+    assert len(lower_bound_colouring(W, 10).table) == 100
     with pytest.raises(BudgetExceededError):
-        lower_bound_colouring(W, 10)
-    assert len(lower_bound_colouring(W, 9).table) == 81
+        lower_bound_colouring(W, 11)
 
 
 def test_synthesize_examples():

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -19,6 +20,7 @@ from irl.colouring import (
 from irl.errors import BudgetExceededError, NotInvariantError, PreconditionError
 from irl.reduce import (
     KINDS,
+    REDUCTIONS,
     backward_transform,
     bit_window,
     forward_transform,
@@ -355,3 +357,14 @@ def test_length_preserving_passes_by_kind():
     # (passes of the target's length, shorter passes, windows with no witness)
     assert counts == {"RT_TO_ZRT": (7, 0, 9), "ZRT_TO_AHT": (5, 0, 11),
                       "AHT_TO_ZRT": (0, 12, 2), "APAHT_TO_RT": (7, 0, 9)}
+
+
+@pytest.mark.parametrize("odd", [(1,), (2,), (3,)])
+def test_verify_checks_every_tuple_of_the_mapped_solution(monkeypatch, odd):
+    # a backward map that returns (1, 2), whose adjacent tuples (1,), (2,), (3,)
+    # are coloured alike but for one: the verdict must see that one
+    instance = Colouring(1, 6, 2, "vectors", {(z,): int((z,) == odd) for z in range(1, 7)})
+    monkeypatch.setitem(REDUCTIONS, "AHT_TO_ZRT", replace(REDUCTIONS["AHT_TO_ZRT"], backward=lambda witness: (1, 2)))
+    report = verify_reduction("AHT_TO_ZRT", instance, 2)
+    assert report.witness is not None and report.mapped == (1, 2)
+    assert report.passed is False and report.colour is None

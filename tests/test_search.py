@@ -424,3 +424,12 @@ def test_witness_colour_answers_for_sums_beyond_the_word_width():
     witness = find_afs_mono(c, 2)
     assert witness == (x, y)
     assert witness_colour(c, witness) == 1
+
+
+def test_witness_colour_is_the_colour_of_the_leading_prefix():
+    sets = Colouring(2, 4, 3, "sets", {(0, 1): 0, (0, 2): 1, (1, 2): 2})
+    assert witness_colour(sets, (0, 1, 2)) == 0
+    assert witness_colour(sets, (3,)) is None
+    vectors = Colouring(2, 6, 3, "vectors", {(1, 2): 0, (1, 5): 1, (3, 3): 1, (2, 3): 2})
+    assert witness_colour(vectors, (1, 2, 3)) == 0
+    assert witness_colour(vectors, (1,)) is None
