@@ -187,3 +187,83 @@ def test_oracle_json_round_trip_and_rejections():
         oracle_from_json({"events": [[0, -1]]})
     with pytest.raises(FormatError):
         oracle_from_json({"wrong": []})
+
+
+def outcome(fn, *args):
+    """The value of a call, or the type and message of the error it raised."""
+    try:
+        return "value", fn(*args)
+    except Exception as error:  # noqa: BLE001  compared by type and message
+        return type(error), str(error)
+
+
+def reference_pair_colour(oracle, x, y):
+    lx = lowest_bit(x)
+    i = lowest_bit(x) < lowest_bit(y)
+    return encode_colour(i, approx(oracle, lx, highest_bit(x)) == approx(oracle, lx, highest_bit(y)))
+
+
+def reference_decode(seq, oracle, m):
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise PreconditionError(f"query must be a natural, got {m!r}")
+    entries = tuple(seq)
+    if not entries:
+        raise PreconditionError("decode requires a nonempty sequence")
+    for x in entries:
+        if lowest_bit(x) > m:
+            return m in approx(oracle, lowest_bit(x), highest_bit(x))
+    raise WindowExhaustedError(f"window exhausted: no entry has its lowest bit above {m}")
+
+
+def random_value(rng):
+    """A positive value up to 2^63 with its low and high bits spread over the word."""
+    low = rng.randint(0, 63)
+    return (rng.getrandbits(63 - low) << (low + 1) | 1 << low) if low < 63 else 1 << 63
+
+
+def test_pair_colour_matches_the_two_approximations():
+    rng = random.Random(61)
+    seen = set()
+    for _ in range(300):
+        oracle = random_oracle(rng, max_events=12, max_stage=rng.choice((12, 64)),
+                               element_pool=rng.choice((30, 64)))
+        for _ in range(40):
+            x = random_value(rng) if rng.random() < 0.5 else rng.randint(1, 300)
+            y = random_value(rng) if rng.random() < 0.5 else rng.randint(1, 300)
+            colour = pair_colour(oracle, x, y)
+            assert colour == reference_pair_colour(oracle, x, y), (oracle, x, y)
+            seen.add(colour)
+    assert seen == {0, 1, 2, 3}
+    edges = (1, 2, 3, 2**62, 2**63, 2**63 + 1, 2**64 - 1)
+    for x in edges:
+        for y in edges:
+            assert pair_colour(W, x, y) == reference_pair_colour(W, x, y)
+
+
+def test_decode_matches_membership_in_the_approximation():
+    rng = random.Random(62)
+    seen = set()
+    for _ in range(300):
+        oracle = random_oracle(rng, max_events=12, max_stage=rng.choice((12, 64)),
+                               element_pool=rng.choice((30, 64)))
+        seq = tuple(random_value(rng) for _ in range(rng.randint(1, 5)))
+        for m in range(0, 66, 3):
+            got = outcome(decode, seq, oracle, m)
+            assert got == outcome(reference_decode, seq, oracle, m), (oracle, seq, m)
+            seen.add(got[1] if got[0] == "value" else got[0])
+    assert seen == {True, False, WindowExhaustedError}
+
+
+def test_pair_colour_and_decode_raise_the_reference_errors():
+    bad = (0, -1, True, 2**64, 2**70, 1.5, "2")
+    for value in bad:
+        for good in (1, 6, 2**63):
+            assert outcome(pair_colour, W, value, good) == outcome(reference_pair_colour, W, value, good)
+            assert outcome(pair_colour, W, good, value) == outcome(reference_pair_colour, W, good, value)
+        for other in bad:
+            assert outcome(pair_colour, W, value, other) == outcome(reference_pair_colour, W, value, other)
+    sequences = [(), []] + [(value,) for value in bad] + [(1, value) for value in bad] \
+        + [(8, value) for value in bad] + [(1, 2, 4), (96, 384), (2**63,)]
+    for seq in sequences:
+        for m in (0, 1, 2, 5, 63, 64, -1, True, 2**64, "1"):
+            assert outcome(decode, seq, W, m) == outcome(reference_decode, seq, W, m), (seq, m)

@@ -433,3 +433,70 @@ def test_witness_colour_is_the_colour_of_the_leading_prefix():
     vectors = Colouring(2, 6, 3, "vectors", {(1, 2): 0, (1, 5): 1, (3, 3): 1, (2, 3): 2})
     assert witness_colour(vectors, (1, 2, 3)) == 0
     assert witness_colour(vectors, (1,)) is None
+
+
+def per_candidate_afs_walk(c, m, window=None, apart=False, colour=None):
+    """Reference form of find_afs_mono: every candidate rebuilds all of its adjacent tuples."""
+    limit = c.window if window is None else window
+    if m * (m + 1) // 2 > limit:
+        return None
+    d = c.dim
+    if m < d:
+        least = tuple(1 << j for j in range(m)) if apart else tuple(range(1, m + 1))
+        return least if sum(least) <= limit else None
+    points = c.points
+    prefix, psums = [], [0]
+
+    def extend(fixed, start):
+        if len(prefix) == m:
+            return tuple(prefix)
+        after = m - len(prefix) - 1
+        step = 1 << prefix[-1].bit_length() if apart and prefix else 1
+        for j in range(start, len(points)):
+            x = points[j]
+            if psums[-1] + (after + 1) * x + after * (after + 1) // 2 > limit:
+                break
+            if x % step:
+                continue
+            t = len(prefix)
+            prefix.append(x)
+            psums.append(psums[-1] + x)
+            got_colour, ok = fixed, True
+            if t + 1 >= d:
+                for bounds in combinations(range(t + 1), d):
+                    edges = bounds + (t + 1,)
+                    got = c.table.get(tuple(psums[edges[i + 1]] - psums[edges[i]] for i in range(d)))
+                    if got is None or (got_colour is not None and got != got_colour):
+                        ok = False
+                        break
+                    if got_colour is None:
+                        got_colour = got
+            if ok:
+                found = extend(got_colour, j + 1)
+                if found is not None:
+                    return found
+            prefix.pop()
+            psums.pop()
+        return None
+
+    return extend(colour, 0)
+
+
+def test_find_afs_mono_matches_the_per_candidate_walk():
+    rng = random.Random(41)
+    found = 0
+    for trial in range(300):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 40)
+        keep = rng.choice((0.3, 0.7, 0.95, 1.0))
+        palette = rng.randint(1, 3)
+        table = {t: rng.randrange(palette) for t in vectors_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, palette, "vectors", table)
+        for m in range(1, 8):
+            limit = rng.choice((None, rng.randint(1, window), window + rng.randint(1, 5)))
+            for apart, colour in ((False, None), (True, None), (False, palette - 1), (True, 0)):
+                got = find_afs_mono(c, m, limit, apart, colour)
+                assert got == per_candidate_afs_walk(c, m, limit, apart, colour), \
+                    (dim, window, table, m, limit, apart, colour)
+                found += got is not None
+    assert found > 1500

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from irl.bits import block, highest_bit, is_apart, lowest_bit
-from irl.errors import PreconditionError
+from irl.errors import OverflowLimitError, PreconditionError
 from irl.sums import (
     adjacent_sums,
     adjacent_tuples,
@@ -138,3 +138,51 @@ def test_gap_increasing_gaps_strictly_increase():
 def test_adjacent_tuples_of_an_arity_above_the_length_are_empty():
     assert adjacent_tuples((1, 2), 3) == frozenset()
     assert adjacent_tuples((1, 2), 10**12) == frozenset()  # no index array of that size
+
+
+def bound_index_tuples(seq, d):
+    """Reference form of adjacent_tuples: d runs between d + 1 increasing bound indices."""
+    p = [0]
+    for x in seq:
+        p.append(p[-1] + x)
+    return frozenset(tuple(p[b[i + 1]] - p[b[i]] for i in range(d))
+                     for b in combinations(range(len(seq) + 1), d + 1))
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as error:  # noqa: BLE001  compared by type and message
+        return type(error), str(error)
+
+
+def test_adjacent_tuples_match_the_bound_index_loop():
+    rng = random.Random(71)
+    for _ in range(3000):
+        seq = [rng.randint(1, rng.choice((5, 100, 2**40))) for _ in range(rng.randint(1, 8))]
+        d = rng.randint(1, 9)
+        assert adjacent_tuples(seq, d) == bound_index_tuples(seq, d), (seq, d)
+    assert adjacent_tuples([2**63, 2**63 - 1], 2) == frozenset({(2**63, 2**63 - 1)})
+
+
+def test_adjacent_tuples_raise_the_same_errors():
+    cases = [((), 1), ([], 2), ((0,), 1), ((-1, 2), 1), ((True,), 1), ((2**64,), 1),
+             ((2**63, 2**63), 1), ((1, 1.5), 1), ((1, 2), 0), ((1, 2), -1), ((1, 2), True),
+             ((1, 2), 2**64), ((0,), 0), ((), "1")]
+    expected = [
+        (PreconditionError, "adjacent_tuples requires a nonempty sequence"),
+        (PreconditionError, "adjacent_tuples requires a nonempty sequence"),
+        (PreconditionError, "adjacent_tuples requires positive integer entries, got 0"),
+        (PreconditionError, "adjacent_tuples requires positive integer entries, got -1"),
+        (PreconditionError, "adjacent_tuples requires positive integer entries, got True"),
+        (OverflowLimitError, f"value {2**64} exceeds the 64-bit limit"),
+        (OverflowLimitError, f"value {2**64} exceeds the 64-bit limit"),
+        (PreconditionError, "adjacent_tuples requires positive integer entries, got 1.5"),
+        (PreconditionError, "arity must be >= 1, got 0"),
+        (PreconditionError, "arity must be >= 1, got -1"),
+        (PreconditionError, "arity must be >= 1, got True"),
+        ("value", frozenset()),
+        (PreconditionError, "arity must be >= 1, got 0"),
+        (PreconditionError, "arity must be >= 1, got '1'"),
+    ]
+    assert [outcome(adjacent_tuples, seq, d) for seq, d in cases] == expected
