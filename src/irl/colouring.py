@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import comb
+from operator import sub
 
 from irl.budget import candidate_budget
 from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
@@ -215,6 +216,11 @@ class DifferenceColouring:
         return _domain_size("vectors", self.dim, self.window, len(self.table)) == len(self.table)
 
 
+def _difference_vector(t) -> tuple:
+    """Successive differences of a tuple: (t1 - t0, ..., tn - t(n-1))."""
+    return tuple(map(sub, t[1:], t))
+
+
 def _difference_scan(c: Colouring):
     """(first clash or None, difference table) of a sets colouring.
 
@@ -223,7 +229,7 @@ def _difference_scan(c: Colouring):
     """
     table = {}  # difference vector -> its colour
     for t, colour in c.table.items():
-        if table.setdefault(tuple(b - a for a, b in zip(t, t[1:])), colour) != colour:
+        if table.setdefault(_difference_vector(t), colour) != colour:
             return _first_clash(c.table), table
     return None, table
 
@@ -233,7 +239,7 @@ def _first_clash(colours):
     its difference vector, as a clash pair (least first), or None."""
     first = {}  # difference vector -> its least tuple
     for t in sorted(colours):
-        least = first.setdefault(tuple(b - a for a, b in zip(t, t[1:])), t)
+        least = first.setdefault(_difference_vector(t), t)
         if colours[least] != colours[t]:
             return (least, colours[least]), (t, colours[t])
 

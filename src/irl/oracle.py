@@ -18,7 +18,7 @@ sequence directly from the settle stage.
 
 from dataclasses import dataclass
 
-from irl.bits import WORD_BITS, highest_bit, lowest_bit
+from irl.bits import WORD_BITS, _positive, highest_bit, lowest_bit
 from irl.budget import candidate_budget
 from irl.colouring import Colouring, _unchecked
 from irl.errors import (
@@ -76,10 +76,19 @@ def approx(oracle: EnumerationOracle, bound: int, stage: int) -> frozenset:
 
 
 def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
-    """Colour of the ordered pair (x, y) under the membership-coding colouring."""
-    lx = lowest_bit(x)
-    i = 1 if lx < lowest_bit(y) else 0
-    j = 1 if approx(oracle, lx, highest_bit(x)) == approx(oracle, lx, highest_bit(y)) else 0
+    """Colour of the ordered pair (x, y) under the membership-coding colouring.
+
+    Elements are enumerated once each, so the approximations below
+    lowest_bit(x) at stages highest_bit(x) and highest_bit(y) differ iff
+    an element below lowest_bit(x) is enumerated at a stage in
+    (min, max] of the two; one pass over the events decides it.
+    """
+    _positive(x)
+    _positive(y)
+    lx = (x & -x).bit_length() - 1
+    i = 1 if x & -x < y & -y else 0  # lowest_bit(x) < lowest_bit(y)
+    low, high = sorted((x.bit_length() - 1, y.bit_length() - 1))
+    j = 0 if any(e < lx and low < s <= high for e, s in oracle.events) else 1
     return encode_colour(i, j)
 
 
@@ -149,8 +158,11 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:
-        if lowest_bit(x) > m:
-            return m in approx(oracle, lowest_bit(x), highest_bit(x))
+        _positive(x)
+        if (x & -x).bit_length() - 1 > m:
+            # m is below lowest_bit(x), so it is in the approximation iff enumerated by stage highest_bit(x)
+            hx = x.bit_length() - 1
+            return any(e == m and s <= hx for e, s in oracle.events)
     raise WindowExhaustedError(
         f"window exhausted: no entry has its lowest bit above {m}"
     )

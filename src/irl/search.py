@@ -22,7 +22,15 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, _domain, _unchecked, charge_domain, colouring_to_json, lift_differences
+from irl.colouring import (
+    Colouring,
+    _difference_vector,
+    _domain,
+    _unchecked,
+    charge_domain,
+    colouring_to_json,
+    lift_differences,
+)
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 
@@ -151,7 +159,7 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     if m < d:  # no adjacent d-tuple to check: the least candidate is the witness
         least = tuple(1 << j for j in range(m)) if apart else tuple(range(1, m + 1))
         return least if sum(least) <= limit else None
-    table = c.table
+    get = c.table.get
     points = c.points
     prefix = []
     psums = [0]
@@ -161,35 +169,33 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
             return tuple(prefix)
         after = m - len(prefix) - 1
         step = 1 << prefix[-1].bit_length() if apart and prefix else 1  # apart: x a multiple of step
+        total = psums[-1]
+        runs = None  # built for the first candidate that reaches the tuple checks
         for j in range(start, len(points)):
             x = points[j]
             # cheapest possible completion is x, x+1, ..., x+after
-            if psums[-1] + (after + 1) * x + after * (after + 1) // 2 > limit:
+            if total + (after + 1) * x + after * (after + 1) // 2 > limit:
                 break
             if x % step:
                 continue
-            t = len(prefix)
-            prefix.append(x)
-            psums.append(psums[-1] + x)
+            if runs is None:
+                # each adjacent tuple whose last run ends at x: its first d-1 runs
+                # and the part of its last run before x (no tuple below d elements)
+                runs = [(_difference_vector(q), total - q[-1]) for q in combinations(psums, d)]
             got_colour = fixed
-            ok = True
-            if t + 1 >= d:
-                # adjacent tuples whose last run ends at the new element
-                for bounds in combinations(range(t + 1), d):
-                    edges = bounds + (t + 1,)
-                    key = tuple(psums[edges[i + 1]] - psums[edges[i]] for i in range(d))
-                    got = table.get(key)
-                    if got is None or (got_colour is not None and got != got_colour):
-                        ok = False
-                        break
-                    if got_colour is None:
-                        got_colour = got
-            if ok:
+            for r, s in runs:
+                got = get(r + (s + x,))
+                if got is None or (got_colour is not None and got != got_colour):
+                    break
+                got_colour = got
+            else:
+                prefix.append(x)
+                psums.append(total + x)
                 found = extend(got_colour, j + 1)
                 if found is not None:
                     return found
-            prefix.pop()
-            psums.pop()
+                prefix.pop()
+                psums.pop()
         return None
 
     return extend(colour, 0)
@@ -254,7 +260,7 @@ def _variables(principle, dim, window, limit):
     if principle == "RT":
         mode, d, key = "sets", dim, None
     elif principle in _SETS_PRINCIPLES:
-        mode, d, key = "vectors", dim - 1, lambda t: tuple(b - a for a, b in zip(t, t[1:]))
+        mode, d, key = "vectors", dim - 1, _difference_vector
     else:
         mode, d, key = "vectors", dim, None
     return _domain(mode, d, window, limit), key

@@ -12,6 +12,7 @@ may start at 0.
 """
 
 from itertools import accumulate, combinations
+from operator import sub
 
 from irl.bits import check_value
 from irl.errors import PreconditionError
@@ -59,11 +60,8 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     entries = _positive_entries(seq, "adjacent_tuples")
     if d > len(entries):
         return frozenset()  # no d runs fit, but combinations would still allocate d + 1 indices
-    p = list(accumulate(entries, initial=0))
-    out = set()
-    for bounds in combinations(range(len(entries) + 1), d + 1):
-        out.add(tuple(p[bounds[i + 1]] - p[bounds[i]] for i in range(d)))
-    return frozenset(out)
+    # d consecutive runs are the gaps between d + 1 increasing prefix sums
+    return frozenset(tuple(map(sub, q[1:], q)) for q in combinations(accumulate(entries, initial=0), d + 1))
 
 
 def normalize(seq) -> tuple:
