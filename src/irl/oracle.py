@@ -14,6 +14,11 @@ agree.  A sequence whose adjacent pair sums are all coloured (1, 1)
 carries settled approximations below its lowest bits; ``decode`` performs
 that membership readout, and ``synthesize_solution`` builds such a
 sequence directly from the settle stage.
+
+Each element is enumerated once, so two approximations below one bound
+differ iff an element below it is enumerated between their stages.
+``pair_colour`` and ``decode`` therefore read the events once and build no
+set; ``approx`` stays the definition they are tested against.
 """
 
 from dataclasses import dataclass

@@ -144,6 +144,11 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     when no candidate survives.  Below m = dim every candidate qualifies;
     from there on every element of a witness is a whole run of one of its
     coloured tuples, so only the points of coloured tuples are tried.
+
+    The adjacent tuples that a next element x closes are fixed by the
+    prefix but for x itself: d of the prefix's partial sums give the first
+    d-1 runs, and the last run is the rest of the prefix plus x.  Each
+    prefix builds these once, so a candidate costs one key per tuple.
     """
     if c.mode != "vectors":
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")

@@ -90,7 +90,7 @@ FLAGS = {  # subcommand -> (input flag, {flag: value strategy})
         "--principle": st.sampled_from(PRINCIPLES + ("XRT",)),
         "--dim": flag_numbers,
         "--k": flag_numbers,
-        # small witnesses under caps up to 10^5 reach the candidate loops of the wide windows
+        # besides the shared numbers: small witness sizes, and caps up to 10^5
         "--m": st.one_of(flag_numbers, st.integers(1, 4).map(str)),
         "--cap": st.one_of(flag_numbers, st.integers(1, 10**5).map(str)),
         "--format": st.sampled_from(["json", "csv"]),

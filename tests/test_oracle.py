@@ -216,7 +216,7 @@ def reference_decode(seq, oracle, m):
 
 
 def random_value(rng):
-    """A positive value up to 2^63 with its low and high bits spread over the word."""
+    """A positive value below 2^64 with its low and high bits spread over the word."""
     low = rng.randint(0, 63)
     return (rng.getrandbits(63 - low) << (low + 1) | 1 << low) if low < 63 else 1 << 63
 
