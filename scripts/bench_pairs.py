@@ -2,24 +2,32 @@
 """Run the benchmark on two revisions in alternating pairs and write BENCH_<label>.json.
 
 Usage:
-  python scripts/bench_pairs.py BASE CHANGE --label NAME [--pairs 10] [--seconds T]
-                                [--workload W ...] [--seed 10001] [--out PATH]
+  python scripts/bench_pairs.py BASE CHANGE --label NAME
 
 Each revision is exported with ``git archive`` into a temporary directory,
 and the command of its ``BENCHMARK.json`` is run there unchanged with
-``--workload W --seed S --seconds T --trace 0`` (T defaults to its
-``run_seconds``).  Pair i of workload w uses
-seed ``--seed + 100 * w + i`` on both sides; the base runs first in even
-pairs and the change in odd ones.  Both exports must hold the same
-``perfbench/`` and ``BENCHMARK.json``.
+``--workload W --seed S --seconds T --trace 0``, T being its
+``run_seconds``, on every workload it lists.  Each workload gets ten
+pairs; pair i of workload w uses seed ``10001 + 100 * w + i`` on both
+sides, and the base runs first in even pairs and the change in odd ones.
+Both exports must hold the same ``perfbench/`` and ``BENCHMARK.json``.
 
 The file written holds, per workload and end-to-end metric, each side's
 median and quartiles, the base's interquartile range, the pairs the change
 won (better in the direction ``BENCHMARK.json`` gives, ties counting for
-neither side), and whether that is a gain: at least nine tenths of the
-pairs won and the medians apart, in the better direction, by more than the
-base's interquartile range.  It also holds every run's seed, order,
-``correct``, ``failed`` and metrics, and the Python version and CPU count.
+neither side) and three verdicts:
+
+- ``gain``: ten complete pairs, at least nine of them won, and the medians
+  apart, in the better direction, by more than the base's interquartile
+  range;
+- ``within_bound``: the change's median is no worse than the base's by
+  more than the metric's ``bound`` (a share of the base median);
+- ``unresolved``: the base's interquartile range is wider than that bound,
+  so the runs cannot show it held, unless every change run beats every
+  base run.
+
+It also holds every run's seed, order, ``correct``, ``failed`` and
+metrics, and the Python version and CPU count.
 """
 
 import argparse
@@ -36,6 +44,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
+PAIRS = 10
+SEED = 10001
 
 
 def quartiles(values):
@@ -68,6 +78,7 @@ def summarize(runs, end_to_end):
             change = [p["change"]["metrics"][name]["value"] for p in complete]
             gains = [sign * (c - b) for b, c in zip(base, change)]
             (b1, bm, b3), (c1, cm, c3) = quartiles(base), quartiles(change)
+            allowed = spec["bound"] * abs(bm)
             metrics[name] = {
                 "unit": spec["unit"],
                 "better": spec["better"],
@@ -79,7 +90,10 @@ def summarize(runs, end_to_end):
                 "change_over_base": cm / bm - 1 if bm else None,
                 "pairs_won": sum(g > 0 for g in gains),
                 "pairs_lost": sum(g < 0 for g in gains),
-                "gain": sum(g > 0 for g in gains) >= 0.9 * len(complete) and sign * (cm - bm) > b3 - b1,
+                "gain": (len(complete) >= PAIRS and sum(g > 0 for g in gains) >= 0.9 * len(complete)
+                         and sign * (cm - bm) > b3 - b1),
+                "within_bound": sign * (cm - bm) >= -allowed,
+                "unresolved": b3 - b1 > allowed and not min(sign * c for c in change) > max(sign * b for b in base),
             }
         out[workload] = {
             "pairs": len(complete),
@@ -117,11 +131,6 @@ def main():
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds of BENCHMARK.json)")
-    parser.add_argument("--workload", action="append")
-    parser.add_argument("--seed", type=int, default=10001)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args()
 
     revisions = {side: subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
@@ -134,15 +143,15 @@ def main():
         if benchmark_files(copies["base"]) != benchmark_files(copies["change"]):
             sys.exit("the two revisions hold different benchmark files")
         spec = json.loads((copies["base"] / "BENCHMARK.json").read_text())
-        workloads = args.workload or [w["name"] for w in spec["workloads"]]
+        workloads = [w["name"] for w in spec["workloads"]]
         command = spec["command"]
-        seconds = args.seconds or spec["run_seconds"]
+        seconds = spec["run_seconds"]
         python = subprocess.run([command[0], "-c", "import platform; print(platform.python_version())"],
                                 capture_output=True, text=True).stdout.strip()
         runs = []
         for w, workload in enumerate(workloads):
-            for pair in range(args.pairs):
-                seed = args.seed + 100 * w + pair
+            for pair in range(PAIRS):
+                seed = SEED + 100 * w + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
                     result = run_once(command, copies[side], workload, seed, seconds)
@@ -160,7 +169,7 @@ def main():
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
-    out = args.out or ROOT / f"BENCH_{args.label}.json"
+    out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
 

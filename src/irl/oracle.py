@@ -23,7 +23,7 @@ set; ``approx`` stays the definition they are tested against.
 
 from dataclasses import dataclass
 
-from irl.bits import WORD_BITS, _positive, highest_bit, lowest_bit
+from irl.bits import WORD_BITS, highest_bit, lowest_bit
 from irl.budget import candidate_budget
 from irl.colouring import Colouring, _unchecked
 from irl.errors import (
@@ -88,11 +88,10 @@ def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
     an element below lowest_bit(x) is enumerated at a stage in
     (min, max] of the two; one pass over the events decides it.
     """
-    _positive(x)
-    _positive(y)
-    lx = (x & -x).bit_length() - 1
-    i = 1 if x & -x < y & -y else 0  # lowest_bit(x) < lowest_bit(y)
-    low, high = sorted((x.bit_length() - 1, y.bit_length() - 1))
+    lx = lowest_bit(x)
+    ly = lowest_bit(y)
+    i = 1 if lx < ly else 0
+    low, high = sorted((x.bit_length() - 1, y.bit_length() - 1))  # highest bits; x and y are checked
     j = 0 if any(e < lx and low < s <= high for e, s in oracle.events) else 1
     return encode_colour(i, j)
 
@@ -163,8 +162,7 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:
-        _positive(x)
-        if (x & -x).bit_length() - 1 > m:
+        if lowest_bit(x) > m:
             # m is below lowest_bit(x), so it is in the approximation iff enumerated by stage highest_bit(x)
             hx = x.bit_length() - 1
             return any(e == m and s <= hx for e, s in oracle.events)

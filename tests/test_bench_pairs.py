@@ -64,3 +64,34 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
     assert out["pairs"] == 2 and out["all_correct"] is False
     assert out["metrics"]["ops_per_s"]["pairs_won"] == 2
     assert summarize(runs_of("v", [(None, None)]), METRICS) == {"v": {"pairs": 0, "all_correct": False, "metrics": {}}}
+
+
+def test_a_gain_needs_ten_complete_pairs():
+    summarize = _bench_pairs().summarize
+    for count, gain in ((1, False), (9, False), (10, True)):
+        pairs = [(line(100, 1), line(200, 1))] * count
+        assert summarize(runs_of("w", pairs), METRICS)["w"]["metrics"]["ops_per_s"]["gain"] is gain, count
+    # ten pairs, one of them missing a side: nine complete pairs are not enough
+    pairs = [(line(100, 1), line(200, 1))] * 9 + [(line(100, 1), None)]
+    assert summarize(runs_of("w", pairs), METRICS)["w"]["metrics"]["ops_per_s"]["gain"] is False
+
+
+def test_each_metric_is_checked_against_its_bound_or_reported_unresolved():
+    summarize = _bench_pairs().summarize
+    bound = {spec["name"]: spec["bound"] for spec in METRICS}
+    assert bound == {"ops_per_s": 0.25, "peak_rss_mb": 0.1}
+
+    def verdict(pairs, name):
+        metric = summarize(runs_of("w", pairs), METRICS)["w"]["metrics"][name]
+        return metric["within_bound"], metric["unresolved"]
+
+    # peak_rss_mb (lower is better, bound 10%): +9% holds, +11% does not
+    assert verdict([(line(1, 100.0), line(1, 109.0))] * 10, "peak_rss_mb") == (True, False)
+    assert verdict([(line(1, 100.0), line(1, 111.0))] * 10, "peak_rss_mb") == (False, False)
+    # ops_per_s (higher is better, bound 25%): a base spread of 100-300 is wider than
+    # 25% of its median 200, so a median 10% lower is unresolved, not within the bound
+    wide = [(line(100 + 200 * (i % 2), 1), line(180, 1)) for i in range(10)]
+    assert verdict(wide, "ops_per_s") == (True, True)
+    # the same spread with every change run above every base run is resolved
+    above = [(line(100 + 200 * (i % 2), 1), line(301 + i, 1)) for i in range(10)]
+    assert verdict(above, "ops_per_s") == (True, False)
