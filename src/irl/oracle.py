@@ -16,9 +16,10 @@ that membership readout, and ``synthesize_solution`` builds such a
 sequence directly from the settle stage.
 
 Each element is enumerated once, so two approximations below one bound
-differ iff an element below it is enumerated between their stages.
-``pair_colour`` and ``decode`` therefore read the events once and build no
-set; ``approx`` stays the definition they are tested against.
+differ iff an element below it is enumerated between their stages.  One
+helper applies that rule for ``pair_colour`` and ``lower_bound_colouring``;
+like ``decode``, it reads the events once and builds no set, and ``approx``
+stays the definition they are tested against.
 """
 
 from dataclasses import dataclass
@@ -80,19 +81,27 @@ def approx(oracle: EnumerationOracle, bound: int, stage: int) -> frozenset:
     )
 
 
+def _approximations_differ(oracle: EnumerationOracle, bound: int, stage: int, other: int) -> bool:
+    """Whether the approximations below ``bound`` at two stages differ.
+
+    Elements are enumerated once each, so they differ iff an element below
+    the bound is enumerated at a stage in (min, max] of the two.
+    """
+    low, high = sorted((stage, other))
+    return any(e < bound and low < s <= high for e, s in oracle.events)
+
+
 def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
     """Colour of the ordered pair (x, y) under the membership-coding colouring.
 
-    Elements are enumerated once each, so the approximations below
-    lowest_bit(x) at stages highest_bit(x) and highest_bit(y) differ iff
-    an element below lowest_bit(x) is enumerated at a stage in
-    (min, max] of the two; one pass over the events decides it.
+    One pass over the events decides whether the approximations below
+    lowest_bit(x) at stages highest_bit(x) and highest_bit(y) differ.
     """
     lx = lowest_bit(x)
     ly = lowest_bit(y)
     i = 1 if lx < ly else 0
-    low, high = sorted((x.bit_length() - 1, y.bit_length() - 1))  # highest bits; x and y are checked
-    j = 0 if any(e < lx and low < s <= high for e, s in oracle.events) else 1
+    # the highest bits of the checked x and y
+    j = 0 if _approximations_differ(oracle, lx, x.bit_length() - 1, y.bit_length() - 1) else 1
     return encode_colour(i, j)
 
 
@@ -112,21 +121,16 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
     for v in range(1, window + 1):
         low[v] = lowest_bit(v)
         high[v] = highest_bit(v)
-    approx_cache = {}
-
-    def cached(bound, stage):
-        key = (bound, stage)
-        if key not in approx_cache:
-            approx_cache[key] = approx(oracle, bound, stage)
-        return approx_cache[key]
-
+    same = {}  # (lowest bit of x, highest bit of x, highest bit of y) -> j
     table = {}
     for x in range(1, window + 1):
-        base = cached(low[x], high[x])
+        lx, hx = low[x], high[x]
         for y in range(1, window + 1):
-            i = 1 if low[x] < low[y] else 0
-            j = 1 if base == cached(low[x], high[y]) else 0
-            table[(x, y)] = encode_colour(i, j)
+            key = (lx, hx, high[y])
+            j = same.get(key)
+            if j is None:
+                j = same[key] = 0 if _approximations_differ(oracle, *key) else 1
+            table[(x, y)] = encode_colour(1 if lx < low[y] else 0, j)
     return _unchecked(Colouring, 2, window, 4, "vectors", table)
 
 

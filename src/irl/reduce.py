@@ -28,11 +28,12 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import combinations
 
 from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
+    _difference_vector,
     _unchecked,
     charge_domain,
     colouring_to_json,
@@ -40,7 +41,6 @@ from irl.colouring import (
     lift_differences,
     lift_translates,
     sets_domain,
-    vectors_domain,
 )
 from irl.errors import NotInvariantError, PreconditionError
 from irl.search import find_afs_mono, find_mono_subset, witness_colour
@@ -53,21 +53,16 @@ def bit_window(value_window: int) -> int:
 
 
 # Forward maps: (instance, target window) -> the coloured part of the target
-# domain.  The maps into shift-invariant colourings lift anchored tuples; the
-# others walk the target domain, which is smaller than the instance or keyed by blocks.
+# domain.  The maps into shift-invariant colourings lift anchored tuples, and
+# ZRT_TO_AHT keys the instance's tuples from 0 by their difference vectors.
+# Only APAHT_TO_RT walks its target domain, whose tuples key the instance by blocks.
 
 def _translates_of_instance(instance, window):
     return lift_translates((((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0), window)
 
 
-def _anchored_partial_sums(instance, window):
-    colours = instance.table
-    table = {}
-    for v in vectors_domain(instance.dim - 1, window):
-        colour = colours.get((0, *accumulate(v)))
-        if colour is not None:
-            table[v] = colour
-    return table
+def _anchored_differences(instance, window):
+    return {_difference_vector(t): colour for t, colour in instance.table.items() if t[0] == 0}
 
 
 def _consecutive_blocks(positions):
@@ -107,7 +102,7 @@ class Reduction:
 REDUCTIONS: dict[str, Reduction] = {
     "RT_TO_ZRT": Reduction("sets", "sets", +1, _translates_of_instance,
                            lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
-    "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_partial_sums,
+    "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_differences,
                             lambda witness: partial_sums(witness), invariant=True),
     "AHT_TO_ZRT": Reduction("vectors", "sets", +1,
                             lambda instance, window: lift_differences(instance.table, window),

@@ -294,13 +294,12 @@ def _candidate_witnesses(principle, dim, m, window, key):
             yield subset, (tuples if key is None else map(key, tuples)), cost
         return
     apart = principle == "APAHT"
-    # an adjacent tuple is dim runs between dim + 1 of the m + 1 prefix sums (none below 1 + ... + m)
-    fits = dim <= m and m * (m + 1) // 2 <= window
-    runs = [tuple(zip(b, b[1:])) for b in combinations(range(m + 1), dim + 1)] if fits else []
 
     def extend(prefix, sums, start, room):
         if len(prefix) == m:
-            tuples = {tuple([sums[j] - sums[i] for i, j in r]) for r in runs}
+            # an adjacent tuple is the gaps between dim + 1 of the m + 1 prefix sums (none when
+            # dim > m, where combinations would still allocate dim + 1 indices)
+            tuples = set(map(_difference_vector, combinations(sums, dim + 1))) if dim <= m else set()
             yield prefix, tuples, len(tuples)
             return
         after = m - len(prefix) - 1

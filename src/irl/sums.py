@@ -94,7 +94,7 @@ def normalize(seq) -> tuple:
 def differences(xs) -> tuple:
     """Successive differences of a strictly increasing sequence."""
     entries = _increasing_entries(xs, "differences")
-    return tuple(b - a for a, b in zip(entries, entries[1:]))
+    return tuple(map(sub, entries[1:], entries))
 
 
 def gap_increasing(xs) -> tuple:

@@ -267,3 +267,21 @@ def test_pair_colour_and_decode_raise_the_reference_errors():
     for seq in sequences:
         for m in (0, 1, 2, 5, 63, 64, -1, True, 2**64, "1"):
             assert outcome(decode, seq, W, m) == outcome(reference_decode, seq, W, m), (seq, m)
+
+
+def test_lower_bound_colouring_matches_the_two_approximations():
+    # every entry against the reference colour, on the empty oracle, W and
+    # random oracles whose elements and stages reach 64
+    rng = random.Random(63)
+    oracles = [EnumerationOracle(events=()), W] + [
+        random_oracle(rng, max_events=12, max_stage=rng.choice((8, 64)), element_pool=rng.choice((12, 65)))
+        for _ in range(16)]
+    seen = set()
+    for oracle in oracles:
+        for window in (1, 2, 3, 64, 100):
+            c = lower_bound_colouring(oracle, window)
+            assert list(c.table) == [(x, y) for x in range(1, window + 1) for y in range(1, window + 1)]
+            for (x, y), colour in c.table.items():
+                assert colour == reference_pair_colour(oracle, x, y), (oracle, window, x, y)
+                seen.add(colour)
+    assert seen == {0, 1, 2, 3}

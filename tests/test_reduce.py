@@ -1,7 +1,7 @@
 import json
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,14 +10,16 @@ from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
+    charge_domain,
     enumerate_colourings,
     from_differences,
+    invariance_witness,
     is_shift_invariant,
     sample_colourings,
     sets_domain,
     vectors_domain,
 )
-from irl.errors import BudgetExceededError, NotInvariantError, PreconditionError
+from irl.errors import BudgetExceededError, IrlError, NotInvariantError, PreconditionError
 from irl.reduce import (
     KINDS,
     REDUCTIONS,
@@ -317,6 +319,69 @@ def test_translation_lifts_match_the_differences_walk():
                 vectors = partial(product(range(1, window + 1), repeat=dim))
                 got = forward_transform("AHT_TO_ZRT", Colouring(dim, window, palette, "vectors", vectors))
                 assert got.table == _differences_walk(vectors, dim + 1, window)
+
+
+def reference_zrt_to_aht(instance):
+    """forward_transform("ZRT_TO_AHT") as a walk of the target domain: each
+    vector takes the colour of its partial sums from 0, if they are coloured."""
+    if instance.mode != "sets":
+        raise PreconditionError(f"ZRT_TO_AHT expects a sets-mode instance, got {instance.mode!r}")
+    if instance.dim < 2:
+        raise PreconditionError("ZRT_TO_AHT expects tuple arity >= 2")
+    witness = invariance_witness(instance)
+    if witness is not None:
+        raise NotInvariantError("ZRT_TO_AHT requires a shift-invariant instance", witness=witness)
+    charge_domain("vectors", instance.dim - 1, instance.window)
+    table = {}
+    for v in vectors_domain(instance.dim - 1, instance.window):
+        colour = instance.table.get((0, *accumulate(v)))
+        if colour is not None:
+            table[v] = colour
+    return Colouring(instance.dim - 1, instance.window, instance.palette, "vectors", table)
+
+
+def transform_outcome(transform, instance):
+    """The transformed instance, or the type, message, witness and count of the error."""
+    try:
+        return "value", transform(instance)
+    except IrlError as error:
+        return type(error), str(error), getattr(error, "witness", None), getattr(error, "count", None)
+
+
+def test_zrt_to_aht_forward_matches_the_target_domain_walk(monkeypatch):
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    rng = random.Random(77)
+    instances = [unary_colouring(6, lambda y: y % 2), vector_colouring(2, 6, lambda t: 0),
+                 vector_colouring(1, 6, lambda t: 0), Colouring(3, 10**6, 2, "sets", {})]
+    for dim in (2, 3, 4):
+        for window in range(11):
+            palette = rng.randint(1, 3)
+            for keep in (0.3, 1.0):
+                differences = {v: rng.randrange(palette) for v in vectors_domain(dim - 1, window)
+                               if rng.random() < keep}
+                lifted = from_differences(DifferenceColouring(dim - 1, window, palette, differences),
+                                          rng.randint(0, 12))
+                # dropping entries keeps a lifted table invariant, but may drop the tuples from 0
+                partial = {t: colour for t, colour in lifted.table.items() if rng.random() < 0.5}
+                instances += [lifted, replace(lifted, table=partial)]
+            instances.append(Colouring(dim, window, palette, "sets", {}))
+            instances.append(Colouring(dim, window, palette, "sets",
+                                       {t: rng.randrange(palette) for t in sets_domain(dim, window)}))
+    seen = set()
+    for instance in instances:
+        got = transform_outcome(lambda c: forward_transform("ZRT_TO_AHT", c), instance)
+        assert got == transform_outcome(reference_zrt_to_aht, instance), instance
+        seen.add(got[0])
+    # a refusal by the budget comes after the invariance check
+    invariant = invariant_pairs(10, lambda z: z % 2)
+    lifted = from_differences(DifferenceColouring(2, 10, 2, {v: sum(v) % 2 for v in vectors_domain(2, 10)}), 10)
+    non_invariant = Colouring(3, 10, 2, "sets", {t: t[0] % 2 for t in sets_domain(3, 10)})
+    monkeypatch.setenv("IRL_BUDGET", "20")
+    for instance in (invariant, lifted, non_invariant):
+        got = transform_outcome(lambda c: forward_transform("ZRT_TO_AHT", c), instance)
+        assert got == transform_outcome(reference_zrt_to_aht, instance), instance
+        seen.add(got[0])
+    assert seen == {"value", PreconditionError, NotInvariantError, BudgetExceededError}
 
 
 def test_length_preserving_passes_by_kind():

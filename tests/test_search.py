@@ -371,6 +371,16 @@ def test_apaht_candidates_step_through_the_apart_ones():
                     [cand for cand in apart if sum(cand[0]) <= window]
 
 
+def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
+    for principle in ("AHT", "APAHT"):
+        for dim in (1, 2, 3):
+            for m in range(1, 7):
+                for window in range(1, 31):
+                    for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window, None):
+                        assert tuples == adjacent_tuples(candidate, dim), (principle, dim, candidate)
+                        assert cost == len(tuples)
+
+
 def test_separated_search_answers_for_gaps_beyond_the_word_width():
     # the next gap must be a multiple of 2^(bit length of the last gap), a test
     # that needs no bit endpoints, so a gap above 64 bits is no overflow
