@@ -368,19 +368,21 @@ def test_zrt_to_aht_forward_matches_the_target_domain_walk(monkeypatch):
             instances.append(Colouring(dim, window, palette, "sets",
                                        {t: rng.randrange(palette) for t in sets_domain(dim, window)}))
     seen = set()
-    for instance in instances:
+
+    def check(instance):
         got = transform_outcome(lambda c: forward_transform("ZRT_TO_AHT", c), instance)
         assert got == transform_outcome(reference_zrt_to_aht, instance), instance
         seen.add(got[0])
+
+    for instance in instances:
+        check(instance)
     # a refusal by the budget comes after the invariance check
     invariant = invariant_pairs(10, lambda z: z % 2)
     lifted = from_differences(DifferenceColouring(2, 10, 2, {v: sum(v) % 2 for v in vectors_domain(2, 10)}), 10)
     non_invariant = Colouring(3, 10, 2, "sets", {t: t[0] % 2 for t in sets_domain(3, 10)})
     monkeypatch.setenv("IRL_BUDGET", "20")
     for instance in (invariant, lifted, non_invariant):
-        got = transform_outcome(lambda c: forward_transform("ZRT_TO_AHT", c), instance)
-        assert got == transform_outcome(reference_zrt_to_aht, instance), instance
-        seen.add(got[0])
+        check(instance)
     assert seen == {"value", PreconditionError, NotInvariantError, BudgetExceededError}
 
 
