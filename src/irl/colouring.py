@@ -17,7 +17,7 @@ immutable after construction by convention.
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, combinations, product
 from math import comb
 from operator import sub
@@ -296,32 +296,49 @@ def lift_differences(table, window) -> dict:
     return lift_translates((((0, *accumulate(v)), colour) for v, colour in table.items()), window)
 
 
-def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
-    """Lift a difference colouring to a sets colouring on [0, window].
+def _lift(table, dim, window, palette, limit=None) -> Colouring:
+    """The sets colouring of dim-tuples on [0, window] that a difference table colours.
 
     Each difference vector colours the translates of its partial sums from
-    0; the rest is left uncoloured, so the result is shift-invariant.
+    0; the rest is left uncoloured, so the result is shift-invariant.  The
+    whole target domain is charged to ``limit`` (default: the candidate
+    budget) first, although only the coloured translates are built.
     """
+    charge_domain("sets", dim, window, limit)
+    return _unchecked(Colouring, dim, window, palette, "sets", lift_differences(table, window))
+
+
+def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
+    """Lift a difference colouring to a sets colouring on [0, window] (see ``_lift``)."""
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise FormatError(f"window must be an integer >= 0, got {window!r}")
-    charge_domain("sets", dc.dim + 1, window)
-    return _unchecked(Colouring, dc.dim + 1, window, dc.palette, "sets", lift_differences(dc.table, window))
+    return _lift(dc.table, dc.dim + 1, window, dc.palette)
 
 
-def _domain(mode, dim, window, limit, palette=1, what="colourings"):
-    """Every tuple of a standard domain, refused before any is built.
+def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):
+    """The colour variables of a shape in enumeration order, and the Colouring of a table of them.
 
-    The domain must fit ``limit``, and so must the ``palette ** size``
-    colourings of it that an exhaustive enumeration visits (the default
-    palette of 1 checks the domain alone).
+    A shift-invariant sets colouring is a colouring of its difference
+    vectors, so an invariant shape's variables are the difference vectors
+    of dim - 1 (at dim 1 the one empty vector) and its tables are lifted by
+    ``_lift``, charged to ``limit``.  Any other shape's variables are its
+    standard domain, in lexicographic order.  The variables must fit
+    ``limit``, and with ``exhaustive`` so must the palette ** #variables
+    tables an enumeration visits; both are refused before any is built.
     """
-    count = palette ** charge_domain(mode, dim, window, limit)
-    if count > limit:
+    if invariant:
+        domain_mode, domain_dim, what = "vectors", dim - 1, "difference tables"
+        colouring = partial(_lift, dim=dim, window=window, palette=palette, limit=limit)
+    else:
+        domain_mode, domain_dim, what = mode, dim, "colourings"
+        colouring = partial(_unchecked, Colouring, dim, window, palette, mode)
+    size = charge_domain(domain_mode, domain_dim, window, limit)
+    if exhaustive and (count := palette ** size) > limit:
         raise BudgetExceededError(
             f"exhaustive enumeration needs {_count_text(count)} {what}, budget is {limit}", count=count
         )
     # a list: a tuple built from a generator on every call let the peak RSS creep up across calls
-    return list(standard_domain(mode, dim, window))
+    return list(standard_domain(domain_mode, domain_dim, window)), colouring
 
 
 def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, budget=None):
@@ -331,48 +348,36 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
     are counted in base ``palette`` with the colour of the lex-greatest
     tuple varying fastest.  ``invariant=True`` enumerates shift-invariant
     sets colourings through their difference tables (palette^(#difference
-    vectors) instances), each lifted by ``from_differences``, which charges
-    the lift to the default budget.  At dim 1 the one difference vector is
-    the empty one, so the instances are the palette constant colourings.
-    Refuses, naming the count, when the domain or the enumeration exceeds
-    the budget.
+    vectors) instances), each lifted to the window with the lift charged
+    to the same budget.  At dim 1 the one difference vector is the empty
+    one, so the instances are the palette constant colourings.  Refuses,
+    naming the count, when the domain, the enumeration or a lift exceeds
+    the budget (``budget``, or the candidate budget when it is None).
     """
     _check_shape(dim, window, palette)
     limit = candidate_budget() if budget is None else budget
-    if invariant:
-        if mode != "sets":
-            raise PreconditionError("invariant enumeration applies to sets-mode colourings")
-        domain = _domain("vectors", dim - 1, window, limit, palette, "difference tables")
-        for assignment in product(range(palette), repeat=len(domain)):
-            dc = _unchecked(DifferenceColouring, dim - 1, window, palette, dict(zip(domain, assignment)))
-            yield from_differences(dc, window)
-        return
-    domain = _domain(mode, dim, window, limit, palette)
-    for assignment in product(range(palette), repeat=len(domain)):
-        yield _unchecked(Colouring, dim, window, palette, mode, dict(zip(domain, assignment)))
+    if invariant and mode != "sets":
+        raise PreconditionError("invariant enumeration applies to sets-mode colourings")
+    variables, colouring = _shape(mode, dim, window, palette, invariant, limit, exhaustive=True)
+    for assignment in product(range(palette), repeat=len(variables)):
+        yield colouring(dict(zip(variables, assignment)))
 
 
 def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0, count=1):
     """Yield ``count`` colourings drawn reproducibly from ``seed``.
 
-    Refuses a domain larger than the budget before building it.
+    Each colouring draws one colour per variable of the shape, in
+    enumeration order.  Refuses a domain larger than the budget before
+    building it.
     """
     _check_shape(dim, window, palette)
     limit = candidate_budget()
     rng = random.Random(seed)
-    if invariant:
-        if mode != "sets":
-            raise PreconditionError("invariant sampling applies to sets-mode colourings")
-        domain = _domain("vectors", dim - 1, window, limit)
-        for _ in range(count):
-            dc = _unchecked(DifferenceColouring, dim - 1, window, palette,
-                            {t: rng.randrange(palette) for t in domain})
-            yield from_differences(dc, window)
-        return
-    domain = _domain(mode, dim, window, limit)
+    if invariant and mode != "sets":
+        raise PreconditionError("invariant sampling applies to sets-mode colourings")
+    variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
     for _ in range(count):
-        yield _unchecked(Colouring, dim, window, palette, mode,
-                         {t: rng.randrange(palette) for t in domain})
+        yield colouring({t: rng.randrange(palette) for t in variables})
 
 
 def colouring_to_json(obj) -> dict:

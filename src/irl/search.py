@@ -22,20 +22,14 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import candidate_budget
-from irl.colouring import (
-    Colouring,
-    _difference_vector,
-    _domain,
-    _unchecked,
-    charge_domain,
-    colouring_to_json,
-    lift_differences,
-)
+from irl.colouring import Colouring, _difference_vector, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
 
-PRINCIPLES = ("RT", "ZRT", "SEPZRT", "AHT", "APAHT")
-_SETS_PRINCIPLES = ("RT", "ZRT", "SEPZRT")
+# principle -> (mode, whether its colourings are shift-invariant)
+_SHAPES = {"RT": ("sets", False), "ZRT": ("sets", True), "SEPZRT": ("sets", True),
+           "AHT": ("vectors", False), "APAHT": ("vectors", False)}
+PRINCIPLES = tuple(_SHAPES)
 MAX_WITNESS = 500  # the searches recurse once per witness element
 
 
@@ -254,23 +248,6 @@ class FiniteNumberResult:
         return self.value is None
 
 
-def _variables(principle, dim, window, limit):
-    """The colour variables of a window in enumeration order, and the key of each tuple.
-
-    A shift-invariant colouring is a colouring of difference vectors, so
-    ZRT/SEPZRT tuples are keyed by their difference vector (the empty
-    vector at dim 1: one colour for the whole window).  Refuses more
-    variables than ``limit`` before building them.
-    """
-    if principle == "RT":
-        mode, d, key = "sets", dim, None
-    elif principle in _SETS_PRINCIPLES:
-        mode, d, key = "vectors", dim - 1, _difference_vector
-    else:
-        mode, d, key = "vectors", dim, None
-    return _domain(mode, d, window, limit), key
-
-
 def _candidate_witnesses(principle, dim, m, window, key):
     """Yield (candidate, tuples it colours, budget cost) for each candidate witness.
 
@@ -280,7 +257,7 @@ def _candidate_witnesses(principle, dim, m, window, key):
     the cost is their number; a subset that fails the separation
     condition yields None for its tuples and costs one.
     """
-    if principle in _SETS_PRINCIPLES:
+    if _SHAPES[principle][0] == "sets":
         if m > window + 1:  # none fits; combinations would still allocate m indices
             return
         cost = comb(m, dim)
@@ -363,20 +340,26 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
 
     Admissible colourings are shift-invariant (coloured through difference
     vectors) for ZRT/SEPZRT and arbitrary otherwise.  Each size is decided
-    by a depth-first search over the colour variables in enumeration order,
-    pruning as soon as a candidate witness becomes monochromatic, so the
-    counterexample found is the first one in ``enumerate_colourings`` order.
-    The witness is the first candidate of the answer size's own
-    enumeration, the least witness of the constant colouring.  Refuses once
-    the query's budget units exceed the budget: one per size, per DFS node,
-    per tuple of a candidate, and per subset that fails the SEPZRT filter.
+    by a depth-first search over the colour variables of the shape, taken
+    and turned into a colouring by the rule ``enumerate_colourings`` uses,
+    pruning as soon as a candidate witness becomes monochromatic.  So the
+    counterexample is the first witness-free colouring in
+    ``enumerate_colourings`` order; a ZRT/SEPZRT one is lifted from its
+    difference table, the lift charged to the same budget.  The witness is
+    the first candidate of the answer size's own enumeration, the least
+    witness of the constant colouring.  Refuses once the query's budget
+    units exceed the budget: one per size, per DFS node, per tuple of a
+    candidate, and per subset that fails the SEPZRT filter.
     """
     principle = query.principle
-    sets_mode = principle in _SETS_PRINCIPLES
+    mode, invariant = _SHAPES[principle]
+    sets_mode = mode == "sets"
     dim, palette, m = query.dim, query.palette, query.size
     if sets_mode and m < dim:
         raise PreconditionError(f"witness size {m} below tuple arity {dim}")
     limit = candidate_budget() if budget is None else budget
+    # an invariant colouring's variables are difference vectors: key each tuple by its own
+    key = _difference_vector if invariant else None
     spent = 0
     # no witness fits in fewer than m points (sets) or a window below 1 + 2 + ... + m
     first = m if sets_mode else m * (m + 1) // 2
@@ -387,7 +370,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         if spent > limit:
             raise _over_budget(spent, limit)
         window = size - 1 if sets_mode else size
-        variables, key = _variables(principle, dim, window, limit)
+        variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
         index = {v: i for i, v in enumerate(variables)}
         buckets = [[] for _ in variables]
         seen = set()
@@ -418,12 +401,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
             assignment, spent = _least_witness_free(buckets, palette, spent, limit)
         if assignment is None:
             return FiniteNumberResult(query, size, None, witness)
-    table = dict(zip(variables, assignment))
-    if key is not None:  # lift the difference table to the window's tuples
-        charge_domain("sets", dim, window, limit)
-        table = lift_differences(table, window)
-    mode = "sets" if sets_mode else "vectors"
-    return FiniteNumberResult(query, None, _unchecked(Colouring, dim, window, palette, mode, table), None)
+    return FiniteNumberResult(query, None, colouring(dict(zip(variables, assignment))), None)
 
 
 def sweep_finite_numbers(queries, out):

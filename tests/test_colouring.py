@@ -151,6 +151,37 @@ def test_invariant_unary_sampling_draws_one_constant_per_sample():
             assert got == expected
 
 
+def test_invariant_sampling_draws_one_colour_per_difference_vector():
+    for dim in (2, 3):
+        for window in (0, 2, 5, 7):
+            for k in (1, 2, 4):
+                for seed in (0, 3, 11):
+                    rng = random.Random(seed)
+                    expected = []
+                    for _ in range(3):
+                        table = {v: rng.randrange(k) for v in vectors_domain(dim - 1, window)}
+                        dc = DifferenceColouring(dim - 1, window, k, table)
+                        expected.append(from_differences(dc, window))
+                    got = list(sample_colourings(dim, window, k, invariant=True, seed=seed, count=3))
+                    assert [(c.dim, c.window, c.palette, c.mode, c.table) for c in got] == \
+                        [(c.dim, c.window, c.palette, c.mode, c.table) for c in expected]
+
+
+def test_invariant_lifts_are_charged_to_the_callers_budget(monkeypatch):
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError) as info:
+        next(enumerate_colourings(2, 5, 1, invariant=True, budget=5))  # 5 variables, C(6, 2) lifted tuples
+    assert info.value.count == 15
+    monkeypatch.setenv("IRL_BUDGET", "10")
+    assert len(next(enumerate_colourings(2, 5, 1, invariant=True, budget=100)).table) == 15
+    monkeypatch.delenv("IRL_BUDGET")
+    query = FiniteNumberQuery("ZRT", 2, 2, 5, 4)
+    with pytest.raises(BudgetExceededError) as info:
+        finite_number(query, budget=5)
+    assert info.value.count == 6
+    assert len(finite_number(query, budget=6).counterexample.table) == 6
+
+
 def test_invariant_unary_enumeration_charges_the_palette_to_the_budget():
     with pytest.raises(BudgetExceededError) as info:
         next(enumerate_colourings(1, 3, 10**6 + 1, invariant=True))
