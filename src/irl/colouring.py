@@ -297,19 +297,21 @@ def lift_differences(table, window) -> dict:
 
 
 def _lift(table, dim, window, palette, limit=None) -> Colouring:
-    """The sets colouring of dim-tuples on [0, window] that a difference table colours.
+    """``from_differences`` of a difference table, charged to ``limit`` (default: the candidate budget).
 
-    Each difference vector colours the translates of its partial sums from
-    0; the rest is left uncoloured, so the result is shift-invariant.  The
-    whole target domain is charged to ``limit`` (default: the candidate
-    budget) first, although only the coloured translates are built.
+    The whole target domain is charged, although only the coloured
+    translates are built.
     """
     charge_domain("sets", dim, window, limit)
     return _unchecked(Colouring, dim, window, palette, "sets", lift_differences(table, window))
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
-    """Lift a difference colouring to a sets colouring on [0, window] (see ``_lift``)."""
+    """Lift a difference colouring to a sets colouring on [0, window].
+
+    Each difference vector colours the translates of its partial sums from
+    0; the rest is left uncoloured, so the result is shift-invariant.
+    """
     if not isinstance(window, int) or isinstance(window, bool) or window < 0:
         raise FormatError(f"window must be an integer >= 0, got {window!r}")
     return _lift(dc.table, dc.dim + 1, window, dc.palette)
