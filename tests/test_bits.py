@@ -81,6 +81,9 @@ def test_is_separated_rejects_non_increasing():
         is_separated((3, 3, 5))
     with pytest.raises(PreconditionError):
         is_separated(())
+    with pytest.raises(PreconditionError) as info:
+        is_separated((1, -2, 3))
+    assert str(info.value) == "is_separated requires non-negative integer entries"
 
 
 positives = st.integers(min_value=1, max_value=2**40 - 1)

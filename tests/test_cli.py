@@ -159,6 +159,42 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
     assert payload["error"]["code"] == expected_code
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward"), "precondition",
+     "reduce --op backward requires --solution"),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", '[1, "a"]'), "format",
+     "solution must be a JSON array of integers"),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward"), "precondition", "reduce --op forward requires --input"),
+    (("reduce", "--kind", "RT_TO_ZRT", "--input", "{parity}"), "precondition", "reduce --op verify requires --m"),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", "{differences}"), "precondition",
+     "reduce expects a colouring instance, not a difference table"),
+    (("search", "--input", "{differences}", "--m", "2"), "precondition",
+     "search expects a colouring instance, not a difference table"),
+    (("finite-number", "--principle", "NOPE", "--dim", "1", "--k", "2", "--m", "3", "--cap", "4"), "precondition",
+     "--principle must be one of ('RT', 'ZRT', 'SEPZRT', 'AHT', 'APAHT'), got 'NOPE'"),
+    (("oracle-demo", "--oracle", "{oracle}", "--length", "2"), "precondition", "oracle-demo requires --query"),
+])
+def test_missing_and_malformed_arguments_name_their_check(files, capsys, argv, code, message):
+    status, out = run(capsys, *(arg.format(**files) for arg in argv))
+    assert status == 1
+    assert json.loads(out) == {"error": {"code": code, "message": message}}
+
+
+def test_solution_read_from_a_file(files, capsys):
+    path = files["dir"] / "solution.json"
+    path.write_text("[1, 3]")
+    assert run(capsys, "reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", str(path)) == (0, "[2]\n")
+
+
+def test_out_pointing_at_a_directory_is_a_format_error(files, capsys):
+    target = str(files["dir"])
+    with pytest.raises(OSError) as info:
+        open(target, "w")
+    code, out = run(capsys, "check-invariance", "--input", files["parity"], "--out", target)
+    assert code == 1
+    assert json.loads(out) == {"error": {"code": "format", "message": f"cannot write {target}: {info.value}"}}
+
+
 def test_argument_errors_are_format_errors(files, capsys):
     code, out = run(capsys, "search", "--input", files["parity"], "--m", "abc")
     assert code == 1
@@ -211,11 +247,13 @@ def test_budget_env_override(files, capsys, monkeypatch):
                     "--k", "2", "--m", "3", "--cap", "10")
     assert code == 1
     assert json.loads(out)["error"]["code"] == "budget"
-    monkeypatch.setenv("IRL_BUDGET", "not-a-number")
-    code, out = run(capsys, "finite-number", "--principle", "RT", "--dim", "1",
-                    "--k", "2", "--m", "3", "--cap", "10")
-    assert code == 1
-    assert json.loads(out)["error"]["code"] == "format"
+    for raw in ("not-a-number", "0"):
+        monkeypatch.setenv("IRL_BUDGET", raw)
+        code, out = run(capsys, "finite-number", "--principle", "RT", "--dim", "1",
+                        "--k", "2", "--m", "3", "--cap", "10")
+        assert code == 1
+        assert json.loads(out)["error"] == {"code": "format",
+                                            "message": f"IRL_BUDGET must be a positive integer, got {raw!r}"}
 
 
 def test_window_exhausted_error_code(files, capsys):

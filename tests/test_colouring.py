@@ -296,6 +296,24 @@ def test_table_validation():
         DifferenceColouring(2, 4, 2, {(3, 3): 0})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: next(enumerate_colourings(1, 2, 2, mode="bogus")), FormatError, "unknown mode 'bogus'"),
+    (lambda: Colouring(1, 2, 0, "sets", {}), FormatError, "palette must be an integer >= 1, got 0"),
+    (lambda: Colouring(1, 2, 2, "bogus", {}), FormatError, "mode must be one of ('sets', 'vectors'), got 'bogus'"),
+    (lambda: from_differences(DifferenceColouring(1, 2, 2, {}), -1), FormatError,
+     "window must be an integer >= 0, got -1"),
+    (lambda: next(enumerate_colourings(2, 3, 2, mode="vectors", invariant=True)), PreconditionError,
+     "invariant enumeration applies to sets-mode colourings"),
+    (lambda: next(sample_colourings(2, 3, 2, mode="vectors", invariant=True)), PreconditionError,
+     "invariant sampling applies to sets-mode colourings"),
+    (lambda: colouring_from_json([]), FormatError, "expected a JSON object, got list"),
+])
+def test_shape_and_mode_checks_raise_their_own_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_from_differences_charges_the_domain_to_the_budget(monkeypatch):
     dc = DifferenceColouring(1, 5, 2, {(1,): 0, (2,): 1})
     with pytest.raises(BudgetExceededError) as info:

@@ -189,6 +189,18 @@ def test_oracle_json_round_trip_and_rejections():
         oracle_from_json({"wrong": []})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EnumerationOracle(events=((1,),)), FormatError, "events must be (element, stage) pairs, got (1,)"),
+    (lambda: oracle_from_json({"events": [[1]]}), FormatError, "malformed event: [1]"),
+    (lambda: lower_bound_colouring(W, 0), PreconditionError, "window must be an integer >= 1, got 0"),
+    (lambda: synthesize_solution(W, 0), PreconditionError, "length must be an integer >= 1, got 0"),
+])
+def test_oracle_checks_raise_their_own_errors(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def outcome(fn, *args):
     """The value of a call, or the type and message of the error it raised."""
     try:

@@ -19,7 +19,7 @@ from irl.colouring import (
     sets_domain,
     vectors_domain,
 )
-from irl.errors import BudgetExceededError, IrlError, NotInvariantError, PreconditionError
+from irl.errors import BudgetExceededError, IrlError, NotInvariantError, OverflowLimitError, PreconditionError
 from irl.reduce import (
     KINDS,
     REDUCTIONS,
@@ -386,6 +386,72 @@ def test_zrt_to_aht_forward_matches_the_target_domain_walk(monkeypatch):
     assert seen == {"value", PreconditionError, NotInvariantError, BudgetExceededError}
 
 
+def run_values(positions):
+    """The values of the half-open blocks between consecutive positions, unchecked."""
+    return tuple((1 << b) - (1 << a) for a, b in zip(positions, positions[1:]))
+
+
+def reference_apaht_to_rt(instance):
+    """forward_transform("APAHT_TO_RT") as a walk of the target domain: each
+    position tuple takes the colour of its consecutive half-open blocks, if
+    they are coloured."""
+    if instance.mode != "vectors":
+        raise PreconditionError(f"APAHT_TO_RT expects a vectors-mode instance, got {instance.mode!r}")
+    window = bit_window(instance.window)
+    charge_domain("sets", instance.dim + 1, window)
+    table = {}
+    for t in sets_domain(instance.dim + 1, window):
+        colour = instance.table.get(tuple(block(a, b - 1) for a, b in zip(t, t[1:])))
+        if colour is not None:
+            table[t] = colour
+    return Colouring(instance.dim + 1, window, instance.palette, "sets", table)
+
+
+def test_apaht_to_rt_forward_matches_the_target_domain_walk(monkeypatch):
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    rng = random.Random(131)
+    instances = [Colouring(2, 2**12 - 1, 2, "vectors", {}),
+                 # the walk's bounds at 64 bits: one tuple over [0, 64], none over [0, 70]
+                 Colouring(64, 2**64 - 1, 2, "vectors", {run_values(range(65)): 1}),
+                 Colouring(71, 2**70, 2, "vectors", {run_values(range(72)): 1})]
+    for n in (1, 2, 3, 4):
+        for positions in range(13):
+            palette = rng.randint(1, 3)
+            full = block_instance(n, positions, lambda t: rng.randrange(palette), palette)
+            for keep in (0.1, 0.5, 1.0):
+                table = {v: c for v, c in full.table.items() if rng.random() < keep}
+                junk = {tuple(rng.randint(1, full.window) for _ in range(n)): rng.randrange(palette)
+                        for _ in range(3 if full.window else 0)}
+                instances.append(replace(full, table={**junk, **table}))
+                # the halved value window keeps runs whose last position is above its bit window
+                half = full.window // 2 + 1
+                instances.append(Colouring(n, half, palette, "vectors",
+                                           {v: c for v, c in table.items() if max(v) <= half}))
+        for window in (2**64 - 1, 2**65 - 1, 2**70):
+            top = bit_window(window)
+            runs = [range(n + 1), range(top - n - 1, top), range(top - n, top + 1)]
+            table = {run_values(t): rng.randrange(2) for t in runs}
+            instances.append(Colouring(n, window, 2, "vectors",
+                                       {v: c for v, c in table.items() if max(v) <= window}))
+    # past 64 bits the walk overflows on its first over-wide tuple, unless the domain is empty
+    instances += [Colouring(dim, 2**70, 2, "vectors", {}) for dim in (65, 66, 67, 70)]
+    seen = set()
+
+    def check(instance):
+        got = transform_outcome(lambda c: forward_transform("APAHT_TO_RT", c), instance)
+        assert got == transform_outcome(reference_apaht_to_rt, instance), instance
+        seen.add(got[0])
+
+    for instance in instances:
+        check(instance)
+    # the mode is checked first, then the domain is charged, before any entry is read
+    monkeypatch.setenv("IRL_BUDGET", "20")
+    for instance in (unary_colouring(5, lambda y: 0), block_instance(1, 3, lambda t: 1),
+                     block_instance(1, 12, lambda t: 1), Colouring(1, 2**65 - 1, 2, "vectors", {})):
+        check(instance)
+    assert seen == {"value", PreconditionError, OverflowLimitError, BudgetExceededError}
+
+
 def test_length_preserving_passes_by_kind():
     # a pass maps back to a solution of the target's length, except through
     # AHT_TO_ZRT, whose gap-increasing subsequence is usually shorter
@@ -431,6 +497,15 @@ def test_verify_checks_every_tuple_of_the_mapped_solution(monkeypatch, odd):
     # a backward map that returns (1, 2), whose adjacent tuples (1,), (2,), (3,)
     # are coloured alike but for one: the verdict must see that one
     instance = Colouring(1, 6, 2, "vectors", {(z,): int((z,) == odd) for z in range(1, 7)})
+    monkeypatch.setitem(REDUCTIONS, "AHT_TO_ZRT", replace(REDUCTIONS["AHT_TO_ZRT"], backward=lambda witness: (1, 2)))
+    report = verify_reduction("AHT_TO_ZRT", instance, 2)
+    assert report.witness is not None and report.mapped == (1, 2)
+    assert report.passed is False and report.colour is None
+
+
+def test_verify_fails_a_mapped_solution_with_an_uncoloured_tuple(monkeypatch):
+    # (1, 2) has the adjacent tuples (1,), (2,), (3,); (3,) is uncoloured and the others agree
+    instance = Colouring(1, 6, 2, "vectors", {(z,): 0 for z in range(1, 7) if z != 3})
     monkeypatch.setitem(REDUCTIONS, "AHT_TO_ZRT", replace(REDUCTIONS["AHT_TO_ZRT"], backward=lambda witness: (1, 2)))
     report = verify_reduction("AHT_TO_ZRT", instance, 2)
     assert report.witness is not None and report.mapped == (1, 2)

@@ -180,6 +180,34 @@ def test_finite_number_budget_refusal():
         finite_number(FiniteNumberQuery("RT", 2, 2, 3, 12), budget=50)
 
 
+VECTORS = Colouring(1, 4, 2, "vectors", {(1,): 0})
+SETS = Colouring(1, 4, 2, "sets", {(1,): 0})
+
+
+@pytest.mark.parametrize("call, message", [
+    # the mode is checked before the length and the window
+    (lambda: find_mono_subset(VECTORS, 2), "find_mono_subset applies to sets-mode colourings"),
+    (lambda: find_mono_subset(VECTORS, 0), "find_mono_subset applies to sets-mode colourings"),
+    (lambda: find_afs_mono(SETS, 0), "find_afs_mono applies to vectors-mode colourings"),
+    (lambda: find_afs_mono(SETS, 2, window=0), "find_afs_mono applies to vectors-mode colourings"),
+    (lambda: find_afs_mono(VECTORS, 2, window=0), "window must be an integer >= 1, got 0"),
+    (lambda: FiniteNumberQuery("NOPE", 1, 2, 3, 4),
+     "principle must be one of ('RT', 'ZRT', 'SEPZRT', 'AHT', 'APAHT'), got 'NOPE'"),
+    (lambda: FiniteNumberQuery("RT", 1, 2, 3, 0), "cap must be an integer >= 1, got 0"),
+])
+def test_search_preconditions_raise_their_own_errors(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_finite_number_charges_one_unit_per_size():
+    with pytest.raises(BudgetExceededError) as info:
+        finite_number(FiniteNumberQuery("RT", 1, 2, 3, 4), budget=0)
+    assert str(info.value) == "finite-number search exceeds the budget of 0 DFS nodes and candidate witness tuples"
+    assert info.value.count == 1
+
+
 def reference_finite_number(query, budget):
     """Exhaustive reference: search every colouring in enumeration order at each size."""
     sets_mode = query.principle in ("RT", "ZRT", "SEPZRT")

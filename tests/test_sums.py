@@ -75,6 +75,13 @@ def test_partial_sums_examples(ys, expected):
     assert partial_sums(ys) == expected
 
 
+@pytest.mark.parametrize("fn, xs", [(differences, (3, 3)), (differences, (3, 1)), (partial_sums, (2, 2))])
+def test_differences_and_partial_sums_reject_non_increasing_input(fn, xs):
+    with pytest.raises(PreconditionError) as info:
+        fn(xs)
+    assert str(info.value) == f"{fn.__name__} requires a strictly increasing sequence, got {xs}"
+
+
 positive_seqs = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=10)
 
 
