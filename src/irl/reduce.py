@@ -28,9 +28,9 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 
-from irl.bits import block, is_apart
+from irl.bits import WORD_BITS, block, is_apart
 from irl.colouring import (
     Colouring,
     _difference_vector,
@@ -40,7 +40,6 @@ from irl.colouring import (
     invariance_witness,
     lift_differences,
     lift_translates,
-    sets_domain,
 )
 from irl.errors import NotInvariantError, PreconditionError
 from irl.search import find_afs_mono, find_mono_subset, witness_colour
@@ -55,7 +54,7 @@ def bit_window(value_window: int) -> int:
 # Forward maps: (instance, target window) -> the coloured part of the target
 # domain.  The maps into shift-invariant colourings lift anchored tuples, and
 # ZRT_TO_AHT keys the instance's tuples from 0 by their difference vectors.
-# Only APAHT_TO_RT walks its target domain, whose tuples key the instance by blocks.
+# Every forward map reads only the instance's entries, never the target domain.
 
 def _translates_of_instance(instance, window):
     return lift_translates((((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0), window)
@@ -72,12 +71,15 @@ def _consecutive_blocks(positions):
 
 
 def _half_open_blocks(instance, window):
-    colours = instance.table
+    dim = instance.dim
+    if window > WORD_BITS and dim <= window:  # raise the overflow of the domain's lex-least over-wide tuple
+        _consecutive_blocks((*range(dim), max(dim, WORD_BITS + 1)))
     table = {}
-    for t in sets_domain(instance.dim + 1, window):
-        colour = colours.get(_consecutive_blocks(t))
-        if colour is not None:
-            table[t] = colour
+    for values, colour in instance.table.items():
+        # consecutive blocks telescope: 2^t0 + block(t0, t1 - 1) + ... + block(t(i-1), ti - 1) = 2^ti
+        ends = tuple(accumulate(values, initial=values[0] & -values[0]))
+        if all(e & (e - 1) == 0 for e in ends) and ends[-1] <= 1 << window:
+            table[tuple(e.bit_length() - 1 for e in ends)] = colour
     return table
 
 

@@ -375,7 +375,6 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         buckets = [[] for _ in variables]
         seen = set()
         witness = None
-        always_mono = False
         for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window, key):
             spent += cost
             if spent > limit:
@@ -392,13 +391,10 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
             seen.add(mask)
             if mask == 0:
                 # m < dim: a witness colouring no tuple exists, whatever the colours
-                always_mono = True
-                break
+                return FiniteNumberResult(query, size, None, witness)
             last = mask.bit_length() - 1
             buckets[last].append(mask ^ (1 << last))
-        assignment = None
-        if not always_mono:
-            assignment, spent = _least_witness_free(buckets, palette, spent, limit)
+        assignment, spent = _least_witness_free(buckets, palette, spent, limit)
         if assignment is None:
             return FiniteNumberResult(query, size, None, witness)
     return FiniteNumberResult(query, None, colouring(dict(zip(variables, assignment))), None)

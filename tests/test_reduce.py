@@ -452,6 +452,24 @@ def test_apaht_to_rt_forward_matches_the_target_domain_walk(monkeypatch):
     assert seen == {"value", PreconditionError, OverflowLimitError, BudgetExceededError}
 
 
+def test_apaht_to_rt_forward_work_follows_the_instance(monkeypatch):
+    # at 60 bits the target domain of a dim-d instance holds C(61, d + 1) tuples
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return block(a, b)
+
+    monkeypatch.setattr("irl.reduce.block", counted)
+    for dim in (2, 3):
+        calls = 0
+        instance = Colouring(dim, 2**60 - 1, 2, "vectors", {run_values((0, 7, 59, 60)[-dim - 1:]): 1})
+        assert forward_transform("APAHT_TO_RT", instance).table == {(0, 7, 59, 60)[-dim - 1:]: 1}
+        assert calls <= dim * len(instance.table)
+
+
 def test_length_preserving_passes_by_kind():
     # a pass maps back to a solution of the target's length, except through
     # AHT_TO_ZRT, whose gap-increasing subsequence is usually shorter

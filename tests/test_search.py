@@ -190,6 +190,7 @@ SETS = Colouring(1, 4, 2, "sets", {(1,): 0})
     (lambda: find_mono_subset(VECTORS, 0), "find_mono_subset applies to sets-mode colourings"),
     (lambda: find_afs_mono(SETS, 0), "find_afs_mono applies to vectors-mode colourings"),
     (lambda: find_afs_mono(SETS, 2, window=0), "find_afs_mono applies to vectors-mode colourings"),
+    (lambda: find_afs_mono(VECTORS, 0), "sequence length must be an integer >= 1, got 0"),
     (lambda: find_afs_mono(VECTORS, 2, window=0), "window must be an integer >= 1, got 0"),
     (lambda: FiniteNumberQuery("NOPE", 1, 2, 3, 4),
      "principle must be one of ('RT', 'ZRT', 'SEPZRT', 'AHT', 'APAHT'), got 'NOPE'"),
