@@ -298,6 +298,7 @@ def test_table_validation():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: next(enumerate_colourings(1, 2, 2, mode="bogus")), FormatError, "unknown mode 'bogus'"),
+    (lambda: Colouring(1, -1, 2, "sets", {}), FormatError, "window must be an integer >= 0, got -1"),
     (lambda: Colouring(1, 2, 0, "sets", {}), FormatError, "palette must be an integer >= 1, got 0"),
     (lambda: Colouring(1, 2, 2, "bogus", {}), FormatError, "mode must be one of ('sets', 'vectors'), got 'bogus'"),
     (lambda: from_differences(DifferenceColouring(1, 2, 2, {}), -1), FormatError,
