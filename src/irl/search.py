@@ -249,46 +249,69 @@ class FiniteNumberResult:
 
 
 def _candidate_witnesses(principle, dim, m, window, key):
-    """Yield (candidate, tuples it colours, budget cost) for each candidate witness.
+    """Yield (candidate, tuples it colours, unit, copies) for each candidate witness.
 
-    Candidates come in lexicographic order, so the first one that passes
-    the SEPZRT separation condition is the least witness of a constant
-    colouring.  The tuples are keyed through ``key`` when it is given, and
-    the cost is their number; a subset that fails the separation
-    condition yields None for its tuples and costs one.
+    A record charges ``unit`` budget units per copy.  Candidates come in
+    lexicographic order, so the first one is the least witness of a
+    constant colouring.  The tuples are keyed through ``key`` when it is
+    given.  An adjacent-sum candidate costs its distinct adjacent tuples
+    and an RT subset its ``C(m, d)`` tuples, one copy each.
+
+    A shift-invariant principle (ZRT, SEPZRT) colours a subset and each of
+    its translates alike, so only the subsets of ``[0, window]`` that start
+    at 0 are walked, by their gaps: any positive gaps for ZRT, apart gaps
+    for SEPZRT (which are therefore increasing).  Their lexicographic order
+    is that of the gap vectors, and the translate to 0 of any subset comes
+    no later than it.  Each such subset with largest element M stands for
+    its ``window - M + 1`` translates, charged ``C(m, d)`` each, so the
+    units are those of walking every subset.  SEPZRT ends with one record
+    of the subsets that fail the separation condition, one unit each and
+    None for the candidate and its tuples.
     """
-    if _SHAPES[principle][0] == "sets":
+    mode, invariant = _SHAPES[principle]
+    unit = comb(m, dim)  # the tuples of a sets-mode candidate
+    if mode == "sets" and not invariant:
         if m > window + 1:  # none fits; combinations would still allocate m indices
             return
-        cost = comb(m, dim)
         for subset in combinations(range(window + 1), m):
-            # separated: each next gap is a multiple of 2^(bit length of the gap before it)
-            if principle == "SEPZRT" and any((c - b) % (1 << (b - a).bit_length())
-                                             for a, b, c in zip(subset, subset[1:], subset[2:])):
-                yield subset, None, 1
-                continue
             tuples = combinations(subset, dim)
-            yield subset, (tuples if key is None else map(key, tuples)), cost
+            yield subset, (tuples if key is None else map(key, tuples)), unit, 1
         return
-    apart = principle == "APAHT"
+    # a sets candidate is the partial sums of its m - 1 gaps from 0; the ZRT gaps may repeat
+    length = m - 1 if invariant else m
+    increasing = principle != "ZRT"
+    apart = principle in ("APAHT", "SEPZRT")
 
     def extend(prefix, sums, start, room):
-        if len(prefix) == m:
+        if len(prefix) == length:
+            if invariant:
+                tuples = combinations(sums, dim)
+                yield sums, (tuples if key is None else map(key, tuples)), unit, room + 1
+                return
             # an adjacent tuple is the gaps between dim + 1 of the m + 1 prefix sums (none when
             # dim > m, where combinations would still allocate dim + 1 indices)
             tuples = set(map(_difference_vector, combinations(sums, dim + 1))) if dim <= m else set()
-            yield prefix, tuples, len(tuples)
+            yield prefix, tuples, len(tuples), 1
             return
-        after = m - len(prefix) - 1
+        after = length - len(prefix) - 1
         # x > prefix[-1] is apart from it iff x is a multiple of 2^(bit length of prefix[-1])
         step = 1 << prefix[-1].bit_length() if apart and prefix else 1
         for x in range(max(start, step), room + 1, step):
-            # cheapest possible completion is x, x+1, ..., x+after
-            if (after + 1) * x + after * (after + 1) // 2 > room:
+            # cheapest possible completion is x, x+1, ..., x+after (x, 1, ..., 1 when gaps repeat)
+            if ((after + 1) * x + after * (after + 1) // 2 if increasing else x + after) > room:
                 break
-            yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1, room - x)
+            yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1 if increasing else 1, room - x)
 
-    yield from extend((), (0,), 1, window)
+    walk = extend((), (0,), 1, window)
+    if principle != "SEPZRT":
+        yield from walk
+        return
+    separated = 0
+    for record in walk:
+        separated += record[3]
+        yield record
+    # every other m-subset of [0, window] fails the separation condition
+    yield None, None, 1, comb(window + 1, m) - separated
 
 
 def _over_budget(spent, limit):
@@ -349,7 +372,11 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     the first candidate of the answer size's own enumeration, the least
     witness of the constant colouring.  Refuses once the query's budget
     units exceed the budget: one per size, per DFS node, per tuple of a
-    candidate, and per subset that fails the SEPZRT filter.
+    candidate, and per subset that fails the SEPZRT filter.  ZRT/SEPZRT
+    walk only the subsets that start at 0, by their gaps, and charge each
+    for every one of its translates, so the units are those of walking
+    every subset; a refusal reports the count that charging one translate
+    at a time reaches.
     """
     principle = query.principle
     mode, invariant = _SHAPES[principle]
@@ -375,10 +402,11 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         buckets = [[] for _ in variables]
         seen = set()
         witness = None
-        for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window, key):
-            spent += cost
-            if spent > limit:
-                raise _over_budget(spent, limit)
+        for candidate, tuples, unit, copies in _candidate_witnesses(principle, dim, m, window, key):
+            if spent + unit * copies > limit:
+                # the count that charging one copy at a time reaches
+                raise _over_budget(spent - unit * ((spent - limit - 1) // unit), limit)
+            spent += unit * copies
             if tuples is None:
                 continue
             if witness is None:

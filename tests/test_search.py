@@ -1,11 +1,12 @@
 import random
 import time
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from irl.bits import is_apart, is_separated
-from irl.colouring import Colouring, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
+from irl.colouring import Colouring, _difference_vector, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.search import (
     FiniteNumberQuery,
@@ -400,12 +401,45 @@ def test_apaht_candidates_step_through_the_apart_ones():
                     [cand for cand in apart if sum(cand[0]) <= window]
 
 
+def test_shift_invariant_candidates_stand_for_every_subset():
+    # brute force: every m-subset of [0, 20] is filed under its largest element,
+    # so the subsets of [0, w] are those filed at w or below, in the same order
+    for m in range(1, 7):
+        separated = [is_separated(s) for s in combinations(range(21), m)]
+        for dim in range(1, min(m, 3) + 1):
+            # principle -> per largest element: the masks, the first subset and the units
+            filed = {p: ([set() for _ in range(21)], [None] * 21, [0] * 21) for p in ("ZRT", "SEPZRT")}
+            for s, passes in zip(combinations(range(21), m), separated):
+                vectors = frozenset(map(_difference_vector, combinations(s, dim)))
+                for principle, (masks, firsts, units) in filed.items():
+                    if passes or principle == "ZRT":
+                        masks[s[-1]].add(vectors)
+                        firsts[s[-1]] = firsts[s[-1]] or s
+                        units[s[-1]] += comb(m, dim)
+                    else:
+                        units[s[-1]] += 1
+            for principle, (masks, firsts, units) in filed.items():
+                for window in range(21):
+                    walked, vectors, spent = [], set(), 0
+                    for candidate, tuples, unit, copies in _candidate_witnesses(
+                            principle, dim, m, window, _difference_vector):
+                        spent += unit * copies
+                        if tuples is not None:
+                            walked.append(candidate)
+                            vectors.add(frozenset(tuples))
+                    where = (principle, dim, m, window)
+                    assert walked == sorted(walked), where
+                    assert vectors == set().union(*masks[:window + 1]), where
+                    assert (walked[0] if walked else None) == min(filter(None, firsts[:window + 1]), default=None), where
+                    assert spent == sum(units[:window + 1]), where
+
+
 def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
     for principle in ("AHT", "APAHT"):
         for dim in (1, 2, 3):
             for m in range(1, 7):
                 for window in range(1, 31):
-                    for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window, None):
+                    for candidate, tuples, cost, copies in _candidate_witnesses(principle, dim, m, window, None):
                         assert tuples == adjacent_tuples(candidate, dim), (principle, dim, candidate)
                         assert cost == len(tuples)
 
