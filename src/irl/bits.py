@@ -59,7 +59,7 @@ def block(a: int, b: int) -> int:
 
     Equals 2^(b+1) - 2^a; its lowest bit is a and its highest bit is b.
     """
-    if not (0 <= a <= b):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (a, b)) or not 0 <= a <= b:
         raise PreconditionError(f"block requires 0 <= a <= b, got ({a}, {b})")
     if b >= WORD_BITS:
         raise OverflowLimitError(f"block({a}, {b}) exceeds the {WORD_BITS}-bit limit")

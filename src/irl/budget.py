@@ -2,7 +2,7 @@
 
 import os
 
-from irl.errors import FormatError
+from irl.errors import FormatError, PreconditionError
 
 DEFAULT_BUDGET = 1_000_000
 ENV_VAR = "IRL_BUDGET"
@@ -20,3 +20,12 @@ def candidate_budget() -> int:
     if value < 1:
         raise FormatError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
     return value
+
+
+def budget_limit(budget) -> int:
+    """``budget``, an integer >= 0, or the candidate budget when it is None."""
+    if budget is None:
+        return candidate_budget()
+    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
+        raise PreconditionError(f"budget must be an integer >= 0, got {budget!r}")
+    return budget

@@ -18,21 +18,19 @@ immutable after construction by convention.
 import random
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import accumulate, combinations, product
+from itertools import product
 from math import comb
-from operator import sub
 
-from irl.budget import candidate_budget
+from irl.budget import budget_limit, candidate_budget
 from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
+from irl.sums import _anchor, _choose, _gaps
 
 MODES = ("sets", "vectors")
 
 
 def sets_domain(dim: int, window: int):
     """Strictly increasing dim-tuples over [0, window], in lexicographic order."""
-    if dim > window + 1:
-        return iter(())  # none exist, but combinations would still allocate dim indices
-    return combinations(range(window + 1), dim)
+    return _choose(range(window + 1), dim)
 
 
 def vectors_domain(dim: int, window: int):
@@ -216,11 +214,6 @@ class DifferenceColouring:
         return _domain_size("vectors", self.dim, self.window, len(self.table)) == len(self.table)
 
 
-def _difference_vector(t) -> tuple:
-    """Successive differences of a tuple: (t1 - t0, ..., tn - t(n-1))."""
-    return tuple(map(sub, t[1:], t))
-
-
 def _difference_scan(c: Colouring):
     """(first clash or None, difference table) of a sets colouring.
 
@@ -229,7 +222,7 @@ def _difference_scan(c: Colouring):
     """
     table = {}  # difference vector -> its colour
     for t, colour in c.table.items():
-        if table.setdefault(_difference_vector(t), colour) != colour:
+        if table.setdefault(_gaps(t), colour) != colour:
             return _first_clash(c.table), table
     return None, table
 
@@ -239,7 +232,7 @@ def _first_clash(colours):
     its difference vector, as a clash pair (least first), or None."""
     first = {}  # difference vector -> its least tuple
     for t in sorted(colours):
-        least = first.setdefault(_difference_vector(t), t)
+        least = first.setdefault(_gaps(t), t)
         if colours[least] != colours[t]:
             return (least, colours[least]), (t, colours[t])
 
@@ -293,7 +286,7 @@ def lift_translates(anchored, window) -> dict:
 
 def lift_differences(table, window) -> dict:
     """``lift_translates`` of each difference vector's partial sums from 0, with its colour."""
-    return lift_translates((((0, *accumulate(v)), colour) for v, colour in table.items()), window)
+    return lift_translates(((_anchor(v), colour) for v, colour in table.items()), window)
 
 
 def _lift(table, dim, window, palette, limit=None) -> Colouring:
@@ -357,7 +350,7 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
     the budget (``budget``, or the candidate budget when it is None).
     """
     _check_shape(dim, window, palette)
-    limit = candidate_budget() if budget is None else budget
+    limit = budget_limit(budget)
     if invariant and mode != "sets":
         raise PreconditionError("invariant enumeration applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit, exhaustive=True)
@@ -378,6 +371,8 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
     if invariant and mode != "sets":
         raise PreconditionError("invariant sampling applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
+    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        raise PreconditionError(f"count must be an integer >= 0, got {count!r}")
     for _ in range(count):
         yield colouring({t: rng.randrange(palette) for t in variables})
 

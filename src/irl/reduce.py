@@ -28,12 +28,11 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 
 from irl.bits import WORD_BITS, block, is_apart
 from irl.colouring import (
     Colouring,
-    _difference_vector,
     _unchecked,
     charge_domain,
     colouring_to_json,
@@ -43,11 +42,13 @@ from irl.colouring import (
 )
 from irl.errors import NotInvariantError, PreconditionError
 from irl.search import find_afs_mono, find_mono_subset, witness_colour
-from irl.sums import adjacent_tuples, differences, gap_increasing, partial_sums
+from irl.sums import _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
 
 def bit_window(value_window: int) -> int:
     """Largest bit-position window whose realizable block sums fit the value window."""
+    if not isinstance(value_window, int) or isinstance(value_window, bool) or value_window < 0:
+        raise PreconditionError(f"value window must be an integer >= 0, got {value_window!r}")
     return (value_window + 1).bit_length() - 1
 
 
@@ -61,7 +62,7 @@ def _translates_of_instance(instance, window):
 
 
 def _anchored_differences(instance, window):
-    return {_difference_vector(t): colour for t, colour in instance.table.items() if t[0] == 0}
+    return {_gaps(t): colour for t, colour in instance.table.items() if t[0] == 0}
 
 
 def _consecutive_blocks(positions):
@@ -181,13 +182,8 @@ class ReductionReport:
     mapped: tuple | None
     passed: bool | None
     colour: int | None
-    instance: Colouring = field(repr=False)
-    transformed: Colouring = field(repr=False)
-
-    def __hash__(self):
-        # the colourings hold dicts; equal reports agree on these fields
-        return hash((self.kind, self.param, self.window, self.target, self.witness,
-                     self.mapped, self.passed, self.colour))
+    instance: Colouring = field(repr=False, hash=False)
+    transformed: Colouring = field(repr=False, hash=False)
 
     @cached_property
     def instance_digest(self) -> str:
@@ -252,12 +248,7 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     if witness is not None:
         mapped = reduction.backward(witness)  # a search result passes backward_transform's checks
         # tuples the mapped-back object must colour monochromatically
-        if instance.mode == "vectors":
-            tuples = adjacent_tuples(mapped, instance.dim)
-        elif len(mapped) >= instance.dim:
-            tuples = combinations(mapped, instance.dim)
-        else:  # none (and combinations would still allocate dim indices)
-            tuples = ()
+        tuples = adjacent_tuples(mapped, instance.dim) if instance.mode == "vectors" else _choose(mapped, instance.dim)
         passed, colour = _mono_colour(instance.table, tuples)
         seen = witness_colour(transformed, witness)  # None if the check is vacuous
         if passed and colour is not None and seen is not None:

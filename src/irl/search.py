@@ -21,10 +21,11 @@ from itertools import combinations
 from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
-from irl.budget import candidate_budget
-from irl.colouring import Colouring, _difference_vector, _shape, colouring_to_json
+from irl.budget import budget_limit
+from irl.colouring import Colouring, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError
+from irl.sums import _choose, _gaps, _run_tuples
 
 # principle -> (mode, whether its colourings are shift-invariant)
 _SHAPES = {"RT": ("sets", False), "ZRT": ("sets", True), "SEPZRT": ("sets", True),
@@ -180,7 +181,7 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
             if runs is None:
                 # each adjacent tuple whose last run ends at x: its first d-1 runs
                 # and the part of its last run before x (no tuple below d elements)
-                runs = [(_difference_vector(q), total - q[-1]) for q in combinations(psums, d)]
+                runs = [(_gaps(q), total - q[-1]) for q in combinations(psums, d)]
             got_colour = fixed
             for r, s in runs:
                 got = get(r + (s + x,))
@@ -248,34 +249,31 @@ class FiniteNumberResult:
         return self.value is None
 
 
-def _candidate_witnesses(principle, dim, m, window, key):
+def _candidate_witnesses(principle, dim, m, window):
     """Yield (candidate, tuples it colours, unit, copies) for each candidate witness.
 
     A record charges ``unit`` budget units per copy.  Candidates come in
     lexicographic order, so the first one is the least witness of a
-    constant colouring.  The tuples are keyed through ``key`` when it is
-    given.  An adjacent-sum candidate costs its distinct adjacent tuples
-    and an RT subset its ``C(m, d)`` tuples, one copy each.
+    constant colouring.  An adjacent-sum candidate costs its distinct
+    adjacent tuples and an RT subset its ``C(m, d)`` tuples, one copy each.
 
     A shift-invariant principle (ZRT, SEPZRT) colours a subset and each of
     its translates alike, so only the subsets of ``[0, window]`` that start
     at 0 are walked, by their gaps: any positive gaps for ZRT, apart gaps
-    for SEPZRT (which are therefore increasing).  Their lexicographic order
-    is that of the gap vectors, and the translate to 0 of any subset comes
-    no later than it.  Each such subset with largest element M stands for
-    its ``window - M + 1`` translates, charged ``C(m, d)`` each, so the
-    units are those of walking every subset.  SEPZRT ends with one record
-    of the subsets that fail the separation condition, one unit each and
-    None for the candidate and its tuples.
+    for SEPZRT (which are therefore increasing), their tuples keyed by their
+    difference vectors, the adjacent (dim - 1)-tuples of the gaps.  Their
+    lexicographic order is that of the gap vectors, and the translate to 0
+    of any subset comes no later than it.  Each such subset with largest
+    element M stands for its ``window - M + 1`` translates, charged
+    ``C(m, d)`` each, so the units are those of walking every subset.
+    SEPZRT ends with one record of the subsets that fail the separation
+    condition, one unit each and None for the candidate and its tuples.
     """
     mode, invariant = _SHAPES[principle]
     unit = comb(m, dim)  # the tuples of a sets-mode candidate
     if mode == "sets" and not invariant:
-        if m > window + 1:  # none fits; combinations would still allocate m indices
-            return
-        for subset in combinations(range(window + 1), m):
-            tuples = combinations(subset, dim)
-            yield subset, (tuples if key is None else map(key, tuples)), unit, 1
+        for subset in _choose(range(window + 1), m):
+            yield subset, combinations(subset, dim), unit, 1
         return
     # a sets candidate is the partial sums of its m - 1 gaps from 0; the ZRT gaps may repeat
     length = m - 1 if invariant else m
@@ -285,12 +283,9 @@ def _candidate_witnesses(principle, dim, m, window, key):
     def extend(prefix, sums, start, room):
         if len(prefix) == length:
             if invariant:
-                tuples = combinations(sums, dim)
-                yield sums, (tuples if key is None else map(key, tuples)), unit, room + 1
+                yield sums, _run_tuples(sums, dim - 1), unit, room + 1
                 return
-            # an adjacent tuple is the gaps between dim + 1 of the m + 1 prefix sums (none when
-            # dim > m, where combinations would still allocate dim + 1 indices)
-            tuples = set(map(_difference_vector, combinations(sums, dim + 1))) if dim <= m else set()
+            tuples = set(_run_tuples(sums, dim))
             yield prefix, tuples, len(tuples), 1
             return
         after = length - len(prefix) - 1
@@ -384,9 +379,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     dim, palette, m = query.dim, query.palette, query.size
     if sets_mode and m < dim:
         raise PreconditionError(f"witness size {m} below tuple arity {dim}")
-    limit = candidate_budget() if budget is None else budget
-    # an invariant colouring's variables are difference vectors: key each tuple by its own
-    key = _difference_vector if invariant else None
+    limit = budget_limit(budget)
     spent = 0
     # no witness fits in fewer than m points (sets) or a window below 1 + 2 + ... + m
     first = m if sets_mode else m * (m + 1) // 2
@@ -402,7 +395,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         buckets = [[] for _ in variables]
         seen = set()
         witness = None
-        for candidate, tuples, unit, copies in _candidate_witnesses(principle, dim, m, window, key):
+        for candidate, tuples, unit, copies in _candidate_witnesses(principle, dim, m, window):
             if spent + unit * copies > limit:
                 # the count that charging one copy at a time reaches
                 raise _over_budget(spent - unit * ((spent - limit - 1) // unit), limit)

@@ -1,10 +1,13 @@
 """Adjacent finite sums and the sequence transforms built on them.
 
 An adjacent sum of a finite sequence is the total of one contiguous run of
-entries; an adjacent d-tuple collects d consecutive, gap-free runs.  The
-transforms here (greedy renormalization into a strictly increasing
-sequence, gap-increasing extraction, initial partial sums) are the
-solution-side halves of the reductions in ``irl.reduce``.
+entries; an adjacent d-tuple collects d consecutive, gap-free runs, which
+are the gaps of d + 1 of its prefix sums from 0.  The private helpers below
+state that rule once for the package: ``_gaps``, its inverse ``_anchor``
+on tuples from 0, ``_choose`` and ``_run_tuples``.  The transforms here
+(greedy renormalization into a strictly increasing sequence, gap-increasing
+extraction, initial partial sums) are the solution-side halves of the
+reductions in ``irl.reduce``.
 
 Sequences are plain tuples of ints.  Positivity is required wherever sums
 are formed; the subset-style inputs of ``differences``/``gap_increasing``
@@ -16,6 +19,28 @@ from operator import sub
 
 from irl.bits import check_value
 from irl.errors import PreconditionError
+
+
+def _gaps(t) -> tuple:
+    """Successive differences of a tuple: (t1 - t0, ..., tn - t(n-1))."""
+    return tuple(map(sub, t[1:], t))
+
+
+def _anchor(v) -> tuple:
+    """The tuple from 0 whose gaps are v: 0 and the partial sums of v."""
+    return (0, *accumulate(v))
+
+
+def _choose(xs, r):
+    """The r-subsets of the sized ``xs`` in lexicographic order."""
+    if r > len(xs):
+        return iter(())  # none exist, but combinations would still allocate r indices
+    return combinations(xs, r)
+
+
+def _run_tuples(sums, d):
+    """The adjacent d-tuples of a sequence: the gaps of d + 1 of its prefix sums ``sums``."""
+    return map(_gaps, _choose(sums, d + 1))
 
 
 def _positive_entries(seq, name):
@@ -44,9 +69,7 @@ def _increasing_entries(seq, name, min_len=1):
 def adjacent_sums(seq) -> frozenset:
     """All sums of contiguous nonempty runs of the sequence (a set of ints)."""
     entries = _positive_entries(seq, "adjacent_sums")
-    p = list(accumulate(entries, initial=0))
-    n = len(entries)
-    return frozenset(p[j] - p[i] for i in range(n) for j in range(i + 1, n + 1))
+    return frozenset(b - a for a, b in combinations(_anchor(entries), 2))
 
 
 def adjacent_tuples(seq, d: int) -> frozenset:
@@ -58,10 +81,7 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     if not isinstance(d, int) or isinstance(d, bool) or d < 1:
         raise PreconditionError(f"arity must be >= 1, got {d!r}")
     entries = _positive_entries(seq, "adjacent_tuples")
-    if d > len(entries):
-        return frozenset()  # no d runs fit, but combinations would still allocate d + 1 indices
-    # d consecutive runs are the gaps between d + 1 increasing prefix sums
-    return frozenset(tuple(map(sub, q[1:], q)) for q in combinations(accumulate(entries, initial=0), d + 1))
+    return frozenset(_run_tuples(_anchor(entries), d))
 
 
 def normalize(seq) -> tuple:
@@ -74,27 +94,18 @@ def normalize(seq) -> tuple:
     """
     entries = _positive_entries(seq, "normalize")
     out = []
-    i = 0
-    n = len(entries)
-    while i < n:
-        total = 0
-        j = i
-        while j < n:
-            total += entries[j]
-            j += 1
-            if not out or total > out[-1]:
-                break
-        if out and total <= out[-1]:
-            break
-        out.append(total)
-        i = j
+    total = 0  # the sum of the block since the last output entry
+    for x in entries:
+        total += x
+        if not out or total > out[-1]:
+            out.append(total)
+            total = 0
     return tuple(out)
 
 
 def differences(xs) -> tuple:
     """Successive differences of a strictly increasing sequence."""
-    entries = _increasing_entries(xs, "differences")
-    return tuple(map(sub, entries[1:], entries))
+    return _gaps(_increasing_entries(xs, "differences"))
 
 
 def gap_increasing(xs) -> tuple:

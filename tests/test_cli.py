@@ -71,7 +71,7 @@ def test_to_and_from_differences_round_trip(files, capsys):
     code, out = run(capsys, "from-differences", "--input", str(path), "--window", "12")
     assert code == 0
     assert colouring_from_json(json.loads(out)) == colouring_from_json(
-        json.loads(open(files["parity"]).read()))
+        json.loads(Path(files["parity"]).read_text()))
 
 
 def test_reduce_verify(files, capsys):

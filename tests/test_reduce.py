@@ -526,3 +526,28 @@ def test_verify_fails_a_mapped_solution_with_an_uncoloured_tuple(monkeypatch):
     report = verify_reduction("AHT_TO_ZRT", instance, 2)
     assert report.witness is not None and report.mapped == (1, 2)
     assert report.passed is False and report.colour is None
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: block(0.5, 2), "block requires 0 <= a <= b, got (0.5, 2)"),
+    (lambda: block("a", 3), "block requires 0 <= a <= b, got (a, 3)"),
+    (lambda: block(True, 3), "block requires 0 <= a <= b, got (True, 3)"),
+    (lambda: block(1, 2.0), "block requires 0 <= a <= b, got (1, 2.0)"),
+    (lambda: bit_window(1.5), "value window must be an integer >= 0, got 1.5"),
+    (lambda: bit_window(-5), "value window must be an integer >= 0, got -5"),
+    (lambda: bit_window(True), "value window must be an integer >= 0, got True"),
+    (lambda: list(sample_colourings(2, 3, 2, count=1.5)), "count must be an integer >= 0, got 1.5"),
+    (lambda: list(sample_colourings(2, 3, 2, count=-1)), "count must be an integer >= 0, got -1"),
+    (lambda: list(enumerate_colourings(2, 3, 2, budget="100")), "budget must be an integer >= 0, got '100'"),
+    (lambda: list(enumerate_colourings(2, 3, 2, budget=100.0)), "budget must be an integer >= 0, got 100.0"),
+    (lambda: list(enumerate_colourings(2, 3, 1, budget=True)), "budget must be an integer >= 0, got True"),
+    (lambda: list(enumerate_colourings(2, 3, 1, budget=-1)), "budget must be an integer >= 0, got -1"),
+    (lambda: finite_number(FiniteNumberQuery("RT", 1, 2, 3, 4), budget="100"),
+     "budget must be an integer >= 0, got '100'"),
+    (lambda: finite_number(FiniteNumberQuery("RT", 1, 2, 3, 4), budget=1.5), "budget must be an integer >= 0, got 1.5"),
+    (lambda: finite_number(FiniteNumberQuery("RT", 1, 2, 3, 4), budget=True), "budget must be an integer >= 0, got True"),
+])
+def test_public_entry_points_refuse_malformed_numbers(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert str(info.value) == message

@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from irl.bits import is_apart, is_separated
-from irl.colouring import Colouring, _difference_vector, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
+from irl.colouring import Colouring, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.search import (
     FiniteNumberQuery,
@@ -16,7 +16,7 @@ from irl.search import (
     finite_number,
     witness_colour,
 )
-from irl.sums import adjacent_sums, adjacent_tuples
+from irl.sums import _gaps as _difference_vector, adjacent_sums, adjacent_tuples
 
 
 def pair_colouring(window, fn, palette=2):
@@ -394,10 +394,10 @@ def test_find_mono_subset_three_colours_against_brute_force():
 def test_apaht_candidates_step_through_the_apart_ones():
     for dim in (1, 2, 3):
         for m in range(1, 9):
-            apart = [cand for cand in _candidate_witnesses("AHT", dim, m, 40, None)
+            apart = [cand for cand in _candidate_witnesses("AHT", dim, m, 40)
                      if is_apart(cand[0])]
             for window in range(1, 41):
-                assert list(_candidate_witnesses("APAHT", dim, m, window, None)) == \
+                assert list(_candidate_witnesses("APAHT", dim, m, window)) == \
                     [cand for cand in apart if sum(cand[0]) <= window]
 
 
@@ -422,7 +422,7 @@ def test_shift_invariant_candidates_stand_for_every_subset():
                 for window in range(21):
                     walked, vectors, spent = [], set(), 0
                     for candidate, tuples, unit, copies in _candidate_witnesses(
-                            principle, dim, m, window, _difference_vector):
+                            principle, dim, m, window):
                         spent += unit * copies
                         if tuples is not None:
                             walked.append(candidate)
@@ -439,7 +439,7 @@ def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
         for dim in (1, 2, 3):
             for m in range(1, 7):
                 for window in range(1, 31):
-                    for candidate, tuples, cost, copies in _candidate_witnesses(principle, dim, m, window, None):
+                    for candidate, tuples, cost, copies in _candidate_witnesses(principle, dim, m, window):
                         assert tuples == adjacent_tuples(candidate, dim), (principle, dim, candidate)
                         assert cost == len(tuples)
 

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,6 +7,9 @@ from hypothesis import given, strategies as st
 from irl.bits import block, highest_bit, is_apart, lowest_bit
 from irl.errors import OverflowLimitError, PreconditionError
 from irl.sums import (
+    _anchor,
+    _choose,
+    _gaps,
     adjacent_sums,
     adjacent_tuples,
     differences,
@@ -193,3 +196,76 @@ def test_adjacent_tuples_raise_the_same_errors():
         (PreconditionError, "arity must be >= 1, got '1'"),
     ]
     assert [outcome(adjacent_tuples, seq, d) for seq, d in cases] == expected
+
+
+def reference_entries(seq, name):
+    """The entry checks of ``adjacent_sums`` and ``normalize``, written out."""
+    entries = tuple(seq)
+    if not entries:
+        raise PreconditionError(f"{name} requires a nonempty sequence")
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
+            raise PreconditionError(f"{name} requires positive integer entries, got {x!r}")
+    if sum(entries) > 2**64 - 1:
+        raise OverflowLimitError(f"value {sum(entries)} exceeds the 64-bit limit")
+    return entries
+
+
+def reference_adjacent_sums(seq):
+    """Reference form of adjacent_sums: every run between two prefix-sum indices."""
+    entries = reference_entries(seq, "adjacent_sums")
+    p = [0]
+    for x in entries:
+        p.append(p[-1] + x)
+    n = len(entries)
+    return frozenset(p[j] - p[i] for i in range(n) for j in range(i + 1, n + 1))
+
+
+def reference_normalize(seq):
+    """Reference form of normalize: grow each block from its start until it beats the last output."""
+    entries = reference_entries(seq, "normalize")
+    out = []
+    i = 0
+    n = len(entries)
+    while i < n:
+        total = 0
+        j = i
+        while j < n:
+            total += entries[j]
+            j += 1
+            if not out or total > out[-1]:
+                break
+        if out and total <= out[-1]:
+            break
+        out.append(total)
+        i = j
+    return tuple(out)
+
+
+def test_normalize_and_adjacent_sums_match_the_reference_loops():
+    rng = random.Random(15)
+    small = (seq for n in range(1, 8) for seq in product(range(1, 6), repeat=n))
+    drawn = ([rng.randint(1, rng.choice((5, 100, 2**40))) for _ in range(rng.randint(1, 12))]
+             for _ in range(2000))
+    for seq in chain(small, drawn):
+        assert normalize(seq) == reference_normalize(seq), seq
+        assert adjacent_sums(seq) == reference_adjacent_sums(seq), seq
+
+
+@pytest.mark.parametrize("seq", [(), [], (0,), (1, 0), (-1,), (2, -1), (True,), (1, True), (1.5,),
+                                 (2, 1.5), (2**64,), (2**63, 2**63), (1, 2**64 - 2)])
+def test_normalize_and_adjacent_sums_raise_the_reference_errors(seq):
+    assert outcome(normalize, seq) == outcome(reference_normalize, seq)
+    assert outcome(adjacent_sums, seq) == outcome(reference_adjacent_sums, seq)
+
+
+@given(st.lists(st.integers(min_value=-10**20, max_value=10**20), max_size=10).map(tuple))
+def test_anchor_and_gaps_invert_each_other(v):
+    assert _gaps(_anchor(v)) == v
+    t = (0, *v)
+    assert _anchor(_gaps(t)) == t
+
+
+def test_choose_beyond_the_pool_is_empty_at_once():
+    assert list(_choose(range(3), 10**12)) == []  # no index array of that size
+    assert list(_choose((1, 2, 3), 2)) == list(combinations((1, 2, 3), 2))
