@@ -2,7 +2,7 @@
 
 import os
 
-from irl.errors import FormatError, PreconditionError
+from irl.errors import FormatError, check_int
 
 DEFAULT_BUDGET = 1_000_000
 ENV_VAR = "IRL_BUDGET"
@@ -26,6 +26,4 @@ def budget_limit(budget) -> int:
     """``budget``, an integer >= 0, or the candidate budget when it is None."""
     if budget is None:
         return candidate_budget()
-    if not isinstance(budget, int) or isinstance(budget, bool) or budget < 0:
-        raise PreconditionError(f"budget must be an integer >= 0, got {budget!r}")
-    return budget
+    return check_int(budget, "budget", 0)

@@ -32,14 +32,24 @@ from irl.search import (
 from irl.sums import adjacent_tuples
 
 
+def _parse_json(read, what):
+    """The JSON that ``read()`` returns, or a format error naming ``what``.
+
+    Refused: text that is not UTF-8, malformed JSON, an integer literal
+    above 4300 digits, and arrays or objects nested too deeply to parse.
+    """
+    try:
+        return json.loads(read())
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{what} is not valid JSON: {exc}") from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+            return _parse_json(handle.read, path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # malformed, or an integer literal above 4300 digits
-        raise FormatError(f"{path} is not valid JSON: {exc}") from None
 
 
 def _load_colouring(path):
@@ -49,10 +59,7 @@ def _load_colouring(path):
 def _load_sequence(text):
     """A solution sequence, either inline JSON or a path to a JSON file."""
     if text.lstrip().startswith("["):
-        try:
-            data = json.loads(text)
-        except ValueError as exc:
-            raise FormatError(f"inline solution is not valid JSON: {exc}") from None
+        data = _parse_json(lambda: text, "inline solution")
     else:
         data = _load_json(text)
     if not isinstance(data, list) or any(not isinstance(x, int) or isinstance(x, bool) for x in data):

@@ -22,7 +22,7 @@ from itertools import product
 from math import comb
 
 from irl.budget import budget_limit, candidate_budget
-from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
+from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError, check_int
 from irl.sums import _anchor, _choose, _gaps
 
 MODES = ("sets", "vectors")
@@ -30,11 +30,15 @@ MODES = ("sets", "vectors")
 
 def sets_domain(dim: int, window: int):
     """Strictly increasing dim-tuples over [0, window], in lexicographic order."""
+    check_int(dim, "dim", 0, FormatError)
+    check_int(window, "window", 0, FormatError)
     return _choose(range(window + 1), dim)
 
 
 def vectors_domain(dim: int, window: int):
     """Positive dim-tuples with coordinate sum <= window, in lexicographic order."""
+    check_int(dim, "dim", 0, FormatError)
+    check_int(window, "window", 0, FormatError)
     if window < dim:
         return
     v = [1] * dim
@@ -95,12 +99,9 @@ def standard_domain(mode: str, dim: int, window: int):
 
 
 def _check_shape(dim, window, palette):
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise FormatError(f"dim must be an integer >= 1, got {dim!r}")
-    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
-        raise FormatError(f"window must be an integer >= 0, got {window!r}")
-    if not isinstance(palette, int) or isinstance(palette, bool) or palette < 1:
-        raise FormatError(f"palette must be an integer >= 1, got {palette!r}")
+    check_int(dim, "dim", 1, FormatError)
+    check_int(window, "window", 0, FormatError)
+    check_int(palette, "palette", 1, FormatError)
 
 
 def _check_entry(t, colour, dim, window, palette, mode):
@@ -305,8 +306,7 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     Each difference vector colours the translates of its partial sums from
     0; the rest is left uncoloured, so the result is shift-invariant.
     """
-    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
-        raise FormatError(f"window must be an integer >= 0, got {window!r}")
+    check_int(window, "window", 0, FormatError)
     return _lift(dc.table, dc.dim + 1, window, dc.palette)
 
 
@@ -371,8 +371,7 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
     if invariant and mode != "sets":
         raise PreconditionError("invariant sampling applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
-    if not isinstance(count, int) or isinstance(count, bool) or count < 0:
-        raise PreconditionError(f"count must be an integer >= 0, got {count!r}")
+    check_int(count, "count", 0)
     for _ in range(count):
         yield colouring({t: rng.randrange(palette) for t in variables})
 

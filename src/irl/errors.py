@@ -57,3 +57,10 @@ class WindowExhaustedError(IrlError):
     """A decode query cannot be answered inside the given finite window."""
 
     code = "window-exhausted"
+
+
+def check_int(value, name, least, error=PreconditionError):
+    """``value`` when it is an int, not a bool, and at least ``least``; otherwise raise ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return value

@@ -33,6 +33,7 @@ from irl.errors import (
     OverflowLimitError,
     PreconditionError,
     WindowExhaustedError,
+    check_int,
 )
 
 
@@ -110,8 +111,7 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
 
     Refuses, naming the count, when the window^2 pairs exceed the candidate budget.
     """
-    if not isinstance(window, int) or isinstance(window, bool) or window < 1:
-        raise PreconditionError(f"window must be an integer >= 1, got {window!r}")
+    check_int(window, "window", 1)
     pairs, limit = window * window, candidate_budget()
     if pairs > limit:
         raise BudgetExceededError(
@@ -142,8 +142,7 @@ def synthesize_solution(oracle: EnumerationOracle, m: int) -> tuple:
     sum is coloured (1, 1): all the highest bits involved are at least S,
     so the compared approximations are already settled.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise PreconditionError(f"length must be an integer >= 1, got {m!r}")
+    check_int(m, "length", 1)
     start = oracle.settle_stage
     if start + 2 * m - 1 >= WORD_BITS:
         raise OverflowLimitError(

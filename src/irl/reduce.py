@@ -40,15 +40,14 @@ from irl.colouring import (
     lift_differences,
     lift_translates,
 )
-from irl.errors import NotInvariantError, PreconditionError
+from irl.errors import NotInvariantError, PreconditionError, check_int
 from irl.search import find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
 
 def bit_window(value_window: int) -> int:
     """Largest bit-position window whose realizable block sums fit the value window."""
-    if not isinstance(value_window, int) or isinstance(value_window, bool) or value_window < 0:
-        raise PreconditionError(f"value window must be an integer >= 0, got {value_window!r}")
+    check_int(value_window, "value window", 0)
     return (value_window + 1).bit_length() - 1
 
 
@@ -232,8 +231,7 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     witness searched on the transformed instance is ``extra`` elements
     longer (the backward transform consumes them).
     """
-    if not isinstance(target, int) or isinstance(target, bool) or target < 1:
-        raise PreconditionError(f"target must be an integer >= 1, got {target!r}")
+    check_int(target, "target", 1)
     param = kind_param(kind, instance)
     reduction = REDUCTIONS[kind]
     transformed = forward_transform(kind, instance)

@@ -24,7 +24,7 @@ from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py 
 from irl.budget import budget_limit
 from irl.colouring import Colouring, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
-from irl.errors import BudgetExceededError, PreconditionError
+from irl.errors import BudgetExceededError, PreconditionError, check_int
 from irl.sums import _choose, _gaps, _run_tuples
 
 # principle -> (mode, whether its colourings are shift-invariant)
@@ -147,11 +147,8 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     """
     if c.mode != "vectors":
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise PreconditionError(f"sequence length must be an integer >= 1, got {m!r}")
-    limit = c.window if window is None else window
-    if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
-        raise PreconditionError(f"window must be an integer >= 1, got {limit!r}")
+    check_int(m, "sequence length", 1)
+    limit = check_int(c.window if window is None else window, "window", 1)
     if m * (m + 1) // 2 > limit:  # not even 1, 2, ..., m fits
         return None
     _check_depth(m)
@@ -225,9 +222,7 @@ class FiniteNumberQuery:
         if self.principle not in PRINCIPLES:
             raise PreconditionError(f"principle must be one of {PRINCIPLES}, got {self.principle!r}")
         for name in ("dim", "palette", "size", "cap"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise PreconditionError(f"{name} must be an integer >= 1, got {value!r}")
+            check_int(getattr(self, name), name, 1)
 
 
 @dataclass(frozen=True)

@@ -380,3 +380,32 @@ def test_cached_parser_prints_what_a_fresh_process_prints(files, capsys, monkeyp
 
     for argv in sequence:
         assert outcome(in_process, argv) == outcome(lambda a: fresh(*a), argv), argv
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("check-invariance", "--input", "{deep}"), "{deep} is not valid JSON: "),
+    (("oracle-demo", "--oracle", "{deep}", "--m", "2", "--query", "0"), "{deep} is not valid JSON: "),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", "{deep}"), "{deep} is not valid JSON: "),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", DEEP), "inline solution is not valid JSON: "),
+], ids=["check-invariance", "oracle-demo", "solution-path", "solution-inline"])
+def test_json_nested_too_deeply_is_a_format_error(files, capsys, argv, prefix):
+    deep = files["dir"] / "deep.json"
+    deep.write_text(DEEP)
+    code, out = run(capsys, *(arg.replace("{deep}", str(deep)) for arg in argv))
+    assert code == 1 and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "format"
+    assert error["message"].startswith(prefix.replace("{deep}", str(deep)))
+
+
+def test_a_file_that_is_not_utf8_is_a_format_error(files, capsys):
+    path = files["dir"] / "latin1.json"
+    path.write_bytes(b"[1, \xff]")
+    code, out = run(capsys, "check-invariance", "--input", str(path))
+    assert code == 1 and out.count("\n") == 1
+    error = json.loads(out)["error"]
+    assert error["code"] == "format"
+    assert error["message"].startswith(f"{path} is not valid JSON: 'utf-8' codec can't decode")

@@ -477,3 +477,29 @@ def test_is_total_agrees_with_the_domain_on_partial_tables():
             vectors[tuple(rng.randint(1, window) for _ in range(dim))] = 0
         v = Colouring(dim, window, 1, "vectors", vectors)
         assert v.is_total() == (set(vectors) >= set(vectors_domain(dim, window)))
+
+
+@pytest.mark.parametrize("domain", [sets_domain, vectors_domain])
+@pytest.mark.parametrize("dim, window, name, value", [
+    (2, 2.5, "window", 2.5), (2, -1, "window", -1), (2, True, "window", True), (2, "3", "window", "3"),
+    (1.5, 3, "dim", 1.5), (-1, 3, "dim", -1), (False, 3, "dim", False), (None, 3, "dim", None),
+])
+def test_domain_generators_refuse_a_bad_dim_or_window(domain, dim, window, name, value):
+    with pytest.raises(FormatError) as info:  # next, not list: an unchecked generator may never end
+        next(iter(domain(dim, window)))
+    assert str(info.value) == f"{name} must be an integer >= 0, got {value!r}"
+
+
+def test_domain_generators_check_dim_before_window():
+    for domain in (sets_domain, vectors_domain):
+        with pytest.raises(FormatError, match="^dim must"):
+            next(iter(domain(-1, -1)))
+
+
+def test_domain_generators_keep_every_non_negative_int_input():
+    for domain in (sets_domain, vectors_domain):
+        assert list(domain(0, 0)) == list(domain(0, 4)) == [()]
+        assert list(domain(0, Level.HIGH)) == [()]
+    assert list(vectors_domain(2, 4)) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
+    assert list(sets_domain(2, 2)) == [(0, 1), (0, 2), (1, 2)]
+    assert list(vectors_domain(3, 2)) == [] == list(sets_domain(4, 2))
