@@ -33,14 +33,10 @@ from irl.sums import adjacent_tuples
 
 
 def _parse_json(read, what):
-    """The JSON that ``read()`` returns, or a format error naming ``what``.
-
-    Refused: text that is not UTF-8, malformed JSON, an integer literal
-    above 4300 digits, and arrays or objects nested too deeply to parse.
-    """
+    """The JSON that ``read()`` returns, or a format error naming ``what``."""
     try:
         return json.loads(read())
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, malformed, over 4300 digits, or nested too deeply
         raise FormatError(f"{what} is not valid JSON: {exc}") from None
 
 

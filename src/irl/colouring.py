@@ -371,8 +371,7 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
     if invariant and mode != "sets":
         raise PreconditionError("invariant sampling applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
-    check_int(count, "count", 0)
-    for _ in range(count):
+    for _ in range(check_int(count, "count", 0)):
         yield colouring({t: rng.randrange(palette) for t in variables})
 
 

@@ -47,8 +47,7 @@ from irl.sums import _choose, _gaps, adjacent_tuples, differences, gap_increasin
 
 def bit_window(value_window: int) -> int:
     """Largest bit-position window whose realizable block sums fit the value window."""
-    check_int(value_window, "value window", 0)
-    return (value_window + 1).bit_length() - 1
+    return (check_int(value_window, "value window", 0) + 1).bit_length() - 1
 
 
 # Forward maps: (instance, target window) -> the coloured part of the target

@@ -11,7 +11,7 @@ from enum import IntEnum
 
 import pytest
 
-from irl.budget import budget_limit, candidate_budget
+from irl.budget import budget_limit
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
@@ -77,11 +77,6 @@ def test_a_bad_integer_argument_is_refused_with_one_wording(site, name, least, e
         call(value)
     assert type(caught.value) is error
     assert str(caught.value) == f"{name} must be an integer >= {least}, got {value!r}"
-
-
-def test_none_keeps_its_default_where_it_has_one():
-    assert budget_limit(None) == candidate_budget()
-    assert find_afs_mono(VECTORS, 2, window=None) == find_afs_mono(VECTORS, 2)
 
 
 @pytest.mark.parametrize("site, name, least, error, call", SITES, ids=[s[0] for s in SITES])
