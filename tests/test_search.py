@@ -573,3 +573,20 @@ def test_find_afs_mono_matches_the_per_candidate_walk():
                     (dim, window, table, m, limit, apart, colour)
                 found += got is not None
     assert found > 1500
+
+
+def test_separated_subset_search_on_wide_windows_against_brute_force():
+    rng = random.Random(43)
+    shapes = [(2, rng.randint(12, 18)) for _ in range(12)]
+    shapes += [(dim, rng.randint(6, 12)) for dim in (1, 3) for _ in range(8)]
+    found = 0
+    for dim, window in shapes:
+        palette = rng.randint(1, 3)
+        keep = rng.choice((0.7, 0.9, 1.0))
+        table = {t: rng.randrange(palette) for t in sets_domain(dim, window) if rng.random() < keep}
+        c = Colouring(dim, window, palette, "sets", table)
+        for m in range(3 if dim == 2 else dim, 7):
+            got = find_mono_subset(c, m, separated=True)
+            assert got == brute_least_subset(c, m, separated=True), (dim, window, table, m)
+            found += got is not None
+    assert found > 40

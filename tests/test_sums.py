@@ -85,6 +85,23 @@ def test_differences_and_partial_sums_reject_non_increasing_input(fn, xs):
     assert str(info.value) == f"{fn.__name__} requires a strictly increasing sequence, got {xs}"
 
 
+@pytest.mark.parametrize("ys, error, message", [
+    ([], PreconditionError, "partial_sums requires a nonempty sequence"),
+    ([0], PreconditionError, "partial_sums requires positive integer entries, got 0"),
+    ([-1], PreconditionError, "partial_sums requires positive integer entries, got -1"),
+    ([True], PreconditionError, "partial_sums requires positive integer entries, got True"),
+    ([1.5], PreconditionError, "partial_sums requires positive integer entries, got 1.5"),
+    (["1"], PreconditionError, "partial_sums requires positive integer entries, got '1'"),
+    ([3, 1], PreconditionError, "partial_sums requires a strictly increasing sequence, got (3, 1)"),
+    ([2, 2], PreconditionError, "partial_sums requires a strictly increasing sequence, got (2, 2)"),
+    ([1, 2**64], OverflowLimitError, f"value {2**64 + 1} exceeds the 64-bit limit"),
+])
+def test_partial_sums_refusals(ys, error, message):
+    with pytest.raises(error) as info:
+        partial_sums(ys)
+    assert type(info.value) is error and str(info.value) == message
+
+
 positive_seqs = st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=10)
 
 
