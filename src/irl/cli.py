@@ -77,11 +77,7 @@ def _cmd_check_invariance(args):
     witness = invariance_witness(instance)
     if witness is None:
         return json.dumps({"invariant": True})
-    payload = {
-        "invariant": False,
-        "witness": [[list(witness[0][0]), witness[0][1]], [list(witness[1][0]), witness[1][1]]],
-    }
-    return json.dumps(payload)
+    return json.dumps({"invariant": False, "witness": witness})
 
 
 def _cmd_to_differences(args):
@@ -107,7 +103,7 @@ def _cmd_reduce(args):
         if args.solution is None:
             raise PreconditionError("reduce --op backward requires --solution")
         mapped = backward_transform(args.kind, _load_sequence(args.solution))
-        return json.dumps(list(mapped))
+        return json.dumps(mapped)
     if args.input is None:
         raise PreconditionError(f"reduce --op {args.op} requires --input")
     instance = _load_colouring(args.input)
@@ -141,7 +137,7 @@ def _cmd_search(args):
     else:
         witness = find_afs_mono(instance, args.m, window=args.window)
     colour = None if witness is None else witness_colour(instance, witness)
-    return json.dumps({"witness": None if witness is None else list(witness), "colour": colour})
+    return json.dumps({"witness": witness, "colour": colour})
 
 
 def _cmd_finite_number(args):
@@ -175,13 +171,7 @@ def _cmd_oracle_demo(args):
                 f"synthesized sequence is not (1,1)-monochromatic at pair ({a}, {b})"
             )
     decoded = decode(witness, oracle, args.query)
-    return json.dumps({"witness": list(witness), "decoded": decoded})
-
-
-def _add_common(parser):
-    parser.add_argument("--out", help="write the report to this path instead of stdout")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed recorded in the run configuration (current subcommands are deterministic)")
+    return json.dumps({"witness": witness, "decoded": decoded})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,18 +190,15 @@ def build_parser():
 
     p = sub.add_parser("check-invariance", help="test a sets-mode colouring for shift invariance")
     p.add_argument("--input", required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_check_invariance)
 
     p = sub.add_parser("to-differences", help="factor a shift-invariant colouring through differences")
     p.add_argument("--input", required=True)
-    _add_common(p)
     p.set_defaults(handler=_cmd_to_differences)
 
     p = sub.add_parser("from-differences", help="lift a difference table to a sets colouring")
     p.add_argument("--input", required=True)
     p.add_argument("--window", type=int)
-    _add_common(p)
     p.set_defaults(handler=_cmd_from_differences)
 
     p = sub.add_parser("reduce", help="run a reduction transform or a full verification round trip")
@@ -221,7 +208,6 @@ def build_parser():
     p.add_argument("--solution", help="solution sequence: inline JSON array or a path")
     p.add_argument("--dim", type=int)
     p.add_argument("--m", "--length", dest="m", type=int, help="solution size sought on the original problem")
-    _add_common(p)
     p.set_defaults(handler=_cmd_reduce)
 
     p = sub.add_parser("search", help="find the least monochromatic witness of an instance")
@@ -229,7 +215,6 @@ def build_parser():
     p.add_argument("--dim", type=int)
     p.add_argument("--m", "--length", dest="m", type=int)
     p.add_argument("--window", type=int)
-    _add_common(p)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("finite-number", help="least window size at which every colouring has a witness")
@@ -239,16 +224,18 @@ def build_parser():
     p.add_argument("--m", "--length", dest="m", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
     p.set_defaults(handler=_cmd_finite_number)
 
     p = sub.add_parser("oracle-demo", help="synthesize a coding sequence from an oracle and decode a query")
     p.add_argument("--oracle", required=True)
     p.add_argument("--m", "--length", dest="m", type=int)
     p.add_argument("--query", type=int)
-    _add_common(p)
     p.set_defaults(handler=_cmd_oracle_demo)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write the report to this path instead of stdout")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed recorded in the run configuration (current subcommands are deterministic)")
     return parser
 
 

@@ -52,11 +52,11 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     points that can still extend it.  Once the first tuple fixes the
     colour, that mask is the AND of one mask per (dim-1)-subset S of the
     prefix, the points y with S + (y,) coloured alike.  Those masks are
-    built on first use and kept for the call.  A separated prefix also
-    ANDs in the points whose gap from its last element is a multiple of
-    2^(bit length of its last gap), which is the apartness test.  Set bits
-    are tried lowest first, and a prefix with fewer candidates than
-    elements still needed is dropped.
+    built on first use and kept for the call.  Set bits are tried lowest
+    first, and a prefix with fewer candidates than elements still needed
+    is dropped.  A separated prefix of two or more elements skips each
+    candidate whose gap from its last element is not a multiple of
+    2^(bit length of its last gap), which is the apartness test.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
@@ -71,7 +71,6 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     _check_depth(m)
     prefix = []
     colour_masks = {}  # (S, colour) -> points y above S with S + (y,) of that colour
-    residue_masks = {}  # (step, x % step) -> points y with y - x a multiple of step
 
     def colour_mask(rest, colour, low):
         mask = colour_masks.get((rest, colour))
@@ -83,26 +82,19 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
             colour_masks[rest, colour] = mask
         return mask
 
-    def residue_mask(step, x):
-        key = (step, x % step)
-        mask = residue_masks.get(key)
-        if mask is None:
-            mask = 0
-            for j, y in enumerate(points):
-                if (y - x) % step == 0:
-                    mask |= 1 << j
-            residue_masks[key] = mask
-        return mask
-
     def extend(allowed, colour, low):
         # allowed: the candidates above the prefix; low: the index above its last element
         need = m - len(prefix)
         size = len(prefix) + 1  # the prefix's size once x joins it
+        # separated: x - prefix[-1] a multiple of step, so apart from the last gap
+        step = 1 << (prefix[-1] - prefix[-2]).bit_length() if separated and size > 2 else 1
         while allowed.bit_count() >= need:
             bit = allowed & -allowed
             allowed ^= bit
             j = bit.bit_length() - 1
             x = points[j]
+            if step > 1 and (x - prefix[-1]) % step:
+                continue
             got = colour
             if size == dim:  # x completes the first tuple, which fixes the colour
                 got = get(tuple(prefix) + (x,))
@@ -116,8 +108,6 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
             if size >= dim > 1:
                 for rest in combinations(prefix, dim - 2):
                     after &= colour_mask(rest + (x,), got, j + 1)
-            if separated and size >= 2:
-                after &= residue_mask(1 << (x - prefix[-1]).bit_length(), x)
             if after.bit_count() >= need - 1:
                 prefix.append(x)
                 found = extend(after, got, j + 1)
@@ -423,7 +413,7 @@ def sweep_finite_numbers(queries, out):
     for query in queries:
         result = finite_number(query)
         if result.value is not None:
-            cell = json.dumps(list(result.witness))
+            cell = json.dumps(result.witness)
             answer = result.value
         else:
             cell = json.dumps(colouring_to_json(result.counterexample))

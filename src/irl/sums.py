@@ -126,7 +126,4 @@ def gap_increasing(xs) -> tuple:
 
 def partial_sums(ys) -> tuple:
     """All nonempty initial sums y1, y1+y2, ... of an increasing positive sequence."""
-    entries = _positive_entries(ys, "partial_sums")
-    if any(a >= b for a, b in zip(entries, entries[1:])):
-        raise PreconditionError(f"partial_sums requires a strictly increasing sequence, got {entries}")
-    return tuple(accumulate(entries))
+    return tuple(accumulate(_increasing_entries(_positive_entries(ys, "partial_sums"), "partial_sums")))
