@@ -3,7 +3,7 @@
 The pinned file was written once, by an earlier version of the package,
 from the cases below; like ``cli_stdout.json`` its pins are only ever
 added, never rewritten to make a test pass.  Help is formatted at
-``COLUMNS=80`` by the argparse of Python 3.10 and 3.11.
+``COLUMNS=80``; the pins are the output of Python 3.11's argparse.
 """
 
 import io
