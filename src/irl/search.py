@@ -27,9 +27,9 @@ from irl.colouring import enumerate_colourings  # noqa: F401  kept importable fr
 from irl.errors import BudgetExceededError, PreconditionError, check_int
 from irl.sums import _choose, _gaps, _run_tuples
 
-# principle -> (mode, whether its colourings are shift-invariant)
-_SHAPES = {"RT": ("sets", False), "ZRT": ("sets", True), "SEPZRT": ("sets", True),
-           "AHT": ("vectors", False), "APAHT": ("vectors", False)}
+# principle -> (mode, whether its colourings are shift-invariant, whether its walk is apart)
+_SHAPES = {"RT": ("sets", False, False), "ZRT": ("sets", True, False), "SEPZRT": ("sets", True, True),
+           "AHT": ("vectors", False, False), "APAHT": ("vectors", False, True)}
 PRINCIPLES = tuple(_SHAPES)
 MAX_WITNESS = 500  # the searches recurse once per witness element
 
@@ -235,12 +235,12 @@ class FiniteNumberResult:
 
 
 def _candidate_witnesses(principle, dim, m, window):
-    """Yield (candidate, tuples it colours, unit, copies) for each candidate witness.
+    """Yield (candidate, tuples it colours, unit) for each candidate witness.
 
-    A record charges ``unit`` budget units per copy.  Candidates come in
-    lexicographic order, so the first one is the least witness of a
-    constant colouring.  An adjacent-sum candidate costs its distinct
-    adjacent tuples and an RT subset its ``C(m, d)`` tuples, one copy each.
+    ``unit`` is the budget charge of the candidate: its tuples, ``C(m, d)``
+    for a sets-mode one and the distinct adjacent tuples of an adjacent-sum
+    one.  Candidates come in lexicographic order, so the first one is the
+    least witness of a constant colouring.
 
     A shift-invariant principle (ZRT, SEPZRT) colours a subset and each of
     its translates alike, so only the subsets of ``[0, window]`` that start
@@ -248,56 +248,51 @@ def _candidate_witnesses(principle, dim, m, window):
     for SEPZRT (which are therefore increasing), their tuples keyed by their
     difference vectors, the adjacent (dim - 1)-tuples of the gaps.  Their
     lexicographic order is that of the gap vectors, and the translate to 0
-    of any subset comes no later than it.  Each such subset with largest
-    element M stands for its ``window - M + 1`` translates, charged
-    ``C(m, d)`` each, so the units are those of walking every subset.
-    SEPZRT ends with one record of the subsets that fail the separation
-    condition, one unit each and None for the candidate and its tuples.
+    of any subset comes no later than it.  Each prefix is pruned by its
+    exact cheapest completion, so every prefix walked but a size's root
+    ends in a candidate.
     """
-    mode, invariant = _SHAPES[principle]
+    mode, invariant, apart = _SHAPES[principle]
     unit = comb(m, dim)  # the tuples of a sets-mode candidate
     if mode == "sets" and not invariant:
         for subset in _choose(range(window + 1), m):
-            yield subset, combinations(subset, dim), unit, 1
+            yield subset, combinations(subset, dim), unit
         return
     # a sets candidate is the partial sums of its m - 1 gaps from 0; the ZRT gaps may repeat
     length = m - 1 if invariant else m
-    increasing = principle != "ZRT"
-    apart = principle in ("APAHT", "SEPZRT")
+    increasing = apart or not invariant
 
     def extend(prefix, sums, start, room):
         if len(prefix) == length:
             if invariant:
-                yield sums, _run_tuples(sums, dim - 1), unit, room + 1
+                yield sums, _run_tuples(sums, dim - 1), unit
                 return
             tuples = set(_run_tuples(sums, dim))
-            yield prefix, tuples, len(tuples), 1
+            yield prefix, tuples, len(tuples)
             return
         after = length - len(prefix) - 1
         # x > prefix[-1] is apart from it iff x is a multiple of 2^(bit length of prefix[-1])
         step = 1 << prefix[-1].bit_length() if apart and prefix else 1
         for x in range(max(start, step), room + 1, step):
-            # cheapest possible completion is x, x+1, ..., x+after (x, 1, ..., 1 when gaps repeat)
-            if ((after + 1) * x + after * (after + 1) // 2 if increasing else x + after) > room:
+            # the exact cheapest completion of the prefix through x
+            if apart:  # x, 2^b, 2^(b+1), ... with b the bit length of x
+                least = x + (1 << x.bit_length()) * ((1 << after) - 1)
+            elif increasing:  # x, x+1, x+2, ...
+                least = (after + 1) * x + after * (after + 1) // 2
+            else:  # x, 1, 1, ...: the ZRT gaps may repeat
+                least = x + after
+            if least > room:
                 break
             yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1 if increasing else 1, room - x)
 
-    walk = extend((), (0,), 1, window)
-    if principle != "SEPZRT":
-        yield from walk
-        return
-    separated = 0
-    for record in walk:
-        separated += record[3]
-        yield record
-    # every other m-subset of [0, window] fails the separation condition
-    yield None, None, 1, comb(window + 1, m) - separated
+    yield from extend((), (0,), 1, window)
 
 
-def _over_budget(spent, limit):
+def _over_budget(limit):
+    # units are charged one at a time, so the first one past the limit is limit + 1
     return BudgetExceededError(
         f"finite-number search exceeds the budget of {limit} DFS nodes and candidate witness tuples",
-        count=spent)
+        count=limit + 1)
 
 
 def _least_witness_free(buckets, palette, spent, limit):
@@ -323,7 +318,7 @@ def _least_witness_free(buckets, palette, spent, limit):
         for colour in range(colour + 1, highest + 1):
             spent += 1
             if spent > limit:
-                raise _over_budget(spent, limit)
+                raise _over_budget(limit)
             same = members[colour]
             if not any(rest & same == rest for rest in buckets[i]):
                 break
@@ -351,15 +346,13 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     difference table, the lift charged to the same budget.  The witness is
     the first candidate of the answer size's own enumeration, the least
     witness of the constant colouring.  Refuses once the query's budget
-    units exceed the budget: one per size, per DFS node, per tuple of a
-    candidate, and per subset that fails the SEPZRT filter.  ZRT/SEPZRT
-    walk only the subsets that start at 0, by their gaps, and charge each
-    for every one of its translates, so the units are those of walking
-    every subset; a refusal reports the count that charging one translate
-    at a time reaches.
+    units exceed the budget: one per size, per DFS node and per tuple of
+    each candidate walked (ZRT/SEPZRT walk only the subsets that start at
+    0).  A refusal reports the count that charging one unit at a time
+    reaches, the budget plus one.
     """
     principle = query.principle
-    mode, invariant = _SHAPES[principle]
+    mode, invariant, _ = _SHAPES[principle]
     sets_mode = mode == "sets"
     dim, palette, m = query.dim, query.palette, query.size
     if sets_mode and m < dim:
@@ -373,20 +366,17 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     for size in range(min(first, query.cap), query.cap + 1):
         spent += 1  # a size with nothing to search still costs one unit
         if spent > limit:
-            raise _over_budget(spent, limit)
+            raise _over_budget(limit)
         window = size - 1 if sets_mode else size
         variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
         index = {v: i for i, v in enumerate(variables)}
         buckets = [[] for _ in variables]
         seen = set()
         witness = None
-        for candidate, tuples, unit, copies in _candidate_witnesses(principle, dim, m, window):
-            if spent + unit * copies > limit:
-                # the count that charging one copy at a time reaches
-                raise _over_budget(spent - unit * ((spent - limit - 1) // unit), limit)
-            spent += unit * copies
-            if tuples is None:
-                continue
+        for candidate, tuples, unit in _candidate_witnesses(principle, dim, m, window):
+            spent += unit
+            if spent > limit:
+                raise _over_budget(limit)
             if witness is None:
                 witness = candidate
             mask = 0

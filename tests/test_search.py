@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 from itertools import combinations
 from math import comb
@@ -16,7 +17,7 @@ from irl.search import (
     finite_number,
     witness_colour,
 )
-from irl.sums import _gaps as _difference_vector, adjacent_sums, adjacent_tuples
+from irl.sums import _anchor, _gaps as _difference_vector, adjacent_sums, adjacent_tuples
 
 
 def pair_colouring(window, fn, palette=2):
@@ -288,6 +289,63 @@ def test_finite_number_budget_counts_search_work():
     assert info.value.count == 1001
 
 
+def test_separated_zrt_at_dim_one_is_two_to_the_m_minus_one():
+    # one colour per window, and the least separated m-subset is the partial sums of 1, 2, 4, ...
+    for k in (1, 2, 3):
+        for m in range(1, 13):
+            assert finite_number(FiniteNumberQuery("SEPZRT", 1, k, m, 2**11)).value == 2 ** (m - 1), (k, m)
+
+
+@pytest.mark.parametrize("k, m", [(2, 4), (3, 3)])
+def test_separated_zrt_at_dim_two_exceeds_cap_80(k, m):
+    result = finite_number(FiniteNumberQuery("SEPZRT", 2, k, m, 80))
+    assert result.exceeded_cap()
+    assert result.counterexample.window == 79
+    assert find_mono_subset(result.counterexample, m, separated=True) is None
+
+
+@pytest.mark.parametrize("query, budget", [
+    # each budget runs out part-way through the tuples of one candidate
+    (FiniteNumberQuery("RT", 2, 2, 3, 12), 43),
+    (FiniteNumberQuery("ZRT", 2, 2, 3, 12), 50),
+    (FiniteNumberQuery("SEPZRT", 2, 2, 3, 12), 42),
+    (FiniteNumberQuery("AHT", 2, 2, 3, 12), 55),
+    (FiniteNumberQuery("APAHT", 1, 2, 3, 12), 42),
+], ids=lambda value: getattr(value, "principle", str(value)))
+def test_finite_number_refusal_inside_a_candidate_counts_the_budget_plus_one(query, budget):
+    with pytest.raises(BudgetExceededError) as info:
+        finite_number(query, budget=budget)
+    assert str(info.value) == \
+        f"finite-number search exceeds the budget of {budget} DFS nodes and candidate witness tuples"
+    assert info.value.count == budget + 1
+
+
+def test_apart_walks_visit_only_prefixes_that_complete():
+    # every prefix the walk enters, but the root (0,), is the start of a candidate's partial sums
+    extend = next(c for c in _candidate_witnesses.__code__.co_consts if getattr(c, "co_name", None) == "extend")
+    for principle in ("APAHT", "SEPZRT"):
+        for dim in (1, 2):
+            for m in range(2, 7):
+                for window in (30, 100):
+                    visited = set()
+
+                    def record(frame, event, arg):
+                        if event == "call" and frame.f_code is extend:
+                            visited.add(frame.f_locals["sums"])
+
+                    before = sys.getprofile()
+                    sys.setprofile(record)
+                    try:
+                        candidates = [cand for cand, _, _ in _candidate_witnesses(principle, dim, m, window)]
+                    finally:
+                        sys.setprofile(before)
+                    starts = {(0,)}
+                    for cand in candidates:
+                        sums = cand if principle == "SEPZRT" else _anchor(cand)
+                        starts.update(sums[:i] for i in range(1, len(sums) + 1))
+                    assert visited <= starts, (principle, dim, m, window, sorted(visited - starts)[:3])
+
+
 def brute_least_subset(c, m, separated=False):
     """Least m-subset of the window with every dim-tuple coloured alike (absent tuples fail)."""
     for cand in combinations(range(c.window + 1), m):
@@ -407,31 +465,26 @@ def test_shift_invariant_candidates_stand_for_every_subset():
     for m in range(1, 7):
         separated = [is_separated(s) for s in combinations(range(21), m)]
         for dim in range(1, min(m, 3) + 1):
-            # principle -> per largest element: the masks, the first subset and the units
-            filed = {p: ([set() for _ in range(21)], [None] * 21, [0] * 21) for p in ("ZRT", "SEPZRT")}
+            # principle -> per largest element: the masks and the first subset
+            filed = {p: ([set() for _ in range(21)], [None] * 21) for p in ("ZRT", "SEPZRT")}
             for s, passes in zip(combinations(range(21), m), separated):
                 vectors = frozenset(map(_difference_vector, combinations(s, dim)))
-                for principle, (masks, firsts, units) in filed.items():
+                for principle, (masks, firsts) in filed.items():
                     if passes or principle == "ZRT":
                         masks[s[-1]].add(vectors)
                         firsts[s[-1]] = firsts[s[-1]] or s
-                        units[s[-1]] += comb(m, dim)
-                    else:
-                        units[s[-1]] += 1
-            for principle, (masks, firsts, units) in filed.items():
+            for principle, (masks, firsts) in filed.items():
                 for window in range(21):
                     walked, vectors, spent = [], set(), 0
-                    for candidate, tuples, unit, copies in _candidate_witnesses(
-                            principle, dim, m, window):
-                        spent += unit * copies
-                        if tuples is not None:
-                            walked.append(candidate)
-                            vectors.add(frozenset(tuples))
+                    for candidate, tuples, unit in _candidate_witnesses(principle, dim, m, window):
+                        spent += unit
+                        walked.append(candidate)
+                        vectors.add(frozenset(tuples))
                     where = (principle, dim, m, window)
                     assert walked == sorted(walked), where
                     assert vectors == set().union(*masks[:window + 1]), where
                     assert (walked[0] if walked else None) == min(filter(None, firsts[:window + 1]), default=None), where
-                    assert spent == sum(units[:window + 1]), where
+                    assert spent == comb(m, dim) * len(walked), where
 
 
 def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
@@ -439,7 +492,7 @@ def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
         for dim in (1, 2, 3):
             for m in range(1, 7):
                 for window in range(1, 31):
-                    for candidate, tuples, cost, copies in _candidate_witnesses(principle, dim, m, window):
+                    for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window):
                         assert tuples == adjacent_tuples(candidate, dim), (principle, dim, candidate)
                         assert cost == len(tuples)
 
