@@ -32,6 +32,11 @@ from irl.search import (
 from irl.sums import adjacent_tuples
 
 
+# Every object the CLI writes is built by the package and holds no cycle, so
+# one encoder serves every call without the circular-reference pass.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
 def _parse_json(read, what):
     """The JSON that ``read()`` returns, or a format error naming ``what``."""
     try:
@@ -76,15 +81,15 @@ def _cmd_check_invariance(args):
         raise PreconditionError("check-invariance expects a sets-mode colouring, not a difference table")
     witness = invariance_witness(instance)
     if witness is None:
-        return json.dumps({"invariant": True})
-    return json.dumps({"invariant": False, "witness": witness})
+        return _encode({"invariant": True})
+    return _encode({"invariant": False, "witness": witness})
 
 
 def _cmd_to_differences(args):
     instance = _load_colouring(args.input)
     if not isinstance(instance, Colouring):
         raise PreconditionError("to-differences expects a sets-mode colouring")
-    return json.dumps(colouring_to_json(to_differences(instance)))
+    return _encode(colouring_to_json(to_differences(instance)))
 
 
 def _cmd_from_differences(args):
@@ -93,7 +98,7 @@ def _cmd_from_differences(args):
         raise PreconditionError("from-differences expects a difference table (mode 'differences')")
     if args.window is None:
         raise PreconditionError("from-differences requires --window")
-    return json.dumps(colouring_to_json(from_differences(table, args.window)))
+    return _encode(colouring_to_json(from_differences(table, args.window)))
 
 
 def _cmd_reduce(args):
@@ -103,7 +108,7 @@ def _cmd_reduce(args):
         if args.solution is None:
             raise PreconditionError("reduce --op backward requires --solution")
         mapped = backward_transform(args.kind, _load_sequence(args.solution))
-        return json.dumps(mapped)
+        return _encode(mapped)
     if args.input is None:
         raise PreconditionError(f"reduce --op {args.op} requires --input")
     instance = _load_colouring(args.input)
@@ -111,11 +116,11 @@ def _cmd_reduce(args):
         raise PreconditionError("reduce expects a colouring instance, not a difference table")
     _check_dim(args, instance)
     if args.op == "forward":
-        return json.dumps(colouring_to_json(forward_transform(args.kind, instance)))
+        return _encode(colouring_to_json(forward_transform(args.kind, instance)))
     if args.m is None:
         raise PreconditionError("reduce --op verify requires --m")
     report = verify_reduction(args.kind, instance, args.m)
-    return json.dumps(report.to_json_dict())
+    return _encode(report.to_json_dict())
 
 
 def _cmd_search(args):
@@ -137,7 +142,7 @@ def _cmd_search(args):
     else:
         witness = find_afs_mono(instance, args.m, window=args.window)
     colour = None if witness is None else witness_colour(instance, witness)
-    return json.dumps({"witness": witness, "colour": colour})
+    return _encode({"witness": witness, "colour": colour})
 
 
 def _cmd_finite_number(args):
@@ -153,8 +158,8 @@ def _cmd_finite_number(args):
         return buffer.getvalue().rstrip("\n")
     result = finite_number(query)
     if result.value is not None:
-        return json.dumps({"N": result.value})
-    return json.dumps({"N": None, "counterexample": colouring_to_json(result.counterexample)})
+        return _encode({"N": result.value})
+    return _encode({"N": None, "counterexample": colouring_to_json(result.counterexample)})
 
 
 def _cmd_oracle_demo(args):
@@ -171,7 +176,7 @@ def _cmd_oracle_demo(args):
                 f"synthesized sequence is not (1,1)-monochromatic at pair ({a}, {b})"
             )
     decoded = decode(witness, oracle, args.query)
-    return json.dumps({"witness": witness, "decoded": decoded})
+    return _encode({"witness": witness, "decoded": decoded})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -260,7 +265,7 @@ def main(argv=None) -> int:
         text = args.handler(args)
         _emit(text, args)
     except IrlError as exc:
-        payload = json.dumps({"error": {"code": exc.code, "message": str(exc)}})
+        payload = _encode({"error": {"code": exc.code, "message": str(exc)}})
         sys.stdout.write(payload + "\n")
         return 1
     return 0

@@ -16,22 +16,29 @@ immutable after construction by convention.
 """
 
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import product
 from math import comb
 
 from irl.budget import budget_limit, candidate_budget
-from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError, check_int
+from irl.errors import BudgetExceededError, FormatError, NotInvariantError, OverflowLimitError, PreconditionError, check_int
 from irl.sums import _anchor, _choose, _gaps
 
 MODES = ("sets", "vectors")
 
 
 def sets_domain(dim: int, window: int):
-    """Strictly increasing dim-tuples over [0, window], in lexicographic order."""
+    """Strictly increasing dim-tuples over [0, window], in lexicographic order.
+
+    ``itertools.combinations`` builds its whole pool first, so a window
+    whose points do not fit a machine-sized length is refused.
+    """
     check_int(dim, "dim", 0, FormatError)
     check_int(window, "window", 0, FormatError)
+    if window + 1 > sys.maxsize:
+        raise OverflowLimitError(f"sets_domain window {window} holds more than {sys.maxsize} points")
     return _choose(range(window + 1), dim)
 
 
@@ -376,14 +383,20 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
 
 
 def colouring_to_json(obj) -> dict:
-    """JSON-ready dict with entries sorted lexicographically by tuple."""
+    """JSON-ready dict with entries sorted lexicographically by tuple.
+
+    Each entry is a ``(tuple, colour)`` pair, which ``json`` writes as the
+    array ``[[x1, ..., xd], colour]``.  Sorting the keys alone keeps
+    ``list.sort`` on its path for tuples of ints.
+    """
     mode = "differences" if isinstance(obj, DifferenceColouring) else obj.mode
+    table = obj.table
     return {
         "dim": obj.dim,
         "window": obj.window,
         "palette": obj.palette,
         "mode": mode,
-        "entries": [[list(t), obj.table[t]] for t in sorted(obj.table)],
+        "entries": [(t, table[t]) for t in sorted(table)],
     }
 
 

@@ -28,7 +28,6 @@ import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
 
 from irl.bits import WORD_BITS, block, is_apart
 from irl.colouring import (
@@ -73,12 +72,20 @@ def _half_open_blocks(instance, window):
     dim = instance.dim
     if window > WORD_BITS and dim <= window:  # raise the overflow of the domain's lex-least over-wide tuple
         _consecutive_blocks((*range(dim), max(dim, WORD_BITS + 1)))
+    limit = 1 << window
     table = {}
     for values, colour in instance.table.items():
-        # consecutive blocks telescope: 2^t0 + block(t0, t1 - 1) + ... + block(t(i-1), ti - 1) = 2^ti
-        ends = tuple(accumulate(values, initial=values[0] & -values[0]))
-        if all(e & (e - 1) == 0 for e in ends) and ends[-1] <= 1 << window:
-            table[tuple(e.bit_length() - 1 for e in ends)] = colour
+        # consecutive blocks telescope: 2^t0 + block(t0, t1 - 1) + ... + block(t(i-1), ti - 1) = 2^ti,
+        # so each running end from the lowest bit of the first value must be a power of two
+        end = values[0] & -values[0]
+        positions = [end.bit_length() - 1]
+        for value in values:
+            end += value
+            if end & (end - 1) or end > limit:
+                break
+            positions.append(end.bit_length() - 1)
+        else:
+            table[tuple(positions)] = colour
     return table
 
 
