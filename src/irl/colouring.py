@@ -30,14 +30,10 @@ MODES = ("sets", "vectors")
 
 
 def sets_domain(dim: int, window: int):
-    """Strictly increasing dim-tuples over [0, window], in lexicographic order.
-
-    ``itertools.combinations`` builds its whole pool first, so a window
-    whose points do not fit a machine-sized length is refused.
-    """
+    """Strictly increasing dim-tuples over [0, window], in lexicographic order."""
     check_int(dim, "dim", 0, FormatError)
     check_int(window, "window", 0, FormatError)
-    if window + 1 > sys.maxsize:
+    if window + 1 > sys.maxsize:  # combinations builds its whole pool of points before it yields
         raise OverflowLimitError(f"sets_domain window {window} holds more than {sys.maxsize} points")
     return _choose(range(window + 1), dim)
 
@@ -416,7 +412,9 @@ def colouring_from_json(data):
     table = {}
     for item in entries:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
-            raise FormatError(f"malformed entry: {item!r}")
+            # the (tuple, colour) pairs of colouring_to_json, handed over without a JSON round trip
+            if not isinstance(item, tuple) or len(item) != 2 or not isinstance(item[0], tuple):
+                raise FormatError(f"malformed entry: {item!r}")
         t = tuple(item[0])
         try:
             duplicate = t in table

@@ -95,3 +95,23 @@ def test_each_metric_is_checked_against_its_bound_or_reported_unresolved():
     # the same spread with every change run above every base run is resolved
     above = [(line(100 + 200 * (i % 2), 1), line(301 + i, 1)) for i in range(10)]
     assert verdict(above, "ops_per_s") == (True, False)
+
+
+def test_committed_bench_records_are_complete_correct_and_within_their_bounds():
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        assert path.name == f"BENCH_{record['label']}.json"
+        runs = record["runs"]
+        assert sorted((r["workload"], r["pair"], r["side"]) for r in runs) == sorted(
+            (w, pair, side) for w in workloads for pair in range(10) for side in ("base", "change")), path.name
+        bad = [(r["workload"], r["pair"], r["side"]) for r in runs
+               if r["result"] is None or r["result"]["correct"] is not True or r["result"]["failed"] != 0]
+        assert bad == [], path.name
+        for w in workloads:
+            metrics = record["summary"][w]["metrics"]
+            for spec in END_TO_END:
+                verdict = metrics[spec["name"]]
+                assert (verdict["within_bound"], verdict["unresolved"]) == (True, False), (path.name, w, spec["name"])

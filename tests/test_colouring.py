@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import sys
 import time
 from enum import IntEnum
 
@@ -24,9 +26,9 @@ from irl.colouring import (
     to_differences,
     vectors_domain,
 )
-from irl.errors import BudgetExceededError, FormatError, NotInvariantError, PreconditionError
+from irl.errors import BudgetExceededError, FormatError, NotInvariantError, OverflowLimitError, PreconditionError
 from irl.oracle import EnumerationOracle, lower_bound_colouring
-from irl.reduce import forward_transform
+from irl.reduce import _digest, forward_transform
 from irl.search import FiniteNumberQuery, finite_number
 
 
@@ -274,6 +276,8 @@ def test_json_rejects_malformed_payloads():
         lambda d: d["entries"].append([[0, 9], 0]),              # out of window
         lambda d: d["entries"].append([[2, 1], 0]),              # not increasing
         lambda d: d["entries"].__setitem__(0, [[0, 1], 7]),      # colour out of range
+        lambda d: d["entries"].append(((0, 2), 0, 0)),           # a tuple entry of three
+        lambda d: d["entries"].append(([0, 2], 0)),              # a tuple entry with a list key
     ):
         data = json.loads(json.dumps(good))
         breakage(data)
@@ -374,6 +378,24 @@ def test_trusted_outputs_pass_the_public_constructor():
         assert _rechecked(c) == c
         count += 1
     assert count > 500
+
+
+def test_json_entries_are_sorted_tuple_colour_pairs_written_as_lists():
+    """The entries text equals that of the ``[[list(t), colour], ...]`` form, and so do the digests."""
+    outputs = [*_trusted_outputs(), to_differences(from_differences(
+        DifferenceColouring(2, 9, 3, {v: sum(v) % 3 for v in vectors_domain(2, 9)}), 11))]
+    for i, c in enumerate(outputs):
+        data = colouring_to_json(c)
+        entries = data["entries"]
+        assert all(type(t) is tuple and type(colour) is int for t, colour in entries)
+        assert all(a < b for (a, _), (b, _) in zip(entries, entries[1:]))
+        listed = {**data, "entries": [[list(t), c.table[t]] for t in sorted(c.table)]}
+        assert json.dumps(data) == json.dumps(listed)
+        assert colouring_from_json(data) == c  # the in-process round trip, without JSON text
+        if i % 50 == 0:
+            payload = json.dumps(listed, sort_keys=True).encode()
+            assert _digest(c) == hashlib.sha256(payload).hexdigest()[:16]
+    assert isinstance(outputs[-1], DifferenceColouring) and outputs[-1].table
 
 
 class Level(IntEnum):
@@ -498,3 +520,13 @@ def test_domain_generators_keep_every_non_negative_int_input():
     assert list(vectors_domain(2, 4)) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1)]
     assert list(sets_domain(2, 2)) == [(0, 1), (0, 2), (1, 2)]
     assert list(vectors_domain(3, 2)) == [] == list(sets_domain(4, 2))
+
+
+def test_sets_domain_refuses_a_window_whose_points_exceed_a_machine_length():
+    # combinations builds its whole pool of window + 1 points before it yields
+    with pytest.raises(OverflowLimitError) as info:
+        sets_domain(2, 2**70)
+    assert str(info.value) == f"sets_domain window {2**70} holds more than {sys.maxsize} points"
+    with pytest.raises(OverflowLimitError):
+        sets_domain(0, sys.maxsize)
+    assert next(vectors_domain(2, 2**70)) == (1, 1)
