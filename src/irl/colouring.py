@@ -131,6 +131,8 @@ def _check_table(table, dim, window, palette, mode):
     entry gets the exact per-entry check, which either accepts it (an int
     subclass such as an IntEnum) or raises the same error as it always has.
     """
+    if not isinstance(table, dict):
+        raise FormatError(f"table must be a dict, got {type(table).__name__}")
     for t, colour in table.items():
         if type(t) is tuple and len(t) == dim and type(colour) is int and 0 <= colour < palette:
             if mode == "sets":

@@ -40,7 +40,7 @@ from irl.colouring import (
     lift_translates,
 )
 from irl.errors import NotInvariantError, PreconditionError, check_int
-from irl.search import find_afs_mono, find_mono_subset, witness_colour
+from irl.search import _SHAPES, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
 
@@ -89,35 +89,35 @@ def _half_open_blocks(instance, window):
     return table
 
 
+def _minus_least(subset):
+    if subset[0] < 0:
+        raise PreconditionError("subset entries must be non-negative")
+    return tuple(x - subset[0] for x in subset[1:])
+
+
 @dataclass(frozen=True)
 class Reduction:
-    """What sets one reduction kind apart from the others."""
+    """What sets one reduction kind apart from the others; ``_SHAPES`` gives each principle's shape."""
 
-    source_mode: str
-    target_mode: str
+    source: str  # the principle of the instance and of the mapped-back solution
+    target: str  # the principle of the transformed instance and of its witness
     shift: int  # target arity minus source arity
     forward: Callable[[Colouring, int], dict]  # (instance, target window) -> target table
     backward: Callable[[tuple], tuple]  # checked witness -> solution
     window: Callable[[int], int] = lambda window: window  # instance window -> target window
     extra: int = 0  # how much longer a witness is than the solution it maps to
     min_len: int = 1  # least solution length
-    invariant: bool = False  # the instance must be shift-invariant
-    apart: bool = False  # the mapped-back solution must be apart
 
 
 # The backward maps look their helpers up at call time, so wrappers installed
 # on this module's names see the calls.
-REDUCTIONS: dict[str, Reduction] = {
-    "RT_TO_ZRT": Reduction("sets", "sets", +1, _translates_of_instance,
-                           lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
-    "ZRT_TO_AHT": Reduction("sets", "vectors", -1, _anchored_differences,
-                            lambda witness: partial_sums(witness), invariant=True),
-    "AHT_TO_ZRT": Reduction("vectors", "sets", +1,
-                            lambda instance, window: lift_differences(instance.table, window),
-                            lambda witness: differences(gap_increasing(witness)), min_len=2),
-    "APAHT_TO_RT": Reduction("vectors", "sets", +1, _half_open_blocks, _consecutive_blocks,
-                             window=bit_window, extra=1, min_len=2, apart=True),
-}
+REDUCTIONS: dict[str, Reduction] = {f"{r.source}_TO_{r.target}": r for r in (
+    Reduction("RT", "ZRT", +1, _translates_of_instance, _minus_least, extra=1),
+    Reduction("ZRT", "AHT", -1, _anchored_differences, lambda witness: partial_sums(witness)),
+    Reduction("AHT", "ZRT", +1, lambda instance, window: lift_differences(instance.table, window),
+              lambda witness: differences(gap_increasing(witness)), min_len=2),
+    Reduction("APAHT", "RT", +1, _half_open_blocks, _consecutive_blocks, window=bit_window, extra=1, min_len=2),
+)}
 KINDS = tuple(REDUCTIONS)
 
 
@@ -139,17 +139,16 @@ def kind_param(kind: str, instance: Colouring) -> int:
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
     """Transform an instance of the source problem into one of the target problem."""
     reduction = _reduction(kind)
-    if instance.mode != reduction.source_mode:
-        raise PreconditionError(
-            f"{kind} expects a {reduction.source_mode}-mode instance, got {instance.mode!r}"
-        )
+    mode, invariant, _ = _SHAPES[reduction.source]
+    if instance.mode != mode:
+        raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
     kind_param(kind, instance)  # refuses an arity the shift would take below 1
-    if reduction.invariant:
+    if invariant:
         witness = invariance_witness(instance)
         if witness is not None:
             raise NotInvariantError(f"{kind} requires a shift-invariant instance", witness=witness)
     dim = instance.dim + reduction.shift
-    mode = reduction.target_mode
+    mode = _SHAPES[reduction.target][0]
     window = reduction.window(instance.window)
     charge_domain(mode, dim, window)
     return _unchecked(Colouring, dim, window, instance.palette, mode, reduction.forward(instance, window))
@@ -161,6 +160,9 @@ def backward_transform(kind: str, solution) -> tuple:
     entries = tuple(solution)
     if not entries:
         raise PreconditionError("backward_transform requires a nonempty solution")
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise PreconditionError(f"solution entries must be integers, got {x!r}")
     if any(a >= b for a, b in zip(entries, entries[1:])):
         raise PreconditionError(f"solution must be strictly increasing, got {entries}")
     if len(entries) < reduction.min_len:
@@ -257,7 +259,7 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
         seen = witness_colour(transformed, witness)  # None if the check is vacuous
         if passed and colour is not None and seen is not None:
             passed = colour == seen
-        if reduction.apart:
+        if _SHAPES[reduction.source][2]:
             passed = passed and is_apart(mapped)
     return ReductionReport(
         kind=kind,

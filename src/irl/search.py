@@ -27,7 +27,10 @@ from irl.colouring import enumerate_colourings  # noqa: F401  kept importable fr
 from irl.errors import BudgetExceededError, PreconditionError, check_int
 from irl.sums import _choose, _gaps, _run_tuples
 
-# principle -> (mode, whether its colourings are shift-invariant, whether its walk is apart)
+# principle -> (mode, whether its colourings are shift-invariant, whether its solutions are apart),
+# the one statement of each principle's shape: the finite-number walks and irl.reduce's kinds read it.
+# Apart means that each element of an APAHT solution has its lowest bit above the highest bit of the
+# one before, and that the gaps of a SEPZRT solution do; no reduction kind has a SEPZRT side.
 _SHAPES = {"RT": ("sets", False, False), "ZRT": ("sets", True, False), "SEPZRT": ("sets", True, True),
            "AHT": ("vectors", False, False), "APAHT": ("vectors", False, True)}
 PRINCIPLES = tuple(_SHAPES)

@@ -33,6 +33,8 @@ def files(tmp_path):
             Colouring(2, 8, 2, "sets", {t: t[0] % 2 for t in sets_domain(2, 8)}))),
         "differences": dump("differences.json", colouring_to_json(
             DifferenceColouring(1, 5, 3, {(z,): z % 3 for z in range(1, 6)}))),
+        "vectors": dump("vectors.json", colouring_to_json(
+            Colouring(1, 4, 2, "vectors", {(x,): x % 2 for x in range(1, 5)}))),
         "oracle": dump("oracle.json", {"events": [[0, 2], [3, 5]]}),
         "broken": dump("broken.json", {"dim": 2}),
         "dir": tmp_path,
@@ -164,6 +166,9 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
      "reduce --op backward requires --solution"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", '[1, "a"]'), "format",
      "solution must be a JSON array of integers"),
+    (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", "[-1,2]"), "precondition",
+     "subset entries must be non-negative"),
+    (("to-differences", "--input", "{vectors}"), "precondition", "to_differences applies to sets-mode colourings"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward"), "precondition", "reduce --op forward requires --input"),
     (("reduce", "--kind", "RT_TO_ZRT", "--input", "{parity}"), "precondition", "reduce --op verify requires --m"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", "{differences}"), "precondition",

@@ -102,6 +102,13 @@ def test_to_differences_requires_pairs_or_higher():
         to_differences(c)
 
 
+def test_to_differences_refuses_a_vectors_colouring():
+    c = Colouring(2, 4, 2, "vectors", {(1, 1): 0, (1, 2): 1})
+    with pytest.raises(PreconditionError) as info:
+        to_differences(c)
+    assert str(info.value) == "to_differences applies to sets-mode colourings"
+
+
 def test_from_differences_examples():
     dc = DifferenceColouring(1, 5, 3, {(z,): z % 3 for z in range(1, 6)})
     c = from_differences(dc, 5)
@@ -305,6 +312,8 @@ def test_table_validation():
     (lambda: Colouring(1, -1, 2, "sets", {}), FormatError, "window must be an integer >= 0, got -1"),
     (lambda: Colouring(1, 2, 0, "sets", {}), FormatError, "palette must be an integer >= 1, got 0"),
     (lambda: Colouring(1, 2, 2, "bogus", {}), FormatError, "mode must be one of ('sets', 'vectors'), got 'bogus'"),
+    (lambda: Colouring(1, 3, 2, "sets", None), FormatError, "table must be a dict, got NoneType"),
+    (lambda: DifferenceColouring(1, 3, 2, [((1,), 0)]), FormatError, "table must be a dict, got list"),
     (lambda: from_differences(DifferenceColouring(1, 2, 2, {}), -1), FormatError,
      "window must be an integer >= 0, got -1"),
     (lambda: next(enumerate_colourings(2, 3, 2, mode="vectors", invariant=True)), PreconditionError,

@@ -29,7 +29,7 @@ from irl.reduce import (
     kind_param,
     verify_reduction,
 )
-from irl.search import FiniteNumberQuery, finite_number
+from irl.search import _SHAPES, FiniteNumberQuery, finite_number
 from irl.sums import adjacent_tuples
 
 
@@ -119,6 +119,28 @@ def test_backward_preconditions():
         backward_transform("APAHT_TO_RT", (3, 1))
     with pytest.raises(PreconditionError):
         backward_transform("RT_TO_ZRT", ())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("solution, bad", [
+    ([None, 5], None), (["a", "b"], "a"), ([0.5, 1.5], 0.5), ([1, 2.0], 2.0), ([True, 2], True), ([0, 1, False], False),
+])
+def test_backward_refuses_a_non_integer_entry_before_comparing(kind, solution, bad):
+    with pytest.raises(PreconditionError) as info:
+        backward_transform(kind, solution)
+    assert str(info.value) == f"solution entries must be integers, got {bad!r}"
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("RT_TO_ZRT", "subset entries must be non-negative"),
+    ("ZRT_TO_AHT", "partial_sums requires positive integer entries, got -1"),
+    ("AHT_TO_ZRT", "gap_increasing requires non-negative integer entries"),
+    ("APAHT_TO_RT", "bit positions must be non-negative"),
+])
+def test_backward_refuses_a_negative_entry_for_every_kind(kind, message):
+    with pytest.raises(PreconditionError) as info:
+        backward_transform(kind, [-1, 2])
+    assert str(info.value) == message
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=8, unique=True))
@@ -229,6 +251,48 @@ def test_reports_of_different_instances_differ_even_with_equal_verdicts():
 
 def test_kinds_are_complete():
     assert set(KINDS) == {"RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT"}
+
+
+# kind -> (source mode, target mode, source shift invariance, source apartness), read from _SHAPES
+DERIVED = {
+    "RT_TO_ZRT": ("sets", "sets", False, False),
+    "ZRT_TO_AHT": ("sets", "vectors", True, False),
+    "AHT_TO_ZRT": ("vectors", "sets", False, False),
+    "APAHT_TO_RT": ("vectors", "sets", False, True),
+}
+
+
+def test_each_kind_takes_its_shape_from_its_principles():
+    assert KINDS == ("RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT")
+    for kind, reduction in REDUCTIONS.items():
+        assert kind == f"{reduction.source}_TO_{reduction.target}"
+        mode, invariant, apart = _SHAPES[reduction.source]
+        assert (mode, _SHAPES[reduction.target][0], invariant, apart) == DERIVED[kind]
+    assert sorted(r.source for r in REDUCTIONS.values()) == ["AHT", "APAHT", "RT", "ZRT"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_forward_and_verify_follow_the_derived_shapes(monkeypatch, kind):
+    source_mode, target_mode, invariant, apart = DERIVED[kind]
+    if source_mode == "vectors":
+        instance, other = vector_colouring(1, 15, lambda t: 0), invariant_pairs(6, lambda z: 0)
+    else:
+        instance, other = invariant_pairs(6, lambda z: 0), vector_colouring(1, 15, lambda t: 0)
+    assert forward_transform(kind, instance).mode == target_mode
+    with pytest.raises(PreconditionError, match=f"{kind} expects a {source_mode}-mode instance"):
+        forward_transform(kind, other)
+    if source_mode == "sets":
+        anchored = Colouring(2, 4, 2, "sets", {t: t[0] % 2 for t in sets_domain(2, 4)})
+        if invariant:
+            with pytest.raises(NotInvariantError):
+                forward_transform(kind, anchored)
+        else:
+            forward_transform(kind, anchored)
+    # a monochromatic mapped solution passes unless the source principle asks for apartness
+    monkeypatch.setitem(REDUCTIONS, kind, replace(REDUCTIONS[kind], backward=lambda witness: (1, 3)))
+    report = verify_reduction(kind, instance, 2)
+    assert report.mapped == (1, 3) and not is_apart((1, 3))
+    assert report.passed is (not apart)
 
 
 @pytest.mark.parametrize("call", [
