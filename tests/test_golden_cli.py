@@ -6,21 +6,25 @@ pinned by their SHA-256 and length.  Pins are only ever added, never
 rewritten to make a test pass.
 """
 
+import csv
 import hashlib
-import importlib.util
 import io
 import json
 import random
 from contextlib import redirect_stdout
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 
+from by_path import load
 from irl.cli import main
 from irl.search import sweep_finite_numbers
+
+checks = load("perfbench/checks.py")
 
 KINDS = ("RT_TO_ZRT", "ZRT_TO_AHT", "AHT_TO_ZRT", "APAHT_TO_RT")
 
 GOLDEN = Path(__file__).with_name("golden") / "cli_stdout.json"
+SWEEP_CSV = GOLDEN.parent / "finite_number_sweep_cap12.csv"
 INLINE_LIMIT = 1024
 SEED = 20240
 REPLICAS = 2
@@ -96,36 +100,19 @@ SPARSE_DIFFERENCES = [  # (dim, table window, lift window, palette, keep)
     (2, 6, 14, 3, 0.3),
     (3, 5, 12, 2, 0.4),
 ]
-SWEEP = Path(__file__).resolve().parent.parent / "scripts" / "finite_number_sweep.py"
-
-
-def _sets(dim, window):
-    return list(combinations(range(window + 1), dim))
-
-
-def _vectors(dim, window):
-    return [v for v in product(range(1, window + 1), repeat=dim) if sum(v) <= window]
-
-
-def _diffs(t):
-    return tuple(b - a for a, b in zip(t, t[1:]))
-
-
-def _lift(differences, dim, window):
-    return {t: differences[_diffs(t)] for t in _sets(dim, window) if _diffs(t) in differences}
 
 
 def _instance(rng, maker, dim, window, palette):
     """(mode, window, table) of a seeded instance; ``window`` counts bit positions for blocks."""
     if maker == "sets":
-        return "sets", window, {t: rng.randrange(palette) for t in _sets(dim, window)}
+        return "sets", window, {t: rng.randrange(palette) for t in checks.sets_tuples(dim, window)}
     if maker == "invariant":
-        differences = {v: rng.randrange(palette) for v in _vectors(dim - 1, window)}
-        return "sets", window, _lift(differences, dim, window)
+        differences = {v: rng.randrange(palette) for v in checks.vector_tuples(dim - 1, window)}
+        return "sets", window, checks.expected_forward("AHT_TO_ZRT", dim - 1, window, differences)[3]
     if maker == "vectors":
-        return "vectors", window, {v: rng.randrange(palette) for v in _vectors(dim, window)}
+        return "vectors", window, {v: rng.randrange(palette) for v in checks.vector_tuples(dim, window)}
     table = {tuple(2 ** t[i + 1] - 2 ** t[i] for i in range(dim)): rng.randrange(palette)
-             for t in _sets(dim + 1, window)}
+             for t in checks.sets_tuples(dim + 1, window)}
     return "vectors", 2 ** window - 1, table
 
 
@@ -191,7 +178,7 @@ def cases(directory):
     rng = random.Random(SEED + 2)
     for maker, dim, window, palette, keep in PARTIAL_SHAPES:
         if maker == "sets":
-            domain = _sets(dim, window)
+            domain = checks.sets_tuples(dim, window)
         else:
             domain = list(product(range(1, window + 1), repeat=dim))
         table = {t: rng.randrange(palette) for t in domain if rng.random() < keep}
@@ -202,7 +189,7 @@ def cases(directory):
         for target in (dim + 1, dim + 2):
             add(f"partial-verify-{label}-m{target}", data, ["reduce", "--kind", kind, "--m", str(target)])
     for dim, window, lift, palette, keep in SPARSE_DIFFERENCES:
-        table = {v: rng.randrange(palette) for v in _vectors(dim, window) if rng.random() < keep}
+        table = {v: rng.randrange(palette) for v in checks.vector_tuples(dim, window) if rng.random() < keep}
         add(f"sparse-from-differences-d{dim}w{window}-to{lift}",
             _payload(dim, window, palette, "differences", table),
             ["from-differences", "--window", str(lift)])
@@ -242,10 +229,26 @@ def test_golden_stdout(tmp_path):
 
 
 def test_finite_number_sweep_matches_pinned_csv():
-    spec = importlib.util.spec_from_file_location("finite_number_sweep", SWEEP)
-    sweep = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sweep)
     buffer = io.StringIO()
-    sweep_finite_numbers(sweep.default_queries(12), buffer)
-    pinned = GOLDEN.parent / "finite_number_sweep_cap12.csv"
-    assert buffer.getvalue().encode() == pinned.read_bytes()  # byte for byte: rows end in \r\n
+    sweep_finite_numbers(load("scripts/finite_number_sweep.py").default_queries(12), buffer)
+    assert buffer.getvalue().encode() == SWEEP_CSV.read_bytes()  # byte for byte: rows end in \r\n
+
+
+# rows whose finite number has no published or elementary value to check it by
+NO_INDEPENDENT_VALUE = {("ZRT", 2, 2, 2), ("SEPZRT", 2, 1, 3)}
+
+
+def test_finite_number_sweep_rows_pass_the_independent_check():
+    verdicts = {}
+    for row in csv.DictReader(io.StringIO(SWEEP_CSV.read_text())):
+        query = (row["principle"], int(row["dim"]), int(row["k"]), int(row["m"]))
+        shown = json.loads(row["witness_or_counterexample"])
+        if row["N"] == "exceeds cap":
+            value, witness = None, None
+            counterexample = (shown["dim"], shown["window"], shown["palette"], shown["mode"], checks.table_of(shown))
+        else:
+            value, witness, counterexample = int(row["N"]), shown, None
+        verdicts[query] = checks.check_finite_number(*query, 12, value, witness, counterexample)
+    assert len(verdicts) == 14
+    assert verdicts == {query: "no independent value to compare against" if query in NO_INDEPENDENT_VALUE else None
+                        for query in verdicts}

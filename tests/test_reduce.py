@@ -1,12 +1,13 @@
 import json
 import random
 from dataclasses import replace
-from itertools import accumulate, product
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from irl.bits import block, is_apart
+from by_path import load
+from irl.bits import WORD_BITS, block, is_apart
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
@@ -30,7 +31,8 @@ from irl.reduce import (
     verify_reduction,
 )
 from irl.search import _SHAPES, FiniteNumberQuery, finite_number
-from irl.sums import adjacent_tuples
+
+checks = load("perfbench/checks.py")
 
 
 def unary_colouring(window, fn, palette=2):
@@ -208,7 +210,7 @@ def test_verify_round_trip_colour_identity():
         if report.passed:
             seen_pass += 1
             transformed = forward_transform("ZRT_TO_AHT", instance)
-            colours = {transformed.table[t] for t in adjacent_tuples(report.witness, 1)}
+            colours = {transformed.table[t] for t in checks.run_tuples(report.witness, 1)}
             assert colours == {report.colour}
     assert seen_pass > 10
 
@@ -307,6 +309,27 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
     assert str(info.value) == f"kind must be one of {KINDS}, got 'NOPE'"
 
 
+DIFFERENCES = DifferenceColouring(1, 4, 2, {(1,): 0})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: backward_transform("RT_TO_ZRT", 5), "solution must be an iterable of integers, got 5"),
+    (lambda: backward_transform("RT_TO_ZRT", None), "solution must be an iterable of integers, got None"),
+    (lambda: forward_transform("RT_TO_ZRT", {"dim": 1}), "RT_TO_ZRT expects a Colouring instance, got dict"),
+    (lambda: verify_reduction("RT_TO_ZRT", None, 2), "RT_TO_ZRT expects a Colouring instance, got NoneType"),
+    (lambda: forward_transform("AHT_TO_ZRT", DIFFERENCES),
+     "AHT_TO_ZRT expects a Colouring instance, got DifferenceColouring"),
+    (lambda: verify_reduction("ZRT_TO_AHT", DIFFERENCES, 2),
+     "ZRT_TO_AHT expects a Colouring instance, got DifferenceColouring"),
+    (lambda: kind_param("APAHT_TO_RT", DIFFERENCES),
+     "APAHT_TO_RT expects a Colouring instance, got DifferenceColouring"),
+])
+def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
+    with pytest.raises(PreconditionError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_verify_checks_the_target_before_the_kind():
     with pytest.raises(PreconditionError, match="target must be an integer >= 1"):
         verify_reduction("NOPE", unary_colouring(3, lambda y: 0), 0)
@@ -346,16 +369,6 @@ def test_finite_number_counterexamples_stay_witness_free_forward():
     assert (checked, refused) == (164, 6)
 
 
-def _differences_walk(table, dim, window):
-    """The target-domain walk: each dim-set of [0, window] coloured by its difference vector."""
-    out = {}
-    for t in sets_domain(dim, window):
-        colour = table.get(tuple(b - a for a, b in zip(t, t[1:])))
-        if colour is not None:
-            out[t] = colour
-    return out
-
-
 def test_translation_lifts_match_the_differences_walk():
     # from_differences, RT_TO_ZRT and AHT_TO_ZRT each colour a set by the
     # class of its translates; vectors coordinates run over [1, window], so
@@ -371,23 +384,19 @@ def test_translation_lifts_match_the_differences_walk():
 
                 dc = DifferenceColouring(dim, window, palette, partial(vectors_domain(dim, window)))
                 lift = rng.randint(0, 12)
-                assert from_differences(dc, lift).table == _differences_walk(dc.table, dim + 1, lift)
+                assert from_differences(dc, lift).table == checks.expected_forward("AHT_TO_ZRT", dim, lift, dc.table)[3]
 
                 sets = partial(sets_domain(dim, window))
-                # the set {0} + s has difference vector (s[0], s[1] - s[0], ...)
-                differences = {tuple(b - a for a, b in zip((0,) + s, s)): colour
-                               for s, colour in sets.items() if s[0] > 0}
                 got = forward_transform("RT_TO_ZRT", Colouring(dim, window, palette, "sets", sets))
-                assert got.table == _differences_walk(differences, dim + 1, window)
+                assert got.table == checks.expected_forward("RT_TO_ZRT", dim, window, sets)[3]
 
                 vectors = partial(product(range(1, window + 1), repeat=dim))
                 got = forward_transform("AHT_TO_ZRT", Colouring(dim, window, palette, "vectors", vectors))
-                assert got.table == _differences_walk(vectors, dim + 1, window)
+                assert got.table == checks.expected_forward("AHT_TO_ZRT", dim, window, vectors)[3]
 
 
 def reference_zrt_to_aht(instance):
-    """forward_transform("ZRT_TO_AHT") as a walk of the target domain: each
-    vector takes the colour of its partial sums from 0, if they are coloured."""
+    """forward_transform("ZRT_TO_AHT"): its refusals, then the checks' walk of the target domain."""
     if instance.mode != "sets":
         raise PreconditionError(f"ZRT_TO_AHT expects a sets-mode instance, got {instance.mode!r}")
     if instance.dim < 2:
@@ -396,12 +405,8 @@ def reference_zrt_to_aht(instance):
     if witness is not None:
         raise NotInvariantError("ZRT_TO_AHT requires a shift-invariant instance", witness=witness)
     charge_domain("vectors", instance.dim - 1, instance.window)
-    table = {}
-    for v in vectors_domain(instance.dim - 1, instance.window):
-        colour = instance.table.get((0, *accumulate(v)))
-        if colour is not None:
-            table[v] = colour
-    return Colouring(instance.dim - 1, instance.window, instance.palette, "vectors", table)
+    dim, window, mode, table = checks.expected_forward("ZRT_TO_AHT", instance.dim, instance.window, instance.table)
+    return Colouring(dim, window, instance.palette, mode, table)
 
 
 def transform_outcome(transform, instance):
@@ -456,19 +461,20 @@ def run_values(positions):
 
 
 def reference_apaht_to_rt(instance):
-    """forward_transform("APAHT_TO_RT") as a walk of the target domain: each
-    position tuple takes the colour of its consecutive half-open blocks, if
-    they are coloured."""
+    """forward_transform("APAHT_TO_RT"): its refusals, then the checks' walk of the target domain.
+
+    A walk that reads each position tuple's half-open blocks overflows on
+    its first tuple past bit 64.
+    """
     if instance.mode != "vectors":
         raise PreconditionError(f"APAHT_TO_RT expects a vectors-mode instance, got {instance.mode!r}")
     window = bit_window(instance.window)
     charge_domain("sets", instance.dim + 1, window)
-    table = {}
-    for t in sets_domain(instance.dim + 1, window):
-        colour = instance.table.get(tuple(block(a, b - 1) for a, b in zip(t, t[1:])))
-        if colour is not None:
-            table[t] = colour
-    return Colouring(instance.dim + 1, window, instance.palette, "sets", table)
+    over = next((t for t in checks.sets_tuples(instance.dim + 1, window) if t[-1] > WORD_BITS), None)
+    if over is not None:
+        tuple(block(a, b - 1) for a, b in zip(over, over[1:]))
+    dim, window, mode, table = checks.expected_forward("APAHT_TO_RT", instance.dim, instance.window, instance.table)
+    return Colouring(dim, window, instance.palette, mode, table)
 
 
 def test_apaht_to_rt_forward_matches_the_target_domain_walk(monkeypatch):

@@ -1,12 +1,14 @@
 import random
 import sys
 import time
-from itertools import combinations
+from collections import Counter
+from functools import cache
+from itertools import accumulate, combinations
 from math import comb
 
 import pytest
 
-from irl.bits import is_apart, is_separated
+from by_path import load
 from irl.colouring import Colouring, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.search import (
@@ -17,7 +19,8 @@ from irl.search import (
     finite_number,
     witness_colour,
 )
-from irl.sums import _anchor, _gaps as _difference_vector, adjacent_sums, adjacent_tuples
+
+checks = load("perfbench/checks.py")
 
 
 def pair_colouring(window, fn, palette=2):
@@ -28,24 +31,6 @@ def pair_colouring(window, fn, palette=2):
 def vector_colouring(dim, window, fn, palette=2):
     return Colouring(dim, window, palette, "vectors",
                      {t: fn(t) for t in vectors_domain(dim, window)})
-
-
-def brute_mono_subsets(c, m):
-    """Naive double-loop checker: every m-subset, every tuple compared pairwise."""
-    hits = []
-    for cand in combinations(range(c.window + 1), m):
-        tuples = list(combinations(cand, c.dim))
-        fine = True
-        for i in range(len(tuples)):
-            for j in range(len(tuples)):
-                if c.table[tuples[i]] != c.table[tuples[j]]:
-                    fine = False
-                    break
-            if not fine:
-                break
-        if fine:
-            hits.append(cand)
-    return hits
 
 
 def test_find_mono_subset_examples():
@@ -68,12 +53,8 @@ def test_find_afs_mono_examples():
     constant = vector_colouring(1, 6, lambda t: 0)
     assert find_afs_mono(constant, 3, window=6) == (1, 2, 3)
     pair_sum_parity = vector_colouring(2, 12, lambda t: (t[0] + t[1]) % 2)
-    # brute force: (2, 3, 4) is monochromatic in colour 1 and precedes (2, 4, 6)
-    expected = min(
-        cand for cand in combinations(range(1, 13), 3)
-        if sum(cand) <= 12
-        and len({pair_sum_parity.table[t] for t in adjacent_tuples(cand, 2)}) == 1
-    )
+    # (2, 3, 4) is monochromatic in colour 1 and precedes (2, 4, 6)
+    expected = checks.least_run_sequence(pair_sum_parity.table, 2, 3, 12, 2)
     assert expected == (2, 3, 4)
     assert find_afs_mono(pair_sum_parity, 3, window=12) == expected
 
@@ -82,7 +63,6 @@ def test_find_afs_mono_respects_window():
     constant = vector_colouring(1, 20, lambda t: 0)
     witness = find_afs_mono(constant, 3, window=7)
     assert witness == (1, 2, 3)
-    assert max(adjacent_sums(witness)) <= 7
     assert find_afs_mono(constant, 3, window=5) is None
 
 
@@ -90,11 +70,11 @@ def test_find_afs_mono_apart_flag():
     constant = vector_colouring(1, 30, lambda t: 0)
     witness = find_afs_mono(constant, 3, window=30, apart=True)
     assert witness == (1, 2, 4)
-    assert is_apart(witness)
+    assert checks.apart(witness)
     parity = vector_colouring(1, 30, lambda t: t[0] % 2)
     witness = find_afs_mono(parity, 2, window=30, apart=True)
-    assert witness is not None and is_apart(witness)
-    assert len({parity.table[(s,)] for s in adjacent_sums(witness)}) == 1
+    assert witness is not None and checks.apart(witness)
+    assert checks.mono_colour(parity.table, checks.run_tuples(witness, 1)) is not None
 
 
 def test_find_afs_mono_colour_restriction():
@@ -108,49 +88,102 @@ def test_separated_flag_produces_separated_witness():
     constant = pair_colouring(10, lambda x, y: 0)
     witness = find_mono_subset(constant, 3, separated=True)
     assert witness == (0, 1, 3)
-    assert is_separated(witness)
+    assert checks.apart(checks.diffs(witness))
 
 
-def test_lex_least_contract_against_shuffled_brute_force():
+def random_colouring(rng, mode, dim, window, palette, keep):
+    """A colouring of the tuples of the domain, each one kept with probability ``keep``."""
+    domain = sets_domain(dim, window) if mode == "sets" else vectors_domain(dim, window)
+    return Colouring(dim, window, palette, mode, {t: rng.randrange(palette) for t in domain if rng.random() < keep})
+
+
+def subset_cases():
+    """(source, colouring, m, separated) for find_mono_subset, one seeded source after another."""
     rng = random.Random(17)
     for trial in range(40):
         window = rng.randint(2, 6)
-        c = next(sample_colourings(2, window, 2, seed=trial, count=1))
-        hits = brute_mono_subsets(c, 3)
-        rng.shuffle(hits)
-        expected = min(hits) if hits else None
-        assert find_mono_subset(c, 3) == expected
+        yield "sampled", next(sample_colourings(2, window, 2, seed=trial, count=1)), 3, False
+    for window in range(2, 5):
+        for c in enumerate_colourings(2, window, 2):
+            yield "exhaustive", c, 3, False
+    for window in (5, 6):
+        for c in sample_colourings(2, window, 2, seed=window, count=120):
+            yield "sampled by window", c, 3, False
+    rng = random.Random(23)
+    for trial in range(150):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 9)
+        c = random_colouring(rng, "sets", dim, window, 2, rng.choice((0.2, 0.5, 0.9)))
+        for m in range(dim, dim + 3):
+            for separated in (False, True):
+                yield "partial", c, m, separated
+    rng = random.Random(31)
+    for trial in range(90):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 9)
+        c = random_colouring(rng, "sets", dim, window, 3, rng.choice((0.6, 0.9, 1.0)))
+        for m in range(dim, dim + 5):
+            for separated in (False, True):
+                yield "three colours", c, m, separated
+    rng = random.Random(43)
+    shapes = [(2, rng.randint(12, 18)) for _ in range(12)]
+    shapes += [(dim, rng.randint(6, 12)) for dim in (1, 3) for _ in range(8)]
+    for dim, window in shapes:
+        palette = rng.randint(1, 3)
+        keep = rng.choice((0.7, 0.9, 1.0))
+        c = random_colouring(rng, "sets", dim, window, palette, keep)
+        for m in range(3 if dim == 2 else dim, 7):
+            yield "wide separated", c, m, True
 
 
-def test_afs_lex_least_contract_against_shuffled_brute_force():
+def test_find_mono_subset_is_the_least_subset_of_the_checks():
+    found = Counter()
+    for source, c, m, separated in subset_cases():
+        got = find_mono_subset(c, m, separated)
+        assert got == checks.least_subset(c.table, c.window, c.dim, m, c.palette, separated), \
+            (source, c, m, separated)
+        found[source] += got is not None
+    assert found["wide separated"] > 40
+
+
+def afs_cases():
+    """(source, colouring, m, window, apart, colour) for find_afs_mono, one seeded source after another."""
     rng = random.Random(19)
     for trial in range(40):
         window = rng.randint(6, 14)
         c = next(sample_colourings(1, window, 2, mode="vectors", seed=trial, count=1))
-        hits = [
-            cand for cand in combinations(range(1, window + 1), 3)
-            if sum(cand) <= window
-            and len({c.table[(s,)] for s in adjacent_sums(cand)}) == 1
-        ]
-        rng.shuffle(hits)
-        expected = min(hits) if hits else None
-        assert find_afs_mono(c, 3, window=window) == expected
+        yield "sampled", c, 3, window, False, None
+    rng = random.Random(29)
+    for trial in range(150):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 13)
+        c = random_colouring(rng, "vectors", dim, window, 2, rng.choice((0.2, 0.5, 0.9)))
+        for m in range(1, dim + 3):
+            limit = rng.randint(1, window)
+            for apart, colour in ((False, None), (True, None), (False, 1)):
+                yield "partial", c, m, limit, apart, colour
+    rng = random.Random(41)
+    for trial in range(300):
+        dim = rng.randint(1, 3)
+        window = rng.randint(dim, 40)
+        keep = rng.choice((0.3, 0.7, 0.95, 1.0))
+        palette = rng.randint(1, 3)
+        c = random_colouring(rng, "vectors", dim, window, palette, keep)
+        for m in range(1, 8):
+            limit = rng.choice((None, rng.randint(1, window), window + rng.randint(1, 5)))
+            for apart, colour in ((False, None), (True, None), (False, palette - 1), (True, 0)):
+                yield "wide", c, m, limit, apart, colour
 
 
-def test_agreement_with_naive_checker_exhaustive():
-    for window in range(2, 5):
-        for c in enumerate_colourings(2, window, 2):
-            hits = brute_mono_subsets(c, 3)
-            expected = min(hits) if hits else None
-            assert find_mono_subset(c, 3) == expected
-
-
-def test_agreement_with_naive_checker_sampled():
-    for window in (5, 6):
-        for c in sample_colourings(2, window, 2, seed=window, count=120):
-            hits = brute_mono_subsets(c, 3)
-            expected = min(hits) if hits else None
-            assert find_mono_subset(c, 3) == expected
+def test_find_afs_mono_is_the_least_run_sequence_of_the_checks():
+    found = Counter()
+    for source, c, m, limit, apart, colour in afs_cases():
+        got = find_afs_mono(c, m, limit, apart, colour)
+        window = c.window if limit is None else limit
+        assert got == checks.least_run_sequence(c.table, c.dim, m, window, c.palette, apart, colour), \
+            (source, c, m, limit, apart, colour)
+        found[source] += got is not None
+    assert found["wide"] > 1500
 
 
 def test_finite_number_pinned_values():
@@ -212,7 +245,7 @@ def test_finite_number_charges_one_unit_per_size():
 
 
 def reference_finite_number(query, budget):
-    """Exhaustive reference: search every colouring in enumeration order at each size."""
+    """Exhaustive reference: the checks' least witness of every colouring, in enumeration order, at each size."""
     sets_mode = query.principle in ("RT", "ZRT", "SEPZRT")
     invariant = query.principle in ("ZRT", "SEPZRT")
     for size in range(1, query.cap + 1):
@@ -222,11 +255,7 @@ def reference_finite_number(query, budget):
         for index, c in enumerate(enumerate_colourings(
                 query.dim, window, query.palette, mode="sets" if sets_mode else "vectors",
                 invariant=invariant, budget=budget)):
-            if sets_mode:
-                witness = find_mono_subset(c, query.size, separated=query.principle == "SEPZRT")
-            else:
-                witness = find_afs_mono(c, query.size, window=window,
-                                        apart=query.principle == "APAHT")
+            witness = checks._least_witness(query.principle, c.table, query.dim, query.size, window, query.palette)
             if index == 0:
                 first_witness = witness
             if witness is None:
@@ -341,61 +370,9 @@ def test_apart_walks_visit_only_prefixes_that_complete():
                         sys.setprofile(before)
                     starts = {(0,)}
                     for cand in candidates:
-                        sums = cand if principle == "SEPZRT" else _anchor(cand)
+                        sums = cand if principle == "SEPZRT" else (0, *accumulate(cand))
                         starts.update(sums[:i] for i in range(1, len(sums) + 1))
                     assert visited <= starts, (principle, dim, m, window, sorted(visited - starts)[:3])
-
-
-def brute_least_subset(c, m, separated=False):
-    """Least m-subset of the window with every dim-tuple coloured alike (absent tuples fail)."""
-    for cand in combinations(range(c.window + 1), m):
-        if separated and not is_separated(cand):
-            continue
-        colours = {c.table.get(t) for t in combinations(cand, c.dim)}
-        if len(colours) == 1 and None not in colours:
-            return cand
-    return None
-
-
-def test_find_mono_subset_on_partial_tables_against_brute_force():
-    rng = random.Random(23)
-    for trial in range(150):
-        dim = rng.randint(1, 3)
-        window = rng.randint(dim, 9)
-        keep = rng.choice((0.2, 0.5, 0.9))
-        table = {t: rng.randrange(2) for t in sets_domain(dim, window) if rng.random() < keep}
-        c = Colouring(dim, window, 2, "sets", table)
-        for m in range(dim, dim + 3):
-            for separated in (False, True):
-                assert find_mono_subset(c, m, separated) == brute_least_subset(c, m, separated)
-
-
-
-def brute_least_sequence(c, m, window, apart=False, colour=None):
-    """Least increasing length-m sequence (total <= window) with monochromatic adjacent tuples."""
-    for cand in combinations(range(1, window + 1), m):
-        if sum(cand) > window or (apart and not is_apart(cand)):
-            continue
-        colours = {c.table.get(t) for t in adjacent_tuples(cand, c.dim)}
-        if None in colours or len(colours) > 1 or (colour is not None and colours - {colour}):
-            continue
-        return cand
-    return None
-
-
-def test_find_afs_mono_on_partial_tables_against_brute_force():
-    rng = random.Random(29)
-    for trial in range(150):
-        dim = rng.randint(1, 3)
-        window = rng.randint(dim, 13)
-        keep = rng.choice((0.2, 0.5, 0.9))
-        table = {t: rng.randrange(2) for t in vectors_domain(dim, window) if rng.random() < keep}
-        c = Colouring(dim, window, 2, "vectors", table)
-        for m in range(1, dim + 3):
-            limit = rng.randint(1, window)
-            for apart, colour in ((False, None), (True, None), (False, 1)):
-                assert find_afs_mono(c, m, limit, apart, colour) == \
-                    brute_least_sequence(c, m, limit, apart, colour), (table, m, limit, apart, colour)
 
 
 def test_find_afs_mono_on_a_sparse_wide_instance_is_fast():
@@ -435,25 +412,11 @@ def test_every_two_colouring_of_k6_has_a_monochromatic_triangle():
     assert all(find_mono_subset(c, 3) is not None for c in enumerate_colourings(2, 5, 2))
 
 
-def test_find_mono_subset_three_colours_against_brute_force():
-    rng = random.Random(31)
-    for trial in range(90):
-        dim = rng.randint(1, 3)
-        window = rng.randint(dim, 9)
-        keep = rng.choice((0.6, 0.9, 1.0))
-        table = {t: rng.randrange(3) for t in sets_domain(dim, window) if rng.random() < keep}
-        c = Colouring(dim, window, 3, "sets", table)
-        for m in range(dim, dim + 5):
-            for separated in (False, True):
-                assert find_mono_subset(c, m, separated) == brute_least_subset(c, m, separated), \
-                    (table, m, separated)
-
-
 def test_apaht_candidates_step_through_the_apart_ones():
     for dim in (1, 2, 3):
         for m in range(1, 9):
             apart = [cand for cand in _candidate_witnesses("AHT", dim, m, 40)
-                     if is_apart(cand[0])]
+                     if checks.apart(cand[0])]
             for window in range(1, 41):
                 assert list(_candidate_witnesses("APAHT", dim, m, window)) == \
                     [cand for cand in apart if sum(cand[0]) <= window]
@@ -462,13 +425,14 @@ def test_apaht_candidates_step_through_the_apart_ones():
 def test_shift_invariant_candidates_stand_for_every_subset():
     # brute force: every m-subset of [0, 20] is filed under its largest element,
     # so the subsets of [0, w] are those filed at w or below, in the same order
+    diffs = cache(checks.diffs)  # the dim-subsets of [0, 20] recur across the m-subsets
     for m in range(1, 7):
-        separated = [is_separated(s) for s in combinations(range(21), m)]
+        separated = [checks.apart(checks.diffs(s)) for s in combinations(range(21), m)]
         for dim in range(1, min(m, 3) + 1):
             # principle -> per largest element: the masks and the first subset
             filed = {p: ([set() for _ in range(21)], [None] * 21) for p in ("ZRT", "SEPZRT")}
             for s, passes in zip(combinations(range(21), m), separated):
-                vectors = frozenset(map(_difference_vector, combinations(s, dim)))
+                vectors = frozenset(map(diffs, combinations(s, dim)))
                 for principle, (masks, firsts) in filed.items():
                     if passes or principle == "ZRT":
                         masks[s[-1]].add(vectors)
@@ -493,7 +457,7 @@ def test_adjacent_sum_candidates_carry_their_adjacent_tuples():
             for m in range(1, 7):
                 for window in range(1, 31):
                     for candidate, tuples, cost in _candidate_witnesses(principle, dim, m, window):
-                        assert tuples == adjacent_tuples(candidate, dim), (principle, dim, candidate)
+                        assert tuples == checks.run_tuples(candidate, dim), (principle, dim, candidate)
                         assert cost == len(tuples)
 
 
@@ -524,7 +488,7 @@ def test_least_adjacent_tuple_is_the_leading_prefix():
     for _ in range(600):
         d = rng.randint(1, 4)
         w = tuple(sorted(rng.sample(range(1, 80), rng.randint(d, 7))))
-        assert min(adjacent_tuples(w, d)) == w[:d], w
+        assert min(checks.run_tuples(w, d)) == w[:d], w
     checked = 0
     for dim in (1, 2, 3):
         for trial in range(8):
@@ -535,7 +499,7 @@ def test_least_adjacent_tuple_is_the_leading_prefix():
                     witness = find_afs_mono(c, m, apart=apart)
                     if witness is None:
                         continue
-                    tuples = adjacent_tuples(witness, dim)
+                    tuples = checks.run_tuples(witness, dim)
                     first = min(tuples) if tuples else None
                     assert first == (witness[:dim] if m >= dim else None), (c, witness)
                     assert witness_colour(c, witness) == (None if first is None else c.table.get(first))
@@ -559,87 +523,3 @@ def test_witness_colour_is_the_colour_of_the_leading_prefix():
     vectors = Colouring(2, 6, 3, "vectors", {(1, 2): 0, (1, 5): 1, (3, 3): 1, (2, 3): 2})
     assert witness_colour(vectors, (1, 2, 3)) == 0
     assert witness_colour(vectors, (1,)) is None
-
-
-def per_candidate_afs_walk(c, m, window=None, apart=False, colour=None):
-    """Reference form of find_afs_mono: every candidate rebuilds all of its adjacent tuples."""
-    limit = c.window if window is None else window
-    if m * (m + 1) // 2 > limit:
-        return None
-    d = c.dim
-    if m < d:
-        least = tuple(1 << j for j in range(m)) if apart else tuple(range(1, m + 1))
-        return least if sum(least) <= limit else None
-    points = c.points
-    prefix, psums = [], [0]
-
-    def extend(fixed, start):
-        if len(prefix) == m:
-            return tuple(prefix)
-        after = m - len(prefix) - 1
-        step = 1 << prefix[-1].bit_length() if apart and prefix else 1
-        for j in range(start, len(points)):
-            x = points[j]
-            if psums[-1] + (after + 1) * x + after * (after + 1) // 2 > limit:
-                break
-            if x % step:
-                continue
-            t = len(prefix)
-            prefix.append(x)
-            psums.append(psums[-1] + x)
-            got_colour, ok = fixed, True
-            if t + 1 >= d:
-                for bounds in combinations(range(t + 1), d):
-                    edges = bounds + (t + 1,)
-                    got = c.table.get(tuple(psums[edges[i + 1]] - psums[edges[i]] for i in range(d)))
-                    if got is None or (got_colour is not None and got != got_colour):
-                        ok = False
-                        break
-                    if got_colour is None:
-                        got_colour = got
-            if ok:
-                found = extend(got_colour, j + 1)
-                if found is not None:
-                    return found
-            prefix.pop()
-            psums.pop()
-        return None
-
-    return extend(colour, 0)
-
-
-def test_find_afs_mono_matches_the_per_candidate_walk():
-    rng = random.Random(41)
-    found = 0
-    for trial in range(300):
-        dim = rng.randint(1, 3)
-        window = rng.randint(dim, 40)
-        keep = rng.choice((0.3, 0.7, 0.95, 1.0))
-        palette = rng.randint(1, 3)
-        table = {t: rng.randrange(palette) for t in vectors_domain(dim, window) if rng.random() < keep}
-        c = Colouring(dim, window, palette, "vectors", table)
-        for m in range(1, 8):
-            limit = rng.choice((None, rng.randint(1, window), window + rng.randint(1, 5)))
-            for apart, colour in ((False, None), (True, None), (False, palette - 1), (True, 0)):
-                got = find_afs_mono(c, m, limit, apart, colour)
-                assert got == per_candidate_afs_walk(c, m, limit, apart, colour), \
-                    (dim, window, table, m, limit, apart, colour)
-                found += got is not None
-    assert found > 1500
-
-
-def test_separated_subset_search_on_wide_windows_against_brute_force():
-    rng = random.Random(43)
-    shapes = [(2, rng.randint(12, 18)) for _ in range(12)]
-    shapes += [(dim, rng.randint(6, 12)) for dim in (1, 3) for _ in range(8)]
-    found = 0
-    for dim, window in shapes:
-        palette = rng.randint(1, 3)
-        keep = rng.choice((0.7, 0.9, 1.0))
-        table = {t: rng.randrange(palette) for t in sets_domain(dim, window) if rng.random() < keep}
-        c = Colouring(dim, window, palette, "sets", table)
-        for m in range(3 if dim == 2 else dim, 7):
-            got = find_mono_subset(c, m, separated=True)
-            assert got == brute_least_subset(c, m, separated=True), (dim, window, table, m)
-            found += got is not None
-    assert found > 40

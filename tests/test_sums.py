@@ -4,6 +4,7 @@ from itertools import chain, combinations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from by_path import load
 from irl.bits import block, highest_bit, is_apart, lowest_bit
 from irl.errors import OverflowLimitError, PreconditionError
 from irl.sums import (
@@ -17,6 +18,8 @@ from irl.sums import (
     normalize,
     partial_sums,
 )
+
+run_tuples = load("perfbench/checks.py").run_tuples
 
 
 def test_adjacent_sums_examples():
@@ -167,15 +170,6 @@ def test_adjacent_tuples_of_an_arity_above_the_length_are_empty():
     assert adjacent_tuples((1, 2), 10**12) == frozenset()  # no index array of that size
 
 
-def bound_index_tuples(seq, d):
-    """Reference form of adjacent_tuples: d runs between d + 1 increasing bound indices."""
-    p = [0]
-    for x in seq:
-        p.append(p[-1] + x)
-    return frozenset(tuple(p[b[i + 1]] - p[b[i]] for i in range(d))
-                     for b in combinations(range(len(seq) + 1), d + 1))
-
-
 def outcome(fn, *args):
     try:
         return "value", fn(*args)
@@ -188,7 +182,7 @@ def test_adjacent_tuples_match_the_bound_index_loop():
     for _ in range(3000):
         seq = [rng.randint(1, rng.choice((5, 100, 2**40))) for _ in range(rng.randint(1, 8))]
         d = rng.randint(1, 9)
-        assert adjacent_tuples(seq, d) == bound_index_tuples(seq, d), (seq, d)
+        assert adjacent_tuples(seq, d) == run_tuples(seq, d), (seq, d)
     assert adjacent_tuples([2**63, 2**63 - 1], 2) == frozenset({(2**63, 2**63 - 1)})
 
 
