@@ -290,11 +290,6 @@ def lift_translates(anchored, window) -> dict:
     return table
 
 
-def lift_differences(table, window) -> dict:
-    """``lift_translates`` of each difference vector's partial sums from 0, with its colour."""
-    return lift_translates(((_anchor(v), colour) for v, colour in table.items()), window)
-
-
 def _lift(table, dim, window, palette, limit=None) -> Colouring:
     """``from_differences`` of a difference table, charged to ``limit`` (default: the candidate budget).
 
@@ -302,7 +297,8 @@ def _lift(table, dim, window, palette, limit=None) -> Colouring:
     translates are built.
     """
     charge_domain("sets", dim, window, limit)
-    return _unchecked(Colouring, dim, window, palette, "sets", lift_differences(table, window))
+    anchored = ((_anchor(v), colour) for v, colour in table.items())
+    return _unchecked(Colouring, dim, window, palette, "sets", lift_translates(anchored, window))
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:

@@ -25,23 +25,22 @@ not an error.
 
 import hashlib
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from irl.bits import WORD_BITS, block, is_apart
+from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
     _unchecked,
     charge_domain,
     colouring_to_json,
     invariance_witness,
-    lift_differences,
     lift_translates,
 )
 from irl.errors import NotInvariantError, PreconditionError, check_int
 from irl.search import _SHAPES, find_afs_mono, find_mono_subset, witness_colour
-from irl.sums import _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
+from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
 
 def bit_window(value_window: int) -> int:
@@ -49,13 +48,13 @@ def bit_window(value_window: int) -> int:
     return (check_int(value_window, "value window", 0) + 1).bit_length() - 1
 
 
-# Forward maps: (instance, target window) -> the coloured part of the target
-# domain.  The maps into shift-invariant colourings lift anchored tuples, and
-# ZRT_TO_AHT keys the instance's tuples from 0 by their difference vectors.
-# Every forward map reads only the instance's entries, never the target domain.
+# Forward maps: (instance, target window) -> the target's colouring, read from
+# the instance's entries alone.  A map into a shift-invariant principle gives
+# (tuple from 0, colour) pairs for forward_transform to lift; ZRT_TO_AHT keys
+# the tuples from 0 by their difference vectors; APAHT_TO_RT reads blocks.
 
-def _translates_of_instance(instance, window):
-    return lift_translates((((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0), window)
+def _sets_from_zero(instance, window):
+    return (((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0)
 
 
 def _anchored_differences(instance, window):
@@ -69,9 +68,6 @@ def _consecutive_blocks(positions):
 
 
 def _half_open_blocks(instance, window):
-    dim = instance.dim
-    if window > WORD_BITS and dim <= window:  # raise the overflow of the domain's lex-least over-wide tuple
-        _consecutive_blocks((*range(dim), max(dim, WORD_BITS + 1)))
     limit = 1 << window
     table = {}
     for values, colour in instance.table.items():
@@ -102,7 +98,7 @@ class Reduction:
     source: str  # the principle of the instance and of the mapped-back solution
     target: str  # the principle of the transformed instance and of its witness
     shift: int  # target arity minus source arity
-    forward: Callable[[Colouring, int], dict]  # (instance, target window) -> target table
+    forward: Callable[[Colouring, int], Iterable]  # (instance, target window) -> target table, or pairs to lift
     backward: Callable[[tuple], tuple]  # checked witness -> solution
     window: Callable[[int], int] = lambda window: window  # instance window -> target window
     extra: int = 0  # how much longer a witness is than the solution it maps to
@@ -112,9 +108,9 @@ class Reduction:
 # The backward maps look their helpers up at call time, so wrappers installed
 # on this module's names see the calls.
 REDUCTIONS: dict[str, Reduction] = {f"{r.source}_TO_{r.target}": r for r in (
-    Reduction("RT", "ZRT", +1, _translates_of_instance, _minus_least, extra=1),
+    Reduction("RT", "ZRT", +1, _sets_from_zero, _minus_least, extra=1),
     Reduction("ZRT", "AHT", -1, _anchored_differences, lambda witness: partial_sums(witness)),
-    Reduction("AHT", "ZRT", +1, lambda instance, window: lift_differences(instance.table, window),
+    Reduction("AHT", "ZRT", +1, lambda instance, window: ((_anchor(v), c) for v, c in instance.table.items()),
               lambda witness: differences(gap_increasing(witness)), min_len=2),
     Reduction("APAHT", "RT", +1, _half_open_blocks, _consecutive_blocks, window=bit_window, extra=1, min_len=2),
 )}
@@ -156,10 +152,13 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
         if witness is not None:
             raise NotInvariantError(f"{kind} requires a shift-invariant instance", witness=witness)
     dim = instance.dim + reduction.shift
-    mode = _SHAPES[reduction.target][0]
+    mode, invariant, _ = _SHAPES[reduction.target]
     window = reduction.window(instance.window)
-    charge_domain(mode, dim, window)
-    return _unchecked(Colouring, dim, window, instance.palette, mode, reduction.forward(instance, window))
+    table = reduction.forward(instance, window)
+    if invariant:  # only a lift is charged, for its whole target domain
+        charge_domain(mode, dim, window)
+        table = lift_translates(table, window)
+    return _unchecked(Colouring, dim, window, instance.palette, mode, table)
 
 
 def backward_transform(kind: str, solution) -> tuple:

@@ -319,6 +319,36 @@ def test_materialization_beyond_the_budget_is_refused(wide, argv):
     assert json.loads(out)["error"]["code"] == "budget"
 
 
+@pytest.mark.parametrize("kind, payload, expected", [
+    ("APAHT_TO_RT",
+     {"dim": 3, "window": 2**65 - 1, "palette": 2, "mode": "vectors", "entries": [[[1, 2, 4], 1]]},
+     '{"dim": 4, "window": 65, "palette": 2, "mode": "sets", "entries": [[[0, 1, 2, 3], 1]]}\n'),
+    ("APAHT_TO_RT",
+     {"dim": 4, "window": 2**64 - 1, "palette": 2, "mode": "vectors", "entries": [[[1, 2, 4, 8], 1]]},
+     '{"dim": 5, "window": 64, "palette": 2, "mode": "sets", "entries": [[[0, 1, 2, 3, 4], 1]]}\n'),
+    ("ZRT_TO_AHT",
+     {"dim": 3, "window": 1_000_000, "palette": 2, "mode": "sets", "entries": [[[0, 1, 3], 1], [[5, 6, 8], 1]]},
+     '{"dim": 2, "window": 1000000, "palette": 2, "mode": "vectors", "entries": [[[1, 2], 1]]}\n'),
+], ids=["apaht-2^65", "apaht-2^64", "zrt-10^6"])
+def test_forward_maps_that_lift_nothing_read_only_the_entries(tmp_path, kind, payload, expected):
+    # their target domains hold C(66, 4), C(65, 5) and C(10^6, 2) tuples
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    assert fresh("reduce", "--kind", kind, "--op", "forward", "--input", str(path)) == (0, expected)
+
+
+def test_a_witness_past_bit_64_is_refused_by_the_backward_map(tmp_path):
+    # the blocks of positions (63, 64), (64, 65) and (63, 65) colour the 3-set {63, 64, 65},
+    # whose second block, block(64, 64), does not fit 64 bits
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"dim": 1, "window": 2**65 - 1, "palette": 1, "mode": "vectors",
+                                "entries": [[[2**63], 0], [[2**64], 0], [[2**65 - 2**63], 0]]}))
+    code, out = fresh("reduce", "--kind", "APAHT_TO_RT", "--input", str(path), "--m", "2")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert json.loads(out)["error"] == {"code": "overflow", "message": "block(64, 64) exceeds the 64-bit limit"}
+
+
 def test_lifting_an_empty_table_of_long_vectors_builds_nothing(tmp_path):
     # the lift walks the table's entries, not the 100,000 tuples of the window
     path = tmp_path / "long.json"

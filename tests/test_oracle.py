@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from irl.bits import highest_bit, is_apart, lowest_bit
+from by_path import load
+from irl.bits import highest_bit, lowest_bit
 from irl.errors import BudgetExceededError, FormatError, OverflowLimitError, PreconditionError, WindowExhaustedError
 from irl.oracle import (
     EnumerationOracle,
@@ -20,7 +21,8 @@ from irl.oracle import (
     pair_colour,
     synthesize_solution,
 )
-from irl.sums import adjacent_tuples
+
+checks = load("perfbench/checks.py")
 
 W = EnumerationOracle(events=((0, 2), (3, 5)))
 
@@ -91,11 +93,11 @@ def test_synthesize_examples():
 def test_synthesize_is_apart_with_mono_pairs():
     for oracle in (W, EnumerationOracle(events=()), EnumerationOracle(events=((1, 7), (9, 2)))):
         xs = synthesize_solution(oracle, 4)
-        assert is_apart(xs)
-        lows = [lowest_bit(x) for x in xs]
+        assert checks.apart(xs)
+        lows = [checks.low_bit(x) for x in xs]
         assert lows == sorted(set(lows))
-        for a, b in adjacent_tuples(xs, 2):
-            assert decode_colour(pair_colour(oracle, a, b)) == (1, 1)
+        for a, b in checks.run_tuples(xs, 2):
+            assert decode_colour(pair_colour(oracle, a, b)) == (1, 1) == checks.coding_colour(oracle.events, a, b)
 
 
 def test_synthesize_overflow_reported():
@@ -134,9 +136,9 @@ def test_synthesis_soundness_randomized():
         oracle = random_oracle(rng)
         m = rng.randint(1, 5)
         xs = synthesize_solution(oracle, m)
-        for a, b in adjacent_tuples(xs, 2):
-            assert decode_colour(pair_colour(oracle, a, b)) == (1, 1)
-        for query in range(lowest_bit(xs[-1])):
+        for a, b in checks.run_tuples(xs, 2):
+            assert decode_colour(pair_colour(oracle, a, b)) == (1, 1) == checks.coding_colour(oracle.events, a, b)
+        for query in range(checks.low_bit(xs[-1])):
             assert decode(xs, oracle, query) == (query in oracle.final_set)
 
 
@@ -152,10 +154,10 @@ def test_lambda_monotone_colour_law():
             width = rng.randint(1, 3)
             seq.append(sum(2**p for p in range(position, position + width)))
             position += width
-        assert is_apart(seq)
-        for a, b in adjacent_tuples(tuple(seq), 2):
+        assert checks.apart(seq)
+        for a, b in checks.run_tuples(seq, 2):
             i, _ = decode_colour(pair_colour(oracle, a, b))
-            assert i == 1
+            assert i == 1 == checks.coding_colour(oracle.events, a, b)[0]
 
 
 def test_conditional_decoding_on_searched_sequences():
@@ -168,12 +170,13 @@ def test_conditional_decoding_on_searched_sequences():
         for cand in combinations(range(1, window + 1), 3):
             if sum(cand) > window:
                 continue
-            pairs = adjacent_tuples(cand, 2)
+            pairs = checks.run_tuples(cand, 2)
             if any(decode_colour(pair_colour(oracle, a, b)) != (1, 1) for a, b in pairs):
                 continue
-            if min(highest_bit(x) for x in cand) <= settle:
+            assert all(checks.coding_colour(oracle.events, a, b) == (1, 1) for a, b in pairs)
+            if min(checks.high_bit(x) for x in cand) <= settle:
                 continue
-            top = max(lowest_bit(x) for x in cand)
+            top = max(checks.low_bit(x) for x in cand)
             for query in range(top):
                 assert decode(cand, oracle, query) == (query in oracle.final_set)
 

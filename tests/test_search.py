@@ -333,6 +333,21 @@ def test_separated_zrt_at_dim_two_exceeds_cap_80(k, m):
     assert find_mono_subset(result.counterexample, m, separated=True) is None
 
 
+@pytest.mark.parametrize("d, k, m, apaht", [
+    (1, 1, 2, 3), (1, 1, 3, 7), (1, 1, 4, 15), (1, 1, 5, 31), (1, 2, 2, 31),
+    (2, 1, 2, 3), (2, 1, 3, 7), (2, 1, 4, 15), (2, 1, 5, 31), (2, 2, 2, 3), (2, 3, 2, 3),
+    # both sides exceed their caps
+    (1, 2, 3, None), (1, 2, 4, None), (1, 2, 5, None),
+    (1, 3, 2, None), (1, 3, 3, None), (1, 3, 4, None), (1, 3, 5, None),
+])
+def test_separated_zrt_is_one_more_than_apart_aht(d, k, m, apaht):
+    # SEPZRT^(d+1)_k(m+1) = APAHT^d_k(m) + 1: separated gaps are an apart sequence,
+    # and the sets principle counts points where the adjacent-sum one counts a window
+    sepzrt = finite_number(FiniteNumberQuery("SEPZRT", d + 1, k, m + 1, 81), budget=3_000_000)
+    assert finite_number(FiniteNumberQuery("APAHT", d, k, m, 80), budget=3_000_000).value == apaht
+    assert sepzrt.value == (None if apaht is None else apaht + 1)
+
+
 @pytest.mark.parametrize("query, budget", [
     # each budget runs out part-way through the tuples of one candidate
     (FiniteNumberQuery("RT", 2, 2, 3, 12), 43),
