@@ -18,9 +18,10 @@ Kinds (instance direction / solution direction):
 
 ``verify_reduction`` runs the instance transform, searches the transformed
 instance for its lexicographically least witness, maps the witness back,
-and checks monochromaticity (same colour) on the original instance.  A
-window too small to hold any witness yields a report with a null verdict,
-not an error.
+and checks monochromaticity (same colour) on the original instance.  Into
+ZRT it searches the forward map's tuples from 0 instead of their lift,
+whose least witness starts at 0.  A window too small to hold any witness
+yields a report with a null verdict, not an error.
 """
 
 import hashlib
@@ -39,7 +40,7 @@ from irl.colouring import (
     lift_translates,
 )
 from irl.errors import NotInvariantError, PreconditionError, check_int
-from irl.search import _SHAPES, find_afs_mono, find_mono_subset, witness_colour
+from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
 
@@ -50,7 +51,8 @@ def bit_window(value_window: int) -> int:
 
 # Forward maps: (instance, target window) -> the target's colouring, read from
 # the instance's entries alone.  A map into a shift-invariant principle gives
-# (tuple from 0, colour) pairs for forward_transform to lift; ZRT_TO_AHT keys
+# (tuple from 0, colour) pairs, which forward_transform lifts and
+# verify_reduction searches from 0 without a lift; ZRT_TO_AHT keys
 # the tuples from 0 by their difference vectors; APAHT_TO_RT reads blocks.
 
 def _sets_from_zero(instance, window):
@@ -98,7 +100,7 @@ class Reduction:
     source: str  # the principle of the instance and of the mapped-back solution
     target: str  # the principle of the transformed instance and of its witness
     shift: int  # target arity minus source arity
-    forward: Callable[[Colouring, int], Iterable]  # (instance, target window) -> target table, or pairs to lift
+    forward: Callable[[Colouring, int], Iterable]  # (instance, target window) -> target table, or pairs from 0
     backward: Callable[[tuple], tuple]  # checked witness -> solution
     window: Callable[[int], int] = lambda window: window  # instance window -> target window
     extra: int = 0  # how much longer a witness is than the solution it maps to
@@ -140,8 +142,12 @@ def kind_param(kind: str, instance: Colouring) -> int:
     return min(instance.dim, instance.dim + shift)
 
 
-def forward_transform(kind: str, instance: Colouring) -> Colouring:
-    """Transform an instance of the source problem into one of the target problem."""
+def _checked(kind: str, instance) -> Reduction:
+    """The kind's record, once ``instance`` passes the forward checks and a lift is charged.
+
+    ``forward_transform`` and ``verify_reduction`` share these checks and
+    this charge, in this order.
+    """
     reduction = _instance_reduction(kind, instance)
     mode, invariant, _ = _SHAPES[reduction.source]
     if instance.mode != mode:
@@ -151,14 +157,30 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
         witness = invariance_witness(instance)
         if witness is not None:
             raise NotInvariantError(f"{kind} requires a shift-invariant instance", witness=witness)
-    dim = instance.dim + reduction.shift
     mode, invariant, _ = _SHAPES[reduction.target]
-    window = reduction.window(instance.window)
-    table = reduction.forward(instance, window)
     if invariant:  # only a lift is charged, for its whole target domain
-        charge_domain(mode, dim, window)
+        charge_domain(mode, instance.dim + reduction.shift, reduction.window(instance.window))
+    return reduction
+
+
+def _forward(reduction: Reduction, instance: Colouring):
+    """(target window, the forward map's table, or its (tuple from 0, colour) pairs for a lift)."""
+    window = reduction.window(instance.window)
+    return window, reduction.forward(instance, window)
+
+
+def _target(reduction: Reduction, instance: Colouring) -> Colouring:
+    """The transformed instance of a checked instance: the forward map's table, or the lift of its pairs."""
+    window, table = _forward(reduction, instance)
+    mode, invariant, _ = _SHAPES[reduction.target]
+    if invariant:
         table = lift_translates(table, window)
-    return _unchecked(Colouring, dim, window, instance.palette, mode, table)
+    return _unchecked(Colouring, instance.dim + reduction.shift, window, instance.palette, mode, table)
+
+
+def forward_transform(kind: str, instance: Colouring) -> Colouring:
+    """Transform an instance of the source problem into one of the target problem."""
+    return _target(_checked(kind, instance), instance)
 
 
 def backward_transform(kind: str, solution) -> tuple:
@@ -187,8 +209,10 @@ class ReductionReport:
     ``passed`` is True when a witness was found and the mapped-back object
     is monochromatic on the original instance with the same colour, None
     when the window held no witness, and False only on a genuine failure
-    of the reduction (which the theorems rule out).  The digests of the
-    instance and the transformed instance are computed on first access.
+    of the reduction (which the theorems rule out).  The transformed
+    instance, ``forward_transform(kind, instance)``, and the digests are
+    computed on first access; ``verify_reduction`` has charged the budget
+    for a lift already, so reading them charges nothing.
     """
 
     kind: str
@@ -200,7 +224,10 @@ class ReductionReport:
     passed: bool | None
     colour: int | None
     instance: Colouring = field(repr=False, hash=False)
-    transformed: Colouring = field(repr=False, hash=False)
+
+    @cached_property
+    def transformed(self) -> Colouring:
+        return _target(REDUCTIONS[self.kind], self.instance)
 
     @cached_property
     def instance_digest(self) -> str:
@@ -247,26 +274,41 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
 
     ``target`` is the solution size sought on the original problem; the
     witness searched on the transformed instance is ``extra`` elements
-    longer (the backward transform consumes them).
+    longer (the backward transform consumes them).  A target whose witness
+    would be shorter than a sets-mode target's arity is refused.
+
+    Into ZRT the transformed instance is a lift, whose least witness starts
+    at 0 (the lemma in ``find_mono_subset``).  So the forward map's tuples
+    from 0 are searched from 0, and the lift is not built: the target
+    domain is charged to the budget, as ``forward_transform`` charges it,
+    and ``ReductionReport.transformed`` builds the lift when it is read.
     """
     check_int(target, "target", 1)
     param = kind_param(kind, instance)
-    reduction = REDUCTIONS[kind]
-    transformed = forward_transform(kind, instance)
+    reduction = _checked(kind, instance)
     length = target + reduction.extra
     if length < reduction.min_len:
         raise PreconditionError(f"{kind} needs target >= {reduction.min_len - reduction.extra}")
-    if transformed.mode == "sets":
-        witness = find_mono_subset(transformed, length)
+    dim = instance.dim + reduction.shift
+    mode, invariant, _ = _SHAPES[reduction.target]
+    if mode == "sets" and length < dim:
+        raise PreconditionError(
+            f"{kind} needs target >= {dim - reduction.extra} on a dim-{instance.dim} instance, got {target}")
+    if invariant:  # the lift's tuples from 0 stand for the lift, whose least witness starts at 0
+        window, pairs = _forward(reduction, instance)
+        table = {t: colour for t, colour in pairs if t[-1] <= window}  # the rest has no translate
+        searched = _unchecked(Colouring, dim, window, instance.palette, mode, table)
+        witness = _find_mono_from_zero(searched, length)
     else:
-        witness = find_afs_mono(transformed, length)
+        searched = _target(reduction, instance)
+        witness = (find_mono_subset if mode == "sets" else find_afs_mono)(searched, length)
     mapped = passed = colour = None
     if witness is not None:
         mapped = reduction.backward(witness)  # a search result passes backward_transform's checks
         # tuples the mapped-back object must colour monochromatically
         tuples = adjacent_tuples(mapped, instance.dim) if instance.mode == "vectors" else _choose(mapped, instance.dim)
         passed, colour = _mono_colour(instance.table, tuples)
-        seen = witness_colour(transformed, witness)  # None if the check is vacuous
+        seen = witness_colour(searched, witness)  # None if the check is vacuous; a witness into ZRT starts at 0
         if passed and colour is not None and seen is not None:
             passed = colour == seen
         if _SHAPES[reduction.source][2]:
@@ -281,5 +323,4 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
         passed=passed,
         colour=colour,
         instance=instance,
-        transformed=transformed,
     )

@@ -60,19 +60,69 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     is dropped.  A separated prefix of two or more elements skips each
     candidate whose gap from its last element is not a multiple of
     2^(bit length of its last gap), which is the apartness test.
+
+    In a translate-closed colouring (every translate inside the window of a
+    coloured tuple coloured alike, as in every lift) the least witness
+    starts at 0: moving a witness down to 0 keeps each tuple's difference
+    vector and stays inside the window.  ``_find_mono_from_zero`` uses this
+    to search a lift's tuples from 0 without building the lift.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
-    if not isinstance(m, int) or isinstance(m, bool) or m < c.dim:
-        raise PreconditionError(f"subset size must be an integer >= dim {c.dim}, got {m!r}")
-    dim = c.dim
-    get = c.table.get
     points = c.points
+    return _least_subset(c.table.get, points, len(points), c.dim, m, separated)
+
+
+def _find_mono_from_zero(c: Colouring, m: int):
+    """``find_mono_subset`` of the lift of ``c``, whose tuples all start at 0, without the lift.
+
+    The lift colours every translate inside the window of each tuple of
+    ``c``, as ``colouring.lift_translates`` does, and ``c.dim`` is at least
+    2.  By the lemma in ``find_mono_subset`` the least witness of the lift
+    starts at 0, so only subsets from 0 are searched.  A tuple is looked up
+    by translating it to 0.  Each element of a witness from 0 shares a
+    tuple with 0, so the points of ``c`` are the only candidates.  The
+    lift's points are counted only when that count decides between no
+    witness and the witness-length refusal.
+    """
+    table = c.table
+    points = c.points  # 0 first, unless the table is empty
+    count = len(points)
+    if m > count and m > MAX_WITNESS:
+        count = _lift_point_count(table, c.window)
+
+    def get(t):
+        low = t[0]
+        return table.get(tuple([x - low for x in t]) if low else t)
+
+    return _least_subset(get, points[1:], count, c.dim, m, prefix=(0,))
+
+
+def _lift_point_count(table, window):
+    """The number of points of the tuples in the lift of ``table`` to [0, window]."""
+    covered = 0
+    for t in table:
+        shifts = (1 << window - t[-1] + 1) - 1  # each point x of t covers x, ..., x + window - t[-1]
+        for x in t:
+            covered |= shifts << x
+    return covered.bit_count()
+
+
+def _least_subset(get, points, count, dim, m, separated=False, prefix=()):
+    """The least m-subset that extends ``prefix`` by ``points`` and whose dim-tuples ``get`` colours alike.
+
+    ``points`` are the increasing candidates above the prefix, and
+    ``count`` the points of the colouring searched: fewer than m means no
+    witness.  The depth-first search that ``find_mono_subset`` describes;
+    a prefix is shorter than dim.
+    """
+    if not isinstance(m, int) or isinstance(m, bool) or m < dim:
+        raise PreconditionError(f"subset size must be an integer >= dim {dim}, got {m!r}")
     n = len(points)
-    if m > n:
+    if m > count:
         return None
     _check_depth(m)
-    prefix = []
+    prefix = list(prefix)
     colour_masks = {}  # (S, colour) -> points y above S with S + (y,) of that colour
 
     def colour_mask(rest, colour, low):

@@ -1,7 +1,7 @@
 import json
 import random
 from dataclasses import replace
-from itertools import product
+from itertools import accumulate, product
 from math import comb
 
 import pytest
@@ -16,6 +16,7 @@ from irl.colouring import (
     from_differences,
     invariance_witness,
     is_shift_invariant,
+    lift_translates,
     sample_colourings,
     sets_domain,
     vectors_domain,
@@ -30,7 +31,7 @@ from irl.reduce import (
     kind_param,
     verify_reduction,
 )
-from irl.search import _SHAPES, FiniteNumberQuery, finite_number
+from irl.search import _SHAPES, FiniteNumberQuery, find_mono_subset, finite_number
 
 checks = load("perfbench/checks.py")
 
@@ -637,3 +638,101 @@ def test_public_entry_points_refuse_malformed_numbers(call, message):
     with pytest.raises(PreconditionError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("entry, points, verdict", [
+    (301, 600, None),  # translates of (0, 301) cover [0, 299] and [301, 600]
+    (400, 402, None),
+    (300, 601, "witness length 601 exceeds the supported maximum of 500"),
+    (1, 601, "witness length 601 exceeds the supported maximum of 500"),
+])
+def test_verify_counts_the_lift_points_before_the_witness_length(monkeypatch, entry, points, verdict):
+    # at target 600 the witness has 601 elements: a lift with fewer points holds none,
+    # and one with 601 or more is refused by the 500-element limit, whatever its window
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    instance = Colouring(1, 600, 2, "sets", {(entry,): 1})
+    assert len(forward_transform("RT_TO_ZRT", instance).points) == points
+    if verdict is None:
+        report = verify_reduction("RT_TO_ZRT", instance, 600)
+        assert (report.witness, report.mapped, report.passed) == (None, None, None)
+    else:
+        with pytest.raises(PreconditionError) as info:
+            verify_reduction("RT_TO_ZRT", instance, 600)
+        assert str(info.value) == verdict
+
+
+def test_verify_into_zrt_finds_the_least_witness_of_the_lift():
+    # verify searches a lift from 0 without building it; the least witness of the
+    # lift, by the checks' lift and search, must start at 0 and be the one it finds
+    rng = random.Random(2323)
+    checked = {}
+    for dim in (1, 2, 3):
+        for window in range(15):
+            for _ in range(2):
+                palette = rng.randint(1, 3)
+                keep = rng.choice((0.3, 0.7, 1.0))
+                # a difference table, some of its vectors totalling more than the window
+                vectors = {v: rng.randrange(palette) for v in product(range(1, window + 1), repeat=dim)
+                           if rng.random() < keep}
+                sets = {tuple(accumulate(v)): colour for v, colour in vectors.items() if sum(v) <= window}
+                sets.update({(0, *s[1:]): rng.randrange(palette) for s in list(sets)[:2] if s[0] > 1})
+                for kind, mode, table in (("RT_TO_ZRT", "sets", sets), ("AHT_TO_ZRT", "vectors", vectors)):
+                    instance = Colouring(dim, window, palette, mode, table)
+                    lifted = checks.expected_forward(kind, dim, window, table)[3]
+                    transformed = forward_transform(kind, instance)
+                    assert transformed.table == lifted
+                    for target in range(dim, 7):
+                        length = target + REDUCTIONS[kind].extra
+                        if length < max(dim + 1, REDUCTIONS[kind].min_len):
+                            continue
+                        witness = verify_reduction(kind, instance, target).witness
+                        assert witness == checks.least_subset(lifted, window, dim + 1, length, palette), \
+                            (kind, instance, target)
+                        assert witness == find_mono_subset(transformed, length)
+                        assert witness is None or witness[0] == 0
+                        checked[kind, witness is None] = checked.get((kind, witness is None), 0) + 1
+    # (kind, no witness) -> verdicts checked
+    assert checked == {("RT_TO_ZRT", False): 154, ("RT_TO_ZRT", True): 296,
+                       ("AHT_TO_ZRT", False): 147, ("AHT_TO_ZRT", True): 213}
+
+
+LAZY_INSTANCES = {
+    "RT_TO_ZRT": unary_colouring(12, lambda y: y % 2),
+    "ZRT_TO_AHT": invariant_pairs(12, lambda z: z % 2),
+    "AHT_TO_ZRT": vector_colouring(1, 12, lambda t: t[0] % 3, palette=3),
+    "APAHT_TO_RT": block_instance(1, 6, lambda t: t[0] % 2),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_report_builds_the_transformed_instance_when_read(monkeypatch, kind):
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    instance = LAZY_INSTANCES[kind]
+    expected = forward_transform(kind, instance)
+    lifts = []
+    monkeypatch.setattr("irl.reduce.lift_translates", lambda *args: lifts.append(args) or lift_translates(*args))
+    report = verify_reduction(kind, instance, 3)
+    assert report.witness is not None and lifts == []  # into ZRT, verify searches the pairs from 0
+    # verify charged the lift: a budget below its target domain refuses forward_transform, not the read
+    monkeypatch.setenv("IRL_BUDGET", "2")
+    lifted = _SHAPES[REDUCTIONS[kind].target][1]
+    if lifted:
+        with pytest.raises(BudgetExceededError):
+            forward_transform(kind, instance)
+    assert report.transformed == expected
+    assert report.transformed is report.transformed
+    assert len(lifts) == lifted  # the read's lift: the refused forward_transform built none
+
+
+@pytest.mark.parametrize("kind, instance, target, message", [
+    ("RT_TO_ZRT", Colouring(2, 6, 2, "sets", {(1, 2): 0}), 1, "RT_TO_ZRT needs target >= 2 on a dim-2 instance, got 1"),
+    ("RT_TO_ZRT", Colouring(3, 6, 2, "sets", {}), 2, "RT_TO_ZRT needs target >= 3 on a dim-3 instance, got 2"),
+    ("APAHT_TO_RT", block_instance(3, 6, lambda t: 0), 2, "APAHT_TO_RT needs target >= 3 on a dim-3 instance, got 2"),
+    ("AHT_TO_ZRT", vector_colouring(2, 6, lambda t: 0), 2, "AHT_TO_ZRT needs target >= 3 on a dim-2 instance, got 2"),
+])
+def test_verify_refuses_a_target_below_the_arity(kind, instance, target, message):
+    # before, the search refused the witness length ("subset size must be an integer >= dim 4, got 2")
+    with pytest.raises(PreconditionError) as info:
+        verify_reduction(kind, instance, target)
+    assert str(info.value) == message
+    assert verify_reduction(kind, instance, target + 1).target == target + 1
