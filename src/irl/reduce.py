@@ -163,15 +163,10 @@ def _checked(kind: str, instance) -> Reduction:
     return reduction
 
 
-def _forward(reduction: Reduction, instance: Colouring):
-    """(target window, the forward map's table, or its (tuple from 0, colour) pairs for a lift)."""
-    window = reduction.window(instance.window)
-    return window, reduction.forward(instance, window)
-
-
 def _target(reduction: Reduction, instance: Colouring) -> Colouring:
     """The transformed instance of a checked instance: the forward map's table, or the lift of its pairs."""
-    window, table = _forward(reduction, instance)
+    window = reduction.window(instance.window)
+    table = reduction.forward(instance, window)
     mode, invariant, _ = _SHAPES[reduction.target]
     if invariant:
         table = lift_translates(table, window)
@@ -295,7 +290,8 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
         raise PreconditionError(
             f"{kind} needs target >= {dim - reduction.extra} on a dim-{instance.dim} instance, got {target}")
     if invariant:  # the lift's tuples from 0 stand for the lift, whose least witness starts at 0
-        window, pairs = _forward(reduction, instance)
+        window = reduction.window(instance.window)
+        pairs = reduction.forward(instance, window)
         table = {t: colour for t, colour in pairs if t[-1] <= window}  # the rest has no translate
         searched = _unchecked(Colouring, dim, window, instance.palette, mode, table)
         witness = _find_mono_from_zero(searched, length)

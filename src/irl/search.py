@@ -64,8 +64,9 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     In a translate-closed colouring (every translate inside the window of a
     coloured tuple coloured alike, as in every lift) the least witness
     starts at 0: moving a witness down to 0 keeps each tuple's difference
-    vector and stays inside the window.  ``_find_mono_from_zero`` uses this
-    to search a lift's tuples from 0 without building the lift.
+    vector and stays inside the window.  ``verify_reduction`` into ZRT uses
+    this through ``_find_mono_from_zero``: it charges the target domain to
+    the budget, but searches the lift's tuples from 0 and builds no lift.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")

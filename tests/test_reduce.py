@@ -675,6 +675,7 @@ def test_verify_into_zrt_finds_the_least_witness_of_the_lift():
                 vectors = {v: rng.randrange(palette) for v in product(range(1, window + 1), repeat=dim)
                            if rng.random() < keep}
                 sets = {tuple(accumulate(v)): colour for v, colour in vectors.items() if sum(v) <= window}
+                # the forward map skips the sets that hold 0: {0} + s has n + 1 elements only when s[0] > 0
                 sets.update({(0, *s[1:]): rng.randrange(palette) for s in list(sets)[:2] if s[0] > 1})
                 for kind, mode, table in (("RT_TO_ZRT", "sets", sets), ("AHT_TO_ZRT", "vectors", vectors)):
                     instance = Colouring(dim, window, palette, mode, table)
@@ -731,7 +732,7 @@ def test_report_builds_the_transformed_instance_when_read(monkeypatch, kind):
     ("AHT_TO_ZRT", vector_colouring(2, 6, lambda t: 0), 2, "AHT_TO_ZRT needs target >= 3 on a dim-2 instance, got 2"),
 ])
 def test_verify_refuses_a_target_below_the_arity(kind, instance, target, message):
-    # before, the search refused the witness length ("subset size must be an integer >= dim 4, got 2")
+    # the refusal names the target and the instance's dim, not the witness length the search sees
     with pytest.raises(PreconditionError) as info:
         verify_reduction(kind, instance, target)
     assert str(info.value) == message
