@@ -37,7 +37,8 @@ def main():
                           for a, b in adjacent_tuples(witness, 2)})
         queries = range(lowest_bit(witness[-1]))
         decoded = {q: decode(witness, oracle, q) for q in queries}
-        agree = all(decoded[q] == (q in oracle.final_set) for q in queries)
+        final_set = oracle.final_set
+        agree = all(decoded[q] == (q in final_set) for q in queries)
         exact += agree
         print(json.dumps({
             "events": [list(e) for e in oracle.events],

@@ -16,15 +16,24 @@ that membership readout, and ``synthesize_solution`` builds such a
 sequence directly from the settle stage.
 
 Each element is enumerated once, so two approximations below one bound
-differ iff an element below it is enumerated between their stages.  One
-helper applies that rule for ``pair_colour`` and ``lower_bound_colouring``;
-like ``decode``, it reads the events once and builds no set, and ``approx``
-stays the definition they are tested against.
+differ iff an element below it is enumerated between their stages.  Every
+bound and stage that rule compares is a bit position of a checked value,
+so below ``WORD_BITS``, and so is every query ``decode`` answers.  An
+oracle therefore reads its events once, on first use, into a stage
+profile: for each bound b in 0..WORD_BITS a bitmask of the stages of the
+elements below b (a stage at or above WORD_BITS sets bit WORD_BITS, which
+no compared stage reaches), and the stage of each element below
+WORD_BITS.  ``pair_colour`` and ``lower_bound_colouring`` answer with one
+mask test and ``decode`` with one lookup; ``approx`` stays the definition
+they are tested against.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
+from operator import or_
 
-from irl.bits import WORD_BITS, highest_bit, lowest_bit
+from irl.bits import MAX_VALUE, WORD_BITS, highest_bit, lowest_bit
 from irl.budget import candidate_budget
 from irl.colouring import Colouring, _unchecked
 from irl.errors import (
@@ -74,6 +83,20 @@ class EnumerationOracle:
     def final_set(self) -> frozenset:
         return frozenset(element for element, _ in self.events)
 
+    @cached_property
+    def stage_profile(self) -> tuple:
+        """(masks, stage_of), read from the events once (the events stay fixed).
+
+        ``stage_of`` maps each element below WORD_BITS to its stage, and
+        ``masks[b]``, for b in 0..WORD_BITS, has bit min(s, WORD_BITS) set
+        for the stage s of each element below b.
+        """
+        stage_of = {element: stage for element, stage in self.events if element < WORD_BITS}
+        marks = [0] * (WORD_BITS + 1)
+        for element, stage in stage_of.items():
+            marks[element + 1] = 1 << min(stage, WORD_BITS)
+        return tuple(accumulate(marks, or_)), stage_of
+
 
 def approx(oracle: EnumerationOracle, bound: int, stage: int) -> frozenset:
     """Elements below ``bound`` enumerated at stages <= ``stage``."""
@@ -86,17 +109,20 @@ def _approximations_differ(oracle: EnumerationOracle, bound: int, stage: int, ot
     """Whether the approximations below ``bound`` at two stages differ.
 
     Elements are enumerated once each, so they differ iff an element below
-    the bound is enumerated at a stage in (min, max] of the two.
+    the bound is enumerated at a stage in (min, max] of the two: bits
+    min + 1 through max of the profile's mask for the bound.  The bound and
+    both stages are below WORD_BITS, so a clamped stage never lands in them.
     """
-    low, high = sorted((stage, other))
-    return any(e < bound and low < s <= high for e, s in oracle.events)
+    masks, _ = oracle.stage_profile
+    return (masks[bound] & abs((2 << stage) - (2 << other))) != 0
 
 
 def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
     """Colour of the ordered pair (x, y) under the membership-coding colouring.
 
-    One pass over the events decides whether the approximations below
-    lowest_bit(x) at stages highest_bit(x) and highest_bit(y) differ.
+    One mask test on the oracle's stage profile decides whether the
+    approximations below lowest_bit(x) at stages highest_bit(x) and
+    highest_bit(y) differ.
     """
     lx = lowest_bit(x)
     ly = lowest_bit(y)
@@ -109,28 +135,29 @@ def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
 def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
     """The membership-coding colouring materialized on ordered pairs over [1, window].
 
-    Refuses, naming the count, when the window^2 pairs exceed the candidate budget.
+    Refuses, naming the count, when the window^2 pairs exceed the candidate
+    budget, and refuses a window above the word width that a larger budget
+    lets through.
     """
     check_int(window, "window", 1)
     pairs, limit = window * window, candidate_budget()
     if pairs > limit:
         raise BudgetExceededError(
             f"materializing {pairs} ordered pairs over window {window} exceeds the budget of {limit}", count=pairs)
+    if window > MAX_VALUE:
+        raise OverflowLimitError(f"window {window} exceeds the {WORD_BITS}-bit limit")
     low = [0] * (window + 1)
     high = [0] * (window + 1)
     for v in range(1, window + 1):
         low[v] = lowest_bit(v)
         high[v] = highest_bit(v)
-    same = {}  # (lowest bit of x, highest bit of x, highest bit of y) -> j
     table = {}
     for x in range(1, window + 1):
         lx, hx = low[x], high[x]
+        # j for each highest bit of y
+        row = [0 if _approximations_differ(oracle, lx, hx, hy) else 1 for hy in range(high[window] + 1)]
         for y in range(1, window + 1):
-            key = (lx, hx, high[y])
-            j = same.get(key)
-            if j is None:
-                j = same[key] = 0 if _approximations_differ(oracle, *key) else 1
-            table[(x, y)] = encode_colour(1 if lx < low[y] else 0, j)
+            table[(x, y)] = encode_colour(1 if lx < low[y] else 0, row[high[y]])
     return _unchecked(Colouring, 2, window, 4, "vectors", table)
 
 
@@ -166,9 +193,11 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:
         if lowest_bit(x) > m:
-            # m is below lowest_bit(x), so it is in the approximation iff enumerated by stage highest_bit(x)
-            hx = x.bit_length() - 1
-            return any(e == m and s <= hx for e, s in oracle.events)
+            # m is below lowest_bit(x) < WORD_BITS, so it is in the approximation iff
+            # the profile holds a stage for it no later than highest_bit(x)
+            _, stage_of = oracle.stage_profile
+            stage = stage_of.get(m)
+            return stage is not None and stage <= x.bit_length() - 1
     raise WindowExhaustedError(
         f"window exhausted: no entry has its lowest bit above {m}"
     )

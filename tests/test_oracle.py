@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from by_path import load
-from irl.bits import highest_bit, lowest_bit
+from irl.bits import MAX_VALUE, highest_bit, lowest_bit
 from irl.errors import BudgetExceededError, FormatError, OverflowLimitError, PreconditionError, WindowExhaustedError
 from irl.oracle import (
     EnumerationOracle,
@@ -80,6 +80,18 @@ def test_lower_bound_colouring_charges_its_pairs_to_the_budget(monkeypatch):
     assert len(lower_bound_colouring(W, 10).table) == 100
     with pytest.raises(BudgetExceededError):
         lower_bound_colouring(W, 11)
+
+
+def test_lower_bound_colouring_refuses_a_window_above_the_word(monkeypatch):
+    # the budget is checked first, so a default budget still names the pair count
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    with pytest.raises(BudgetExceededError, match=f"{2**128} ordered pairs over window {2**64}"):
+        lower_bound_colouring(W, 2**64)
+    monkeypatch.setenv("IRL_BUDGET", str(2**140))
+    for window in (MAX_VALUE + 1, 2**70):
+        with pytest.raises(OverflowLimitError) as info:
+            lower_bound_colouring(EnumerationOracle(events=()), window)
+        assert str(info.value) == f"window {window} exceeds the 64-bit limit"
 
 
 def test_synthesize_examples():
@@ -300,3 +312,64 @@ def test_lower_bound_colouring_matches_the_two_approximations():
                 assert colour == reference_pair_colour(oracle, x, y), (oracle, window, x, y)
                 seen.add(colour)
     assert seen == {0, 1, 2, 3}
+
+
+EDGES = (62, 63, 64, 65, 10**6, 2**70)
+
+
+def edge_oracles():
+    """The empty oracle and oracles whose elements and stages sit at the word's edges.
+
+    Small elements enumerated at edge stages test the stage clamp and the
+    (low, high] stage window; edge elements beside small ones test the
+    prefix over the bounds.
+    """
+    rng = random.Random(64)
+    oracles = [EnumerationOracle(events=()),
+               EnumerationOracle(events=((61, 62), (62, 63), (63, 0), (60, 1), (0, 64)))]
+    for edge in EDGES:
+        oracles.append(EnumerationOracle(events=((edge, 1), (0, edge), (3, 2), (1, 5))))
+        oracles.append(EnumerationOracle(events=((edge, edge), (2, 61), (4, 62), (5, 63))))
+    for _ in range(8):
+        elements = rng.sample((*range(8), *EDGES), rng.randint(1, 10))
+        oracles.append(EnumerationOracle(events=tuple((e, rng.choice((*range(8), 61, *EDGES))) for e in elements)))
+    return oracles
+
+
+def test_stage_profile_at_the_word_edges_matches_the_approximations():
+    rng = random.Random(65)
+    values = (1, 2, 3, 6, 2**61, 2**62, 2**62 + 2**61, 2**63, 2**63 + 1, 2**63 + 2**62, 2**64 - 1)
+    seen = set()
+    for oracle in edge_oracles():
+        for x in values:
+            for y in values:
+                colour = pair_colour(oracle, x, y)
+                assert colour == reference_pair_colour(oracle, x, y), (oracle, x, y)
+                seen.add(colour)
+        for seq in [(2**63,), (2**62, 2**63), (3 << 61,), (2**64 - 1,)] + [
+                tuple(random_value(rng) for _ in range(rng.randint(1, 4))) for _ in range(6)]:
+            for m in range(67):
+                got = outcome(decode, seq, oracle, m)
+                assert got == outcome(reference_decode, seq, oracle, m), (oracle, seq, m)
+                seen.add(got[1] if got[0] == "value" else got[0])
+    assert seen == {0, 1, 2, 3, True, False, WindowExhaustedError}
+    for oracle in edge_oracles():
+        for window in (63, 64, 65, 128):
+            table = lower_bound_colouring(oracle, window).table
+            assert len(table) == window * window
+            for (x, y), colour in table.items():
+                assert colour == reference_pair_colour(oracle, x, y), (oracle, window, x, y)
+
+
+def test_stage_profile_cache_stays_out_of_equality_and_serialization():
+    events = ((3, 7), (0, 2), (70, 1))
+    used, fresh = EnumerationOracle(events=events), EnumerationOracle(events=events)
+    before = (repr(used), hash(used), json.dumps(oracle_to_json(used)))
+    assert pair_colour(used, 8, 2**9) == reference_pair_colour(fresh, 8, 2**9)
+    assert "stage_profile" in vars(used) and "stage_profile" not in vars(fresh)
+    assert used == fresh and fresh == used
+    assert (repr(used), hash(used), json.dumps(oracle_to_json(used))) == before
+    assert (repr(fresh), hash(fresh), json.dumps(oracle_to_json(fresh))) == before
+    restored = oracle_from_json(json.loads(json.dumps(oracle_to_json(used))))
+    assert restored == used and hash(restored) == hash(used) and repr(restored) == repr(used)
+    assert "stage_profile" not in vars(restored)
