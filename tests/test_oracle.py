@@ -322,7 +322,7 @@ def edge_oracles():
 
     Small elements enumerated at edge stages test the stage clamp and the
     (low, high] stage window; edge elements beside small ones test the
-    prefix over the bounds.
+    prefix ORs over the bounds.
     """
     rng = random.Random(64)
     oracles = [EnumerationOracle(events=()),
@@ -339,26 +339,26 @@ def edge_oracles():
 def test_stage_profile_at_the_word_edges_matches_the_approximations():
     rng = random.Random(65)
     values = (1, 2, 3, 6, 2**61, 2**62, 2**62 + 2**61, 2**63, 2**63 + 1, 2**63 + 2**62, 2**64 - 1)
-    seen = set()
+    colours, readouts = set(), set()
     for oracle in edge_oracles():
         for x in values:
             for y in values:
                 colour = pair_colour(oracle, x, y)
                 assert colour == reference_pair_colour(oracle, x, y), (oracle, x, y)
-                seen.add(colour)
+                colours.add(colour)
         for seq in [(2**63,), (2**62, 2**63), (3 << 61,), (2**64 - 1,)] + [
                 tuple(random_value(rng) for _ in range(rng.randint(1, 4))) for _ in range(6)]:
             for m in range(67):
                 got = outcome(decode, seq, oracle, m)
                 assert got == outcome(reference_decode, seq, oracle, m), (oracle, seq, m)
-                seen.add(got[1] if got[0] == "value" else got[0])
-    assert seen == {0, 1, 2, 3, True, False, WindowExhaustedError}
-    for oracle in edge_oracles():
+                readouts.add(got[1] if got[0] == "value" else got[0])
         for window in (63, 64, 65, 128):
             table = lower_bound_colouring(oracle, window).table
             assert len(table) == window * window
             for (x, y), colour in table.items():
                 assert colour == reference_pair_colour(oracle, x, y), (oracle, window, x, y)
+    assert colours == {0, 1, 2, 3}
+    assert readouts == {True, False, WindowExhaustedError}
 
 
 def test_stage_profile_cache_stays_out_of_equality_and_serialization():
