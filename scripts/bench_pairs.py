@@ -2,7 +2,7 @@
 """Run the benchmark on two revisions in alternating pairs and write BENCH_<label>.json.
 
 Usage:
-  python scripts/bench_pairs.py BASE CHANGE --label NAME
+  python scripts/bench_pairs.py BASE CHANGE --label NAME [--traced WORKLOAD ...]
 
 Each revision is exported with ``git archive`` into a temporary directory,
 and the command of its ``BENCHMARK.json`` is run there unchanged with
@@ -28,6 +28,11 @@ neither side) and three verdicts:
 
 It also holds every run's seed, order, ``correct``, ``failed`` and
 metrics, and the Python version and CPU count.
+
+``--traced W`` adds, for workload W, three more alternating pairs run with
+``--trace 1`` and, under ``traced``, their runs and each side's median of
+every per-layer metric, with no verdict: a traced run shows which layer
+moved (``search.subset.self_s``, say) and whether its counts stayed.
 """
 
 import argparse
@@ -45,6 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 PAIRS = 10
+TRACED_PAIRS = 3
 SEED = 10001
 
 
@@ -105,6 +111,20 @@ def summarize(runs, end_to_end):
     return out
 
 
+def layer_medians(runs):
+    """Each side's median of every per-layer metric, over its traced runs that gave a result."""
+    out = {}
+    for side in SIDES:
+        values = {}
+        for run in runs:
+            if run["side"] == side and run["result"] is not None:
+                for name, metric in run["result"]["metrics"].items():
+                    if metric["value"] is not None:
+                        values.setdefault(name, []).append(metric["value"])
+        out[side] = {name: statistics.median(v) for name, v in values.items()}
+    return out
+
+
 def export(revision, directory):
     archive = subprocess.run(["git", "archive", revision], cwd=ROOT, check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
@@ -116,8 +136,8 @@ def benchmark_files(copy):
     return {p.relative_to(copy): p.read_bytes() for p in paths if p.is_file()}
 
 
-def run_once(command, copy, workload, seed, seconds):
-    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+def run_once(command, copy, workload, seed, seconds, trace=0):
+    argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -131,6 +151,8 @@ def main():
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--label", required=True)
+    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
+                        help="also run traced pairs of this workload (repeatable)")
     args = parser.parse_args()
 
     revisions = {side: subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
@@ -148,17 +170,28 @@ def main():
         seconds = spec["run_seconds"]
         python = subprocess.run([command[0], "-c", "import platform; print(platform.python_version())"],
                                 capture_output=True, text=True).stdout.strip()
-        runs = []
-        for w, workload in enumerate(workloads):
-            for pair in range(PAIRS):
+        unknown = sorted(set(args.traced) - set(workloads))
+        if unknown:
+            sys.exit(f"--traced names no workload of BENCHMARK.json: {', '.join(unknown)}")
+
+        def run_pairs(workload, w, pairs, trace):
+            runs = []
+            for pair in range(pairs):
                 seed = SEED + 100 * w + pair
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
-                    result = run_once(command, copies[side], workload, seed, seconds)
+                    result = run_once(command, copies[side], workload, seed, seconds, trace)
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  "ran": "first" if position == 0 else "second", "result": result})
                     status = "no result" if result is None else f"correct {result['correct']}, failed {result['failed']}"
-                    print(f"{workload} pair {pair} {side}: {status}", flush=True)
+                    print(f"{workload} {'traced ' if trace else ''}pair {pair} {side}: {status}", flush=True)
+            return runs
+
+        runs = [run for w, workload in enumerate(workloads) for run in run_pairs(workload, w, PAIRS, 0)]
+        traced = {}
+        for workload in dict.fromkeys(args.traced):
+            traced_runs = run_pairs(workload, workloads.index(workload), TRACED_PAIRS, 1)
+            traced[workload] = {"medians": layer_medians(traced_runs), "runs": traced_runs}
     record = {
         "label": args.label,
         "revisions": revisions,
@@ -169,6 +202,9 @@ def main():
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
     }
+    if traced:
+        record["traced"] = {"command": command + ["--workload", "W", "--seed", "S", "--seconds", str(seconds),
+                                                  "--trace", "1"], **traced}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

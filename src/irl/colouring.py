@@ -201,6 +201,16 @@ class Colouring:
         """Every coordinate of a coloured tuple, ascending (computed once; tables stay fixed)."""
         return tuple(sorted(set().union(*self.table)))
 
+    @cached_property
+    def _subset_masks(self) -> dict:
+        """``find_mono_subset``'s colour masks, (S, colour) -> bitmask over ``points``.
+
+        Empty until the first subset search, then kept for every later one
+        of this object (tables stay fixed): at most C(len(points), dim - 1)
+        times palette masks.
+        """
+        return {}
+
 
 @dataclass(frozen=True)
 class DifferenceColouring:

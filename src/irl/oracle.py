@@ -28,6 +28,7 @@ mask test and ``decode`` with one lookup; ``approx`` stays the definition
 they are tested against.
 """
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -136,8 +137,9 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
     """The membership-coding colouring materialized on ordered pairs over [1, window].
 
     Refuses, naming the count, when the window^2 pairs exceed the candidate
-    budget, and refuses a window above the word width that a larger budget
-    lets through.
+    budget, and refuses a window above the word width, or one whose
+    window + 1 positions no list can hold, that a larger budget lets
+    through.
     """
     check_int(window, "window", 1)
     pairs, limit = window * window, candidate_budget()
@@ -146,6 +148,8 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
             f"materializing {pairs} ordered pairs over window {window} exceeds the budget of {limit}", count=pairs)
     if window > MAX_VALUE:
         raise OverflowLimitError(f"window {window} exceeds the {WORD_BITS}-bit limit")
+    if window + 1 > sys.maxsize:  # the position lists below hold window + 1 entries
+        raise OverflowLimitError(f"lower_bound_colouring window {window} holds more than {sys.maxsize} points")
     low = [0] * (window + 1)
     high = [0] * (window + 1)
     for v in range(1, window + 1):

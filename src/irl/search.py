@@ -55,7 +55,9 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     points that can still extend it.  Once the first tuple fixes the
     colour, that mask is the AND of one mask per (dim-1)-subset S of the
     prefix, the points y with S + (y,) coloured alike.  Those masks are
-    built on first use and kept for the call.  Set bits are tried lowest
+    built on first use and kept in ``c._subset_masks``, so a later search
+    of the same object (any m, separated or not) reuses them; only
+    repeated searches of one object gain.  Set bits are tried lowest
     first, and a prefix with fewer candidates than elements still needed
     is dropped.  A separated prefix of two or more elements skips each
     candidate whose gap from its last element is not a multiple of
@@ -71,7 +73,7 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
     points = c.points
-    return _least_subset(c.table.get, points, len(points), c.dim, m, separated)
+    return _least_subset(c.table.get, points, c._subset_masks, len(points), c.dim, m, separated)
 
 
 def _find_mono_from_zero(c: Colouring, m: int):
@@ -96,7 +98,8 @@ def _find_mono_from_zero(c: Colouring, m: int):
         low = t[0]
         return table.get(tuple([x - low for x in t]) if low else t)
 
-    return _least_subset(get, points[1:], count, c.dim, m, prefix=(0,))
+    # masks of their own: they index points[1:] and look tuples up from 0, unlike c._subset_masks
+    return _least_subset(get, points[1:], {}, count, c.dim, m, prefix=(0,))
 
 
 def _lift_point_count(table, window):
@@ -109,13 +112,16 @@ def _lift_point_count(table, window):
     return covered.bit_count()
 
 
-def _least_subset(get, points, count, dim, m, separated=False, prefix=()):
+def _least_subset(get, points, colour_masks, count, dim, m, separated=False, prefix=()):
     """The least m-subset that extends ``prefix`` by ``points`` and whose dim-tuples ``get`` colours alike.
 
     ``points`` are the increasing candidates above the prefix, and
     ``count`` the points of the colouring searched: fewer than m means no
     witness.  The depth-first search that ``find_mono_subset`` describes;
-    a prefix is shorter than dim.
+    a prefix is shorter than dim.  ``colour_masks`` maps (S, colour) to the
+    points y above S with S + (y,) of that colour; it may hold masks of
+    earlier searches with the same ``get`` and ``points``, and gains this
+    search's.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < dim:
         raise PreconditionError(f"subset size must be an integer >= dim {dim}, got {m!r}")
@@ -124,9 +130,11 @@ def _least_subset(get, points, count, dim, m, separated=False, prefix=()):
         return None
     _check_depth(m)
     prefix = list(prefix)
-    colour_masks = {}  # (S, colour) -> points y above S with S + (y,) of that colour
 
     def colour_mask(rest, colour, low):
+        # low is the index above rest[-1] (0 for an empty rest).  A sets key is strictly
+        # increasing, so no point at or below rest[-1] can have a bit: the low that built
+        # a mask does not change it, and any later search may reuse it.
         mask = colour_masks.get((rest, colour))
         if mask is None:
             mask = 0

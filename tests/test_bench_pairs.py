@@ -107,3 +107,18 @@ def test_committed_bench_records_are_complete_correct_and_within_their_bounds():
             for spec in END_TO_END:
                 verdict = metrics[spec["name"]]
                 assert (verdict["within_bound"], verdict["unresolved"]) == (True, False), (path.name, w, spec["name"])
+
+
+def test_traced_pairs_give_each_side_its_per_layer_medians():
+    layer_medians = load("scripts/bench_pairs.py").layer_medians
+
+    def traced(self_s, calls):
+        return {"correct": True, "attempted": 10, "failed": 0, "metrics": {
+            "search.subset.self_s": {"value": self_s, "unit": "s"},
+            "search.subset.calls": {"value": calls, "unit": "count"},
+            "search.subset.found_ratio": {"value": None, "unit": "ratio"}}}
+
+    pairs = [(traced(0.08 + i / 100, 216), traced(0.03 + i / 100, 216)) for i in range(3)] + [(None, None)]
+    medians = layer_medians(runs_of("search-oracle", pairs))
+    assert medians["base"] == {"search.subset.self_s": pytest.approx(0.09), "search.subset.calls": 216}
+    assert medians["change"] == {"search.subset.self_s": pytest.approx(0.04), "search.subset.calls": 216}

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -92,6 +93,11 @@ def test_lower_bound_colouring_refuses_a_window_above_the_word(monkeypatch):
         with pytest.raises(OverflowLimitError) as info:
             lower_bound_colouring(EnumerationOracle(events=()), window)
         assert str(info.value) == f"window {window} exceeds the 64-bit limit"
+    # within the word, but no list holds window + 1 positions
+    for window in (2**63, 2**64 - 1):
+        with pytest.raises(OverflowLimitError) as info:
+            lower_bound_colouring(EnumerationOracle(events=()), window)
+        assert str(info.value) == f"lower_bound_colouring window {window} holds more than {sys.maxsize} points"
 
 
 def test_synthesize_examples():

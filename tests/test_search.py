@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import time
@@ -9,11 +10,19 @@ from math import comb
 import pytest
 
 from by_path import load
-from irl.colouring import Colouring, enumerate_colourings, sample_colourings, sets_domain, vectors_domain
+from irl.colouring import (
+    Colouring,
+    colouring_to_json,
+    enumerate_colourings,
+    sample_colourings,
+    sets_domain,
+    vectors_domain,
+)
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.search import (
     FiniteNumberQuery,
     _candidate_witnesses,
+    _find_mono_from_zero,
     find_afs_mono,
     find_mono_subset,
     finite_number,
@@ -138,12 +147,63 @@ def subset_cases():
 
 def test_find_mono_subset_is_the_least_subset_of_the_checks():
     found = Counter()
+    cases = []
     for source, c, m, separated in subset_cases():
         got = find_mono_subset(c, m, separated)
-        assert got == checks.least_subset(c.table, c.window, c.dim, m, c.palette, separated), \
-            (source, c, m, separated)
+        least = checks.least_subset(c.table, c.window, c.dim, m, c.palette, separated)
+        assert got == least, (source, c, m, separated)
         found[source] += got is not None
+        cases.append((source, c, m, separated, least))
     assert found["wide separated"] > 40
+    assert {c.dim for _, c, _, _, _ in cases} == {1, 2, 3} and found["three colours"] > 0
+    # the same objects again, large m and separated first, each reusing the masks other searches built,
+    # and one fresh copy of each, whose masks those searches build
+    copies = {}
+    for source, c, m, separated, least in reversed(cases):
+        copy = copies.setdefault(id(c), dataclasses.replace(c))
+        for again in (c, copy):
+            assert find_mono_subset(again, m, separated) == least, ("again", source, again is c, c, m, separated)
+
+
+def test_subset_masks_stay_out_of_equality_hashing_and_serialization():
+    c = random_colouring(random.Random(61), "sets", 2, 9, 3, 0.9)
+    fresh = dataclasses.replace(c)
+    shown, saved = repr(c), colouring_to_json(c)
+    find_mono_subset(c, 4)
+    find_mono_subset(c, 3, separated=True)
+    assert c._subset_masks and "_subset_masks" not in vars(fresh)
+    assert c == fresh and fresh == c
+    assert repr(c) == shown and colouring_to_json(c) == saved
+    for obj in (c, fresh):  # hashed by its fields, of which the table is a dict
+        with pytest.raises(TypeError, match="dict"):
+            hash(obj)
+    names = ["dim", "window", "palette", "mode", "table"]
+    assert [f.name for f in dataclasses.fields(Colouring)] == list(Colouring.__match_args__) == names
+    assert "_subset_masks" not in vars(dataclasses.replace(c))
+
+
+def test_the_search_from_0_keeps_its_masks_apart_from_the_subset_search():
+    rng = random.Random(59)
+    for trial in range(40):
+        dim = rng.choice((2, 3))
+        window = rng.randint(dim + 1, 10)
+        palette = rng.randint(1, 3)
+        from_0 = {t: rng.randrange(palette) for t in sets_domain(dim, window) if t[0] == 0 and rng.random() < 0.8}
+        table = dict(from_0)  # and some of their translates, coloured alike: part of the lift
+        for t, colour in from_0.items():
+            for shift in range(1, window - t[-1] + 1):
+                if rng.random() < 0.5:
+                    table[tuple(x + shift for x in t)] = colour
+        c = Colouring(dim, window, palette, "sets", table)
+        sizes = range(dim, dim + 4)
+        # each answer on a fresh object, then both searches on one object, in both orders
+        want = {(search, m): search(dataclasses.replace(c), m)
+                for search in (find_mono_subset, _find_mono_from_zero) for m in sizes}
+        for order in ((find_mono_subset, _find_mono_from_zero), (_find_mono_from_zero, find_mono_subset)):
+            one = dataclasses.replace(c)
+            for m in sizes:
+                for search in order:
+                    assert search(one, m) == want[search, m], (trial, [s.__name__ for s in order], search.__name__, m)
 
 
 def afs_cases():
