@@ -2,7 +2,7 @@
 """Run the benchmark on two revisions in alternating pairs and write BENCH_<label>.json.
 
 Usage:
-  python scripts/bench_pairs.py BASE CHANGE --label NAME [--traced WORKLOAD ...]
+  python scripts/bench_pairs.py BASE CHANGE --label NAME
 
 Each revision is exported with ``git archive`` into a temporary directory,
 and the command of its ``BENCHMARK.json`` is run there unchanged with
@@ -29,10 +29,10 @@ neither side) and three verdicts:
 It also holds every run's seed, order, ``correct``, ``failed`` and
 metrics, and the Python version and CPU count.
 
-``--traced W`` adds, for workload W, three more alternating pairs run with
-``--trace 1`` and, under ``traced``, their runs and each side's median of
-every per-layer metric, with no verdict: a traced run shows which layer
-moved (``search.subset.self_s``, say) and whether its counts stayed.
+Under ``traced`` it holds three more alternating pairs per workload, run
+with ``--trace 1``, and each side's median of every per-layer metric, with
+no verdict: a traced run shows which layer moved
+(``search.subset.self_s``, say) and whether its counts stayed.
 """
 
 import argparse
@@ -112,17 +112,17 @@ def summarize(runs, end_to_end):
 
 
 def layer_medians(runs):
-    """Each side's median of every per-layer metric, over its traced runs that gave a result."""
+    """Per workload, each side's median of every per-layer metric, over its traced runs that gave a result."""
     out = {}
-    for side in SIDES:
-        values = {}
-        for run in runs:
-            if run["side"] == side and run["result"] is not None:
-                for name, metric in run["result"]["metrics"].items():
-                    if metric["value"] is not None:
-                        values.setdefault(name, []).append(metric["value"])
-        out[side] = {name: statistics.median(v) for name, v in values.items()}
-    return out
+    for run in runs:
+        if run["result"] is not None:
+            values = out.setdefault(run["workload"], {side: {} for side in SIDES})[run["side"]]
+            for name, metric in run["result"]["metrics"].items():
+                if metric["value"] is not None:
+                    values.setdefault(name, []).append(metric["value"])
+    return {workload: {side: {name: statistics.median(v) for name, v in values.items()}
+                       for side, values in sides.items()}
+            for workload, sides in out.items()}
 
 
 def export(revision, directory):
@@ -151,8 +151,6 @@ def main():
     parser.add_argument("base")
     parser.add_argument("change")
     parser.add_argument("--label", required=True)
-    parser.add_argument("--traced", action="append", default=[], metavar="WORKLOAD",
-                        help="also run traced pairs of this workload (repeatable)")
     args = parser.parse_args()
 
     revisions = {side: subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True, capture_output=True,
@@ -170,9 +168,6 @@ def main():
         seconds = spec["run_seconds"]
         python = subprocess.run([command[0], "-c", "import platform; print(platform.python_version())"],
                                 capture_output=True, text=True).stdout.strip()
-        unknown = sorted(set(args.traced) - set(workloads))
-        if unknown:
-            sys.exit(f"--traced names no workload of BENCHMARK.json: {', '.join(unknown)}")
 
         def run_pairs(workload, w, pairs, trace):
             runs = []
@@ -188,23 +183,22 @@ def main():
             return runs
 
         runs = [run for w, workload in enumerate(workloads) for run in run_pairs(workload, w, PAIRS, 0)]
-        traced = {}
-        for workload in dict.fromkeys(args.traced):
-            traced_runs = run_pairs(workload, workloads.index(workload), TRACED_PAIRS, 1)
-            traced[workload] = {"medians": layer_medians(traced_runs), "runs": traced_runs}
+        traced = [run for w, workload in enumerate(workloads) for run in run_pairs(workload, w, TRACED_PAIRS, 1)]
+
+    def command_line(trace):
+        return command + ["--workload", "W", "--seed", "S", "--seconds", str(seconds), "--trace", str(trace)]
+
     record = {
         "label": args.label,
         "revisions": revisions,
-        "command": command + ["--workload", "W", "--seed", "S", "--seconds", str(seconds), "--trace", "0"],
+        "command": command_line(0),
         "python": python,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
+        "traced": {"command": command_line(1), "medians": layer_medians(traced), "runs": traced},
     }
-    if traced:
-        record["traced"] = {"command": command + ["--workload", "W", "--seed", "S", "--seconds", str(seconds),
-                                                  "--trace", "1"], **traced}
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

@@ -203,12 +203,7 @@ class Colouring:
 
     @cached_property
     def _subset_masks(self) -> dict:
-        """``find_mono_subset``'s colour masks, (S, colour) -> bitmask over ``points``.
-
-        Empty until the first subset search, then kept for every later one
-        of this object (tables stay fixed): at most C(len(points), dim - 1)
-        times palette masks.
-        """
+        """The masks ``irl.search.find_mono_subset`` keeps for this object's later searches."""
         return {}
 
 

@@ -55,9 +55,10 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     points that can still extend it.  Once the first tuple fixes the
     colour, that mask is the AND of one mask per (dim-1)-subset S of the
     prefix, the points y with S + (y,) coloured alike.  Those masks are
-    built on first use and kept in ``c._subset_masks``, so a later search
-    of the same object (any m, separated or not) reuses them; only
-    repeated searches of one object gain.  Set bits are tried lowest
+    built on first use and kept in ``c._subset_masks`` for as long as
+    ``c`` lives, at most C(len(points), dim - 1) * palette of them, so a
+    later search of the same object (any m, separated or not) reuses them;
+    only repeated searches of one object gain.  Set bits are tried lowest
     first, and a prefix with fewer candidates than elements still needed
     is dropped.  A separated prefix of two or more elements skips each
     candidate whose gap from its last element is not a multiple of

@@ -119,6 +119,8 @@ def test_traced_pairs_give_each_side_its_per_layer_medians():
             "search.subset.found_ratio": {"value": None, "unit": "ratio"}}}
 
     pairs = [(traced(0.08 + i / 100, 216), traced(0.03 + i / 100, 216)) for i in range(3)] + [(None, None)]
-    medians = layer_medians(runs_of("search-oracle", pairs))
-    assert medians["base"] == {"search.subset.self_s": pytest.approx(0.09), "search.subset.calls": 216}
-    assert medians["change"] == {"search.subset.self_s": pytest.approx(0.04), "search.subset.calls": 216}
+    medians = layer_medians(runs_of("search-oracle", pairs) + runs_of("cli-mix", [(traced(0.5, 9), None)]))
+    assert medians["search-oracle"] == {
+        "base": {"search.subset.self_s": pytest.approx(0.09), "search.subset.calls": 216},
+        "change": {"search.subset.self_s": pytest.approx(0.04), "search.subset.calls": 216}}
+    assert medians["cli-mix"] == {"base": {"search.subset.self_s": 0.5, "search.subset.calls": 9}, "change": {}}
