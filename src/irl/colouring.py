@@ -201,11 +201,6 @@ class Colouring:
         """Every coordinate of a coloured tuple, ascending (computed once; tables stay fixed)."""
         return tuple(sorted(set().union(*self.table)))
 
-    @cached_property
-    def _subset_masks(self) -> dict:
-        """The masks ``irl.search.find_mono_subset`` keeps for this object's later searches."""
-        return {}
-
 
 @dataclass(frozen=True)
 class DifferenceColouring:

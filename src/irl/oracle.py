@@ -137,9 +137,9 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
     """The membership-coding colouring materialized on ordered pairs over [1, window].
 
     Refuses, naming the count, when the window^2 pairs exceed the candidate
-    budget, and refuses a window above the word width, or one whose
-    window + 1 positions no list can hold, that a larger budget lets
-    through.
+    budget, and refuses a window above the word width, one whose
+    window + 1 positions no list can hold, or one whose window^2 pairs no
+    dict can hold, that a larger budget lets through.
     """
     check_int(window, "window", 1)
     pairs, limit = window * window, candidate_budget()
@@ -150,6 +150,8 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
         raise OverflowLimitError(f"window {window} exceeds the {WORD_BITS}-bit limit")
     if window + 1 > sys.maxsize:  # the position lists below hold window + 1 entries
         raise OverflowLimitError(f"lower_bound_colouring window {window} holds more than {sys.maxsize} points")
+    if pairs > sys.maxsize:  # the table below holds window^2 entries
+        raise OverflowLimitError(f"lower_bound_colouring window {window} has {pairs} pairs, more than {sys.maxsize}")
     low = [0] * (window + 1)
     high = [0] * (window + 1)
     for v in range(1, window + 1):

@@ -273,7 +273,7 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     would be shorter than a sets-mode target's arity is refused.
 
     Into ZRT the transformed instance is a lift, whose least witness starts
-    at 0 (the lemma in ``find_mono_subset``).  So the forward map's tuples
+    at 0 (the lemma in ``_find_mono_from_zero``).  So the forward map's tuples
     from 0 are searched from 0, and the lift is not built: the target
     domain is charged to the budget, as ``forward_transform`` charges it,
     and ``ReductionReport.transformed`` builds the lift when it is read.

@@ -55,26 +55,19 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     points that can still extend it.  Once the first tuple fixes the
     colour, that mask is the AND of one mask per (dim-1)-subset S of the
     prefix, the points y with S + (y,) coloured alike.  Those masks are
-    built on first use and kept in ``c._subset_masks`` for as long as
-    ``c`` lives, at most C(len(points), dim - 1) * palette of them, so a
-    later search of the same object (any m, separated or not) reuses them;
-    only repeated searches of one object gain.  Set bits are tried lowest
-    first, and a prefix with fewer candidates than elements still needed
-    is dropped.  A separated prefix of two or more elements skips each
-    candidate whose gap from its last element is not a multiple of
-    2^(bit length of its last gap), which is the apartness test.
-
-    In a translate-closed colouring (every translate inside the window of a
-    coloured tuple coloured alike, as in every lift) the least witness
-    starts at 0: moving a witness down to 0 keeps each tuple's difference
-    vector and stays inside the window.  ``verify_reduction`` into ZRT uses
-    this through ``_find_mono_from_zero``: it charges the target domain to
-    the budget, but searches the lift's tuples from 0 and builds no lift.
+    built on first use and kept in ``c``'s own ``__dict__`` (not a field,
+    so out of equality, ``repr`` and JSON) for as long as ``c`` lives, at
+    most C(len(points), dim - 1) * palette of them, so a later search of
+    the same object (any m, separated or not) reuses them; only repeated
+    searches of one object gain.  Set bits are tried lowest first, and a
+    prefix with fewer candidates than elements still needed is dropped.
+    A separated prefix of two or more elements skips each candidate whose
+    gap from its last element is not a multiple of 2^(bit length of its
+    last gap), which is the apartness test.
     """
     if c.mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
-    points = c.points
-    return _least_subset(c.table.get, points, c._subset_masks, len(points), c.dim, m, separated)
+    return _least_subset(c.table.get, c.points, vars(c).setdefault("_subset_masks", {}), c.dim, m, separated)
 
 
 def _find_mono_from_zero(c: Colouring, m: int):
@@ -82,25 +75,28 @@ def _find_mono_from_zero(c: Colouring, m: int):
 
     The lift colours every translate inside the window of each tuple of
     ``c``, as ``colouring.lift_translates`` does, and ``c.dim`` is at least
-    2.  By the lemma in ``find_mono_subset`` the least witness of the lift
-    starts at 0, so only subsets from 0 are searched.  A tuple is looked up
-    by translating it to 0.  Each element of a witness from 0 shares a
-    tuple with 0, so the points of ``c`` are the only candidates.  The
-    lift's points are counted only when that count decides between no
-    witness and the witness-length refusal.
+    2.  In a translate-closed colouring (every translate inside the window
+    of a coloured tuple coloured alike, as in every lift) the least witness
+    starts at 0: moving a witness down to 0 keeps each tuple's difference
+    vector and stays inside the window.  So only subsets from 0 are
+    searched, and a tuple is looked up by translating it to 0.  Each
+    element of a witness from 0 shares a tuple with 0, so the points of
+    ``c`` are the only candidates.  An m above both their count and
+    ``MAX_WITNESS`` is refused by its length, as ``find_mono_subset`` of the
+    lift refuses it, only when the lift holds at least m points.
     """
     table = c.table
     points = c.points  # 0 first, unless the table is empty
-    count = len(points)
-    if m > count and m > MAX_WITNESS:
-        count = _lift_point_count(table, c.window)
 
     def get(t):
         low = t[0]
         return table.get(tuple([x - low for x in t]) if low else t)
 
-    # masks of their own: they index points[1:] and look tuples up from 0, unlike c._subset_masks
-    return _least_subset(get, points[1:], {}, count, c.dim, m, prefix=(0,))
+    # masks of their own: they index points[1:] and look tuples up from 0, unlike find_mono_subset's
+    found = _least_subset(get, points[1:], {}, c.dim, m, prefix=(0,))
+    if found is None and m > max(len(points), MAX_WITNESS) and _lift_point_count(table, c.window) >= m:
+        _check_depth(m)
+    return found
 
 
 def _lift_point_count(table, window):
@@ -113,21 +109,20 @@ def _lift_point_count(table, window):
     return covered.bit_count()
 
 
-def _least_subset(get, points, colour_masks, count, dim, m, separated=False, prefix=()):
+def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=()):
     """The least m-subset that extends ``prefix`` by ``points`` and whose dim-tuples ``get`` colours alike.
 
-    ``points`` are the increasing candidates above the prefix, and
-    ``count`` the points of the colouring searched: fewer than m means no
-    witness.  The depth-first search that ``find_mono_subset`` describes;
-    a prefix is shorter than dim.  ``colour_masks`` maps (S, colour) to the
-    points y above S with S + (y,) of that colour; it may hold masks of
-    earlier searches with the same ``get`` and ``points``, and gains this
-    search's.
+    ``points`` are the increasing candidates above the prefix; fewer than
+    m points in all means no witness.  The depth-first search that
+    ``find_mono_subset`` describes; a prefix is shorter than dim.
+    ``colour_masks`` maps (S, colour) to the points y above S with
+    S + (y,) of that colour; it may hold masks of earlier searches with
+    the same ``get`` and ``points``, and gains this search's.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < dim:
         raise PreconditionError(f"subset size must be an integer >= dim {dim}, got {m!r}")
     n = len(points)
-    if m > count:
+    if m > n + len(prefix):
         return None
     _check_depth(m)
     prefix = list(prefix)

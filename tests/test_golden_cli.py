@@ -240,6 +240,7 @@ NO_INDEPENDENT_VALUE = {("ZRT", 2, 2, 2), ("SEPZRT", 2, 1, 3)}
 
 def test_finite_number_sweep_rows_pass_the_independent_check():
     verdicts = {}
+    witnesses = 0
     for row in csv.DictReader(io.StringIO(SWEEP_CSV.read_text())):
         query = (row["principle"], int(row["dim"]), int(row["k"]), int(row["m"]))
         shown = json.loads(row["witness_or_counterexample"])
@@ -248,7 +249,15 @@ def test_finite_number_sweep_rows_pass_the_independent_check():
             counterexample = (shown["dim"], shown["window"], shown["palette"], shown["mode"], checks.table_of(shown))
         else:
             value, witness, counterexample = int(row["N"]), shown, None
+            # every value row, with a closed form or not: the least witness of the constant colouring at N
+            principle, dim, _, m = query
+            sets_mode = principle in ("RT", "ZRT", "SEPZRT")
+            window = value - 1 if sets_mode else value
+            domain = checks.sets_tuples(dim, window) if sets_mode else checks.vector_tuples(dim, window)
+            least = checks._least_witness(principle, dict.fromkeys(domain, 0), dim, m, window, 1)
+            assert tuple(witness) == least, (query, witness, least)
+            witnesses += 1
         verdicts[query] = checks.check_finite_number(*query, 12, value, witness, counterexample)
-    assert len(verdicts) == 14
+    assert len(verdicts) == 14 and witnesses == 13
     assert verdicts == {query: "no independent value to compare against" if query in NO_INDEPENDENT_VALUE else None
                         for query in verdicts}

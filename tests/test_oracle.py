@@ -98,6 +98,12 @@ def test_lower_bound_colouring_refuses_a_window_above_the_word(monkeypatch):
         with pytest.raises(OverflowLimitError) as info:
             lower_bound_colouring(EnumerationOracle(events=()), window)
         assert str(info.value) == f"lower_bound_colouring window {window} holds more than {sys.maxsize} points"
+    # a list holds window + 1 positions, but no dict holds window^2 pairs; 3_037_000_500 is the least such window
+    assert 3_037_000_499 ** 2 <= sys.maxsize < 3_037_000_500 ** 2
+    for window in (3_037_000_500, 2**62):
+        with pytest.raises(OverflowLimitError) as info:
+            lower_bound_colouring(EnumerationOracle(events=()), window)
+        assert str(info.value) == f"lower_bound_colouring window {window} has {window**2} pairs, more than {sys.maxsize}"
 
 
 def test_synthesize_examples():
