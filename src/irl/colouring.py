@@ -410,9 +410,7 @@ def colouring_from_json(data):
     table = {}
     for item in entries:
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
-            # the (tuple, colour) pairs of colouring_to_json, handed over without a JSON round trip
-            if not isinstance(item, tuple) or len(item) != 2 or not isinstance(item[0], tuple):
-                raise FormatError(f"malformed entry: {item!r}")
+            raise FormatError(f"malformed entry: {item!r}")
         t = tuple(item[0])
         try:
             duplicate = t in table

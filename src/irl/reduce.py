@@ -26,7 +26,7 @@ yields a report with a null verdict, not an error.
 
 import hashlib
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -49,14 +49,14 @@ def bit_window(value_window: int) -> int:
     return (check_int(value_window, "value window", 0) + 1).bit_length() - 1
 
 
-# Forward maps: (instance, target window) -> the target's colouring, read from
-# the instance's entries alone.  A map into a shift-invariant principle gives
-# (tuple from 0, colour) pairs, which forward_transform lifts and
-# verify_reduction searches from 0 without a lift; ZRT_TO_AHT keys
-# the tuples from 0 by their difference vectors; APAHT_TO_RT reads blocks.
+# Forward maps: (instance, target window) -> the table verify_reduction
+# searches, read from the instance's entries alone.  A map into a
+# shift-invariant principle gives the tuples from 0 that fit the window,
+# which forward_transform lifts; ZRT_TO_AHT keys the tuples from 0 by their
+# difference vectors; APAHT_TO_RT reads blocks.
 
 def _sets_from_zero(instance, window):
-    return (((0, *s), colour) for s, colour in instance.table.items() if s[0] > 0)
+    return {(0, *s): colour for s, colour in instance.table.items() if s[0] > 0}
 
 
 def _anchored_differences(instance, window):
@@ -100,7 +100,7 @@ class Reduction:
     source: str  # the principle of the instance and of the mapped-back solution
     target: str  # the principle of the transformed instance and of its witness
     shift: int  # target arity minus source arity
-    forward: Callable[[Colouring, int], Iterable]  # (instance, target window) -> target table, or pairs from 0
+    forward: Callable[[Colouring, int], dict]  # (instance, target window) -> the table verify searches
     backward: Callable[[tuple], tuple]  # checked witness -> solution
     window: Callable[[int], int] = lambda window: window  # instance window -> target window
     extra: int = 0  # how much longer a witness is than the solution it maps to
@@ -112,7 +112,8 @@ class Reduction:
 REDUCTIONS: dict[str, Reduction] = {f"{r.source}_TO_{r.target}": r for r in (
     Reduction("RT", "ZRT", +1, _sets_from_zero, _minus_least, extra=1),
     Reduction("ZRT", "AHT", -1, _anchored_differences, lambda witness: partial_sums(witness)),
-    Reduction("AHT", "ZRT", +1, lambda instance, window: ((_anchor(v), c) for v, c in instance.table.items()),
+    Reduction("AHT", "ZRT", +1,
+              lambda instance, window: {_anchor(v): c for v, c in instance.table.items() if sum(v) <= window},
               lambda witness: differences(gap_increasing(witness)), min_len=2),
     Reduction("APAHT", "RT", +1, _half_open_blocks, _consecutive_blocks, window=bit_window, extra=1, min_len=2),
 )}
@@ -126,33 +127,21 @@ def _reduction(kind) -> Reduction:
         raise PreconditionError(f"kind must be one of {KINDS}, got {kind!r}") from None
 
 
-def _instance_reduction(kind, instance) -> Reduction:
-    """The kind's record, once ``instance`` is known to be a ``Colouring``."""
+def _checked(kind: str, instance) -> tuple[Reduction, int]:
+    """The kind's record and arity parameter (its n or d), once ``instance`` passes and a lift is charged.
+
+    ``forward_transform`` and ``verify_reduction`` share this one pass: the
+    kind, the ``Colouring`` type, the source mode, the arity, invariance,
+    then the charge for a lift, in this order.
+    """
     reduction = _reduction(kind)
     if not isinstance(instance, Colouring):
         raise PreconditionError(f"{kind} expects a Colouring instance, got {type(instance).__name__}")
-    return reduction
-
-
-def kind_param(kind: str, instance: Colouring) -> int:
-    """The arity parameter (the n or d of the kind) implied by the instance."""
-    shift = _instance_reduction(kind, instance).shift
-    if instance.dim + shift < 1:
-        raise PreconditionError(f"{kind} expects tuple arity >= {1 - shift}")
-    return min(instance.dim, instance.dim + shift)
-
-
-def _checked(kind: str, instance) -> Reduction:
-    """The kind's record, once ``instance`` passes the forward checks and a lift is charged.
-
-    ``forward_transform`` and ``verify_reduction`` share these checks and
-    this charge, in this order.
-    """
-    reduction = _instance_reduction(kind, instance)
     mode, invariant, _ = _SHAPES[reduction.source]
     if instance.mode != mode:
         raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
-    kind_param(kind, instance)  # refuses an arity the shift would take below 1
+    if instance.dim + reduction.shift < 1:
+        raise PreconditionError(f"{kind} expects tuple arity >= {1 - reduction.shift}")
     if invariant:
         witness = invariance_witness(instance)
         if witness is not None:
@@ -160,22 +149,28 @@ def _checked(kind: str, instance) -> Reduction:
     mode, invariant, _ = _SHAPES[reduction.target]
     if invariant:  # only a lift is charged, for its whole target domain
         charge_domain(mode, instance.dim + reduction.shift, reduction.window(instance.window))
-    return reduction
+    return reduction, min(instance.dim, instance.dim + reduction.shift)
 
 
 def _target(reduction: Reduction, instance: Colouring) -> Colouring:
-    """The transformed instance of a checked instance: the forward map's table, or the lift of its pairs."""
+    """The forward map's colouring of a checked instance: into ZRT, the tuples from 0 of its lift."""
     window = reduction.window(instance.window)
-    table = reduction.forward(instance, window)
-    mode, invariant, _ = _SHAPES[reduction.target]
-    if invariant:
-        table = lift_translates(table, window)
-    return _unchecked(Colouring, instance.dim + reduction.shift, window, instance.palette, mode, table)
+    return _unchecked(Colouring, instance.dim + reduction.shift, window, instance.palette,
+                      _SHAPES[reduction.target][0], reduction.forward(instance, window))
+
+
+def _lifted(reduction: Reduction, instance: Colouring) -> Colouring:
+    """The transformed instance of a checked instance: ``_target``, lifted when the target is ZRT."""
+    target = _target(reduction, instance)
+    if _SHAPES[reduction.target][1]:
+        table = lift_translates(target.table.items(), target.window)
+        target = _unchecked(Colouring, target.dim, target.window, target.palette, target.mode, table)
+    return target
 
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
     """Transform an instance of the source problem into one of the target problem."""
-    return _target(_checked(kind, instance), instance)
+    return _lifted(_checked(kind, instance)[0], instance)
 
 
 def backward_transform(kind: str, solution) -> tuple:
@@ -222,7 +217,7 @@ class ReductionReport:
 
     @cached_property
     def transformed(self) -> Colouring:
-        return _target(REDUCTIONS[self.kind], self.instance)
+        return _lifted(REDUCTIONS[self.kind], self.instance)
 
     @cached_property
     def instance_digest(self) -> str:
@@ -272,15 +267,15 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     longer (the backward transform consumes them).  A target whose witness
     would be shorter than a sets-mode target's arity is refused.
 
-    Into ZRT the transformed instance is a lift, whose least witness starts
-    at 0 (the lemma in ``_find_mono_from_zero``).  So the forward map's tuples
-    from 0 are searched from 0, and the lift is not built: the target
-    domain is charged to the budget, as ``forward_transform`` charges it,
-    and ``ReductionReport.transformed`` builds the lift when it is read.
+    The searched colouring is ``_target``'s.  Into ZRT that is the lift's
+    tuples from 0, searched from 0 since the lift's least witness starts
+    at 0 (the lemma in ``_find_mono_from_zero``), and the lift is not
+    built: the target domain is charged to the budget, as
+    ``forward_transform`` charges it, and ``ReductionReport.transformed``
+    builds the lift when it is read.
     """
     check_int(target, "target", 1)
-    param = kind_param(kind, instance)
-    reduction = _checked(kind, instance)
+    reduction, param = _checked(kind, instance)
     length = target + reduction.extra
     if length < reduction.min_len:
         raise PreconditionError(f"{kind} needs target >= {reduction.min_len - reduction.extra}")
@@ -289,15 +284,9 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     if mode == "sets" and length < dim:
         raise PreconditionError(
             f"{kind} needs target >= {dim - reduction.extra} on a dim-{instance.dim} instance, got {target}")
-    if invariant:  # the lift's tuples from 0 stand for the lift, whose least witness starts at 0
-        window = reduction.window(instance.window)
-        pairs = reduction.forward(instance, window)
-        table = {t: colour for t, colour in pairs if t[-1] <= window}  # the rest has no translate
-        searched = _unchecked(Colouring, dim, window, instance.palette, mode, table)
-        witness = _find_mono_from_zero(searched, length)
-    else:
-        searched = _target(reduction, instance)
-        witness = (find_mono_subset if mode == "sets" else find_afs_mono)(searched, length)
+    searched = _target(reduction, instance)
+    search = _find_mono_from_zero if invariant else find_mono_subset if mode == "sets" else find_afs_mono
+    witness = search(searched, length)
     mapped = passed = colour = None
     if witness is not None:
         mapped = reduction.backward(witness)  # a search result passes backward_transform's checks

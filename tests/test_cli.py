@@ -132,6 +132,15 @@ def test_oracle_demo(files, capsys):
     assert out == '{"witness": [96, 384, 1536], "decoded": true}\n'
 
 
+def test_oracle_demo_refuses_a_sequence_that_is_not_one_one(files, capsys, monkeypatch):
+    # the guard before decoding: a synthesized sequence must be (1,1)-monochromatic
+    monkeypatch.setattr("irl.cli.synthesize_solution", lambda oracle, m: [1, 2, 4])
+    code, out = run(capsys, "oracle-demo", "--oracle", files["oracle"], "--length", "3", "--query", "3")
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out) == {"error": {"code": "precondition",
+                                         "message": "synthesized sequence is not (1,1)-monochromatic at pair (2, 4)"}}
+
+
 def test_byte_identical_reruns(files, capsys):
     _, first = run(capsys, "reduce", "--kind", "ZRT_TO_AHT",
                    "--input", files["parity"], "--m", "3")

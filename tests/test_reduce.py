@@ -28,7 +28,6 @@ from irl.reduce import (
     backward_transform,
     bit_window,
     forward_transform,
-    kind_param,
     verify_reduction,
 )
 from irl.search import _SHAPES, FiniteNumberQuery, find_mono_subset, finite_number
@@ -282,8 +281,13 @@ def test_forward_and_verify_follow_the_derived_shapes(monkeypatch, kind):
     else:
         instance, other = invariant_pairs(6, lambda z: 0), vector_colouring(1, 15, lambda t: 0)
     assert forward_transform(kind, instance).mode == target_mode
-    with pytest.raises(PreconditionError, match=f"{kind} expects a {source_mode}-mode instance"):
+    reduction = REDUCTIONS[kind]  # every forward map returns the table verify searches
+    assert type(reduction.forward(instance, reduction.window(instance.window))) is dict
+    with pytest.raises(PreconditionError, match=f"{kind} expects a {source_mode}-mode instance") as refused:
         forward_transform(kind, other)
+    with pytest.raises(PreconditionError) as info:  # one check pass: verify refuses it for the same reason
+        verify_reduction(kind, other, 2)
+    assert str(info.value) == str(refused.value)
     if source_mode == "sets":
         anchored = Colouring(2, 4, 2, "sets", {t: t[0] % 2 for t in sets_domain(2, 4)})
         if invariant:
@@ -299,7 +303,6 @@ def test_forward_and_verify_follow_the_derived_shapes(monkeypatch, kind):
 
 
 @pytest.mark.parametrize("call", [
-    lambda inst: kind_param("NOPE", inst),
     lambda inst: forward_transform("NOPE", inst),
     lambda inst: backward_transform("NOPE", ()),
     lambda inst: verify_reduction("NOPE", inst, 2),
@@ -322,8 +325,6 @@ DIFFERENCES = DifferenceColouring(1, 4, 2, {(1,): 0})
      "AHT_TO_ZRT expects a Colouring instance, got DifferenceColouring"),
     (lambda: verify_reduction("ZRT_TO_AHT", DIFFERENCES, 2),
      "ZRT_TO_AHT expects a Colouring instance, got DifferenceColouring"),
-    (lambda: kind_param("APAHT_TO_RT", DIFFERENCES),
-     "APAHT_TO_RT expects a Colouring instance, got DifferenceColouring"),
 ])
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:
