@@ -302,18 +302,19 @@ def test_forward_and_verify_follow_the_derived_shapes(monkeypatch, kind):
     assert report.passed is (not apart)
 
 
+DIFFERENCES = DifferenceColouring(1, 4, 2, {(1,): 0})
+
+
 @pytest.mark.parametrize("call", [
     lambda inst: forward_transform("NOPE", inst),
     lambda inst: backward_transform("NOPE", ()),
     lambda inst: verify_reduction("NOPE", inst, 2),
+    lambda inst: verify_reduction("NOPE", DIFFERENCES, 2),  # the kind before the type
 ])
 def test_unknown_kind_is_refused_before_any_other_fault(call):
     with pytest.raises(PreconditionError) as info:
         call(vector_colouring(1, 4, lambda t: 0))
     assert str(info.value) == f"kind must be one of {KINDS}, got 'NOPE'"
-
-
-DIFFERENCES = DifferenceColouring(1, 4, 2, {(1,): 0})
 
 
 @pytest.mark.parametrize("call, message", [
@@ -325,6 +326,8 @@ DIFFERENCES = DifferenceColouring(1, 4, 2, {(1,): 0})
      "AHT_TO_ZRT expects a Colouring instance, got DifferenceColouring"),
     (lambda: verify_reduction("ZRT_TO_AHT", DIFFERENCES, 2),
      "ZRT_TO_AHT expects a Colouring instance, got DifferenceColouring"),
+    (lambda: verify_reduction("APAHT_TO_RT", DIFFERENCES, 2),
+     "APAHT_TO_RT expects a Colouring instance, got DifferenceColouring"),
 ])
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:
