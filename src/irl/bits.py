@@ -13,6 +13,13 @@ uses the second form.
 Values are capped at WORD_BITS bits.  Anything larger is reported as a
 structured overflow, never silently accepted: a wrapped value would
 corrupt the bit endpoints that everything else depends on.
+
+Each value is checked once.  A plain int in 1..MAX_VALUE passes one
+type-and-range test; anything else (a bool, an int subclass, a non-int,
+zero or below, or a value above WORD_BITS bits) takes the exact checks,
+which accept or raise exactly as they would on their own.  Callers that
+need both bit endpoints, such as ``pair_colour`` and ``decode``, check a
+value once and read its endpoints from the checked int.
 """
 
 from irl.errors import OverflowLimitError, PreconditionError
@@ -29,6 +36,8 @@ def check_value(x: int) -> int:
 
 
 def _positive(x) -> int:
+    if type(x) is int and 0 < x <= MAX_VALUE:
+        return x
     if not isinstance(x, int) or isinstance(x, bool):
         raise PreconditionError(f"expected a positive integer, got {x!r}")
     if x < 1:

@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import accumulate
 from operator import or_
 
-from irl.bits import MAX_VALUE, WORD_BITS, highest_bit, lowest_bit
+from irl.bits import MAX_VALUE, WORD_BITS, _positive, highest_bit, lowest_bit
 from irl.budget import candidate_budget
 from irl.colouring import Colouring, _unchecked
 from irl.errors import (
@@ -99,6 +99,10 @@ class EnumerationOracle:
         return tuple(accumulate(marks, or_)), stage_of
 
 
+def _not_an_oracle(oracle) -> PreconditionError:
+    return PreconditionError(f"expected an EnumerationOracle, got {type(oracle).__name__}")
+
+
 def approx(oracle: EnumerationOracle, bound: int, stage: int) -> frozenset:
     """Elements below ``bound`` enumerated at stages <= ``stage``."""
     return frozenset(
@@ -114,21 +118,25 @@ def _approximations_differ(oracle: EnumerationOracle, bound: int, stage: int, ot
     min + 1 through max of the profile's mask for the bound.  The bound and
     both stages are below WORD_BITS, so a clamped stage never lands in them.
     """
-    masks, _ = oracle.stage_profile
+    try:
+        masks, _ = oracle.stage_profile
+    except AttributeError:
+        raise _not_an_oracle(oracle) from None
     return (masks[bound] & abs((2 << stage) - (2 << other))) != 0
 
 
 def pair_colour(oracle: EnumerationOracle, x: int, y: int) -> int:
     """Colour of the ordered pair (x, y) under the membership-coding colouring.
 
-    One mask test on the oracle's stage profile decides whether the
-    approximations below lowest_bit(x) at stages highest_bit(x) and
-    highest_bit(y) differ.
+    x and y are checked once each, in that order, and both bit endpoints
+    are read from the checked values.  One mask test on the oracle's stage
+    profile decides whether the approximations below lowest_bit(x) at
+    stages highest_bit(x) and highest_bit(y) differ.
     """
-    lx = lowest_bit(x)
-    ly = lowest_bit(y)
-    i = 1 if lx < ly else 0
-    # the highest bits of the checked x and y
+    _positive(x)
+    _positive(y)
+    lx = (x & -x).bit_length() - 1
+    i = 1 if lx < (y & -y).bit_length() - 1 else 0
     j = 0 if _approximations_differ(oracle, lx, x.bit_length() - 1, y.bit_length() - 1) else 1
     return encode_colour(i, j)
 
@@ -176,7 +184,10 @@ def synthesize_solution(oracle: EnumerationOracle, m: int) -> tuple:
     so the compared approximations are already settled.
     """
     check_int(m, "length", 1)
-    start = oracle.settle_stage
+    try:
+        start = oracle.settle_stage
+    except AttributeError:
+        raise _not_an_oracle(oracle) from None
     if start + 2 * m - 1 >= WORD_BITS:
         raise OverflowLimitError(
             f"synthesized entry would need bit {start + 2 * m - 1}, above the {WORD_BITS}-bit limit"
@@ -190,18 +201,26 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
     Correct whenever the consulted entry's highest bit is at least the
     settle stage, as it is for synthesized sequences and for any sequence
     whose adjacent pair sums are monochromatic in (1, 1) with settled
-    stage values.
+    stage values.  Entries are checked in order, each once, up to the one
+    consulted; the entries after it stay unchecked.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise PreconditionError(f"query must be a natural, got {m!r}")
-    entries = tuple(seq)
+    try:
+        entries = tuple(seq)
+    except TypeError:
+        raise PreconditionError(f"decode requires a sequence of values, got {seq!r}") from None
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:
-        if lowest_bit(x) > m:
+        _positive(x)
+        if (x & -x).bit_length() - 1 > m:
             # m is below lowest_bit(x) < WORD_BITS, so it is in the approximation iff
             # the profile holds a stage for it no later than highest_bit(x)
-            _, stage_of = oracle.stage_profile
+            try:
+                _, stage_of = oracle.stage_profile
+            except AttributeError:
+                raise _not_an_oracle(oracle) from None
             stage = stage_of.get(m)
             return stage is not None and stage <= x.bit_length() - 1
     raise WindowExhaustedError(

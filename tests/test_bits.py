@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from by_path import load
+from irl import bits
 from irl.bits import (
     MAX_VALUE,
     bit_support,
@@ -33,6 +34,10 @@ def test_block_examples(a, b, expected):
     assert block(a, b) == expected
 
 
+class Word(int):
+    """An int subclass: accepted like the plain int, through the exact checks."""
+
+
 def test_zero_is_rejected():
     with pytest.raises(PreconditionError):
         lowest_bit(0)
@@ -40,6 +45,12 @@ def test_zero_is_rejected():
         highest_bit(0)
     with pytest.raises(PreconditionError):
         is_apart((1, 0, 4))
+    # bools are refused whichever int they equal
+    for value in (False, True):
+        for call in (lowest_bit, highest_bit, lambda v: is_apart((1, v, 4))):
+            with pytest.raises(PreconditionError) as info:
+                call(value)
+            assert str(info.value) == f"expected a positive integer, got {value}"
 
 
 def test_block_bad_range_and_overflow():
@@ -53,8 +64,32 @@ def test_block_bad_range_and_overflow():
 
 
 def test_value_width_guard():
+    for call in (lowest_bit, highest_bit, lambda v: is_apart((1, v))):
+        with pytest.raises(OverflowLimitError) as info:
+            call(2**64)
+        assert str(info.value) == "value 18446744073709551616 exceeds the 64-bit limit"
+    # the largest value is accepted, plain or as an int subclass
+    for edge in (2**64 - 1, Word(2**64 - 1)):
+        assert (lowest_bit(edge), highest_bit(edge)) == (0, 63)
+        assert is_apart((edge,)) is True and is_apart((1, edge)) is False
+    assert (lowest_bit(Word(96)), highest_bit(Word(96))) == (lowest_bit(96), highest_bit(96)) == (5, 6)
+    assert is_apart((Word(1), Word(2), 4)) is is_apart((1, 2, 4)) is True
+
+
+def test_only_plain_ints_in_range_skip_the_exact_checks(monkeypatch):
+    # a plain int in 1..MAX_VALUE passes one type-and-range test; an int
+    # subclass and a value above the word take the exact checks
+    checked = []
+    exact = bits.check_value
+    monkeypatch.setattr(bits, "check_value", lambda x: exact(checked.append(x) or x))
+    for value in (1, 96, 2**63, 2**64 - 1):
+        lowest_bit(value), highest_bit(value), is_apart((value,))
+    assert checked == []
+    lowest_bit(Word(96)), highest_bit(Word(2**64 - 1)), is_apart((4, Word(8)))
+    assert checked == [96, 2**64 - 1, 8]
     with pytest.raises(OverflowLimitError):
         lowest_bit(2**64)
+    assert checked[-1] == 2**64
 
 
 @pytest.mark.parametrize("seq, expected", [

@@ -221,6 +221,11 @@ def test_oracle_json_round_trip_and_rejections():
     (lambda: oracle_from_json({"events": [[1]]}), FormatError, "malformed event: [1]"),
     (lambda: lower_bound_colouring(W, 0), PreconditionError, "window must be an integer >= 1, got 0"),
     (lambda: synthesize_solution(W, 0), PreconditionError, "length must be an integer >= 1, got 0"),
+    (lambda: decode(5, W, 1), PreconditionError, "decode requires a sequence of values, got 5"),
+    (lambda: pair_colour("x", 1, 2), PreconditionError, "expected an EnumerationOracle, got str"),
+    (lambda: decode((1, 2), None, 0), PreconditionError, "expected an EnumerationOracle, got NoneType"),
+    (lambda: lower_bound_colouring(None, 4), PreconditionError, "expected an EnumerationOracle, got NoneType"),
+    (lambda: synthesize_solution(None, 3), PreconditionError, "expected an EnumerationOracle, got NoneType"),
 ])
 def test_oracle_checks_raise_their_own_errors(call, error, message):
     with pytest.raises(error) as info:
@@ -293,19 +298,35 @@ def test_decode_matches_membership_in_the_approximation():
     assert seen == {True, False, WindowExhaustedError}
 
 
+class Word(int):
+    """An int subclass: accepted like the plain int, through the exact checks."""
+
+
 def test_pair_colour_and_decode_raise_the_reference_errors():
-    bad = (0, -1, True, 2**64, 2**70, 1.5, "2")
+    bad = (0, -1, True, False, 2**64, 2**70, 1.5, "2")
     for value in bad:
-        for good in (1, 6, 2**63):
+        for good in (1, 6, 2**63, 2**64 - 1, Word(6)):
             assert outcome(pair_colour, W, value, good) == outcome(reference_pair_colour, W, value, good)
             assert outcome(pair_colour, W, good, value) == outcome(reference_pair_colour, W, good, value)
         for other in bad:
             assert outcome(pair_colour, W, value, other) == outcome(reference_pair_colour, W, value, other)
     sequences = [(), []] + [(value,) for value in bad] + [(1, value) for value in bad] \
-        + [(8, value) for value in bad] + [(1, 2, 4), (96, 384), (2**63,)]
+        + [(8, value) for value in bad] + [(1, 2, 4), (96, 384), (2**63,), (2**64 - 1,), (2**63, 2**64 - 1)]
+    sequences += [tuple(map(Word, seq)) for seq in sequences[-5:]]
     for seq in sequences:
-        for m in (0, 1, 2, 5, 63, 64, -1, True, 2**64, "1"):
+        for m in (0, 1, 2, 5, 63, 64, -1, True, False, 2**64, "1"):
             assert outcome(decode, seq, W, m) == outcome(reference_decode, seq, W, m), (seq, m)
+    # an int subclass gets the plain int's colour and readout
+    rng = random.Random(65)
+    edges = (1, 2, 3, 6, 96, 2**63, 2**64 - 1)
+    for oracle in [W] + [random_oracle(rng, max_events=12, max_stage=64, element_pool=64) for _ in range(20)]:
+        for x in edges:
+            for y in edges:
+                assert pair_colour(oracle, Word(x), Word(y)) == pair_colour(oracle, x, Word(y)) \
+                    == pair_colour(oracle, x, y), (oracle, x, y)
+            for m in range(0, 66, 5):
+                assert outcome(decode, (Word(x), Word(2**63)), oracle, m) \
+                    == outcome(decode, (x, 2**63), oracle, m), (oracle, x, m)
 
 
 def test_lower_bound_colouring_matches_the_two_approximations():
