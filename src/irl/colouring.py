@@ -158,6 +158,13 @@ def _check_table(table, dim, window, palette, mode):
             raise FormatError(f"difference vector total {sum(t)} exceeds window {window}: {t!r}")
 
 
+def _expect(obj, cls, name):
+    """``obj``, refused with "NAME expects a CLS instance, got TYPE" unless it is a ``cls``."""
+    if not isinstance(obj, cls):
+        raise PreconditionError(f"{name} expects a {cls.__name__} instance, got {type(obj).__name__}")
+    return obj
+
+
 def _unchecked(cls, *values):
     """A Colouring or DifferenceColouring built by this package, without validation.
 
@@ -250,14 +257,14 @@ def invariance_witness(c: Colouring):
     against the earliest representative of its difference vector, whatever
     the table's own order.
     """
-    if c.mode != "sets":
+    if _expect(c, Colouring, "invariance_witness").mode != "sets":
         raise PreconditionError("shift invariance is defined for sets-mode colourings")
     return _difference_scan(c)[0]
 
 
 def is_shift_invariant(c: Colouring) -> bool:
     """True iff the colouring is unchanged by shifting every tuple entry alike."""
-    return invariance_witness(c) is None
+    return invariance_witness(_expect(c, Colouring, "is_shift_invariant")) is None
 
 
 def to_differences(c: Colouring) -> DifferenceColouring:
@@ -266,7 +273,7 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     Rejects non-invariant input with a witness pair of equal-difference
     tuples carrying unequal colours.
     """
-    if c.mode != "sets":
+    if _expect(c, Colouring, "to_differences").mode != "sets":
         raise PreconditionError("to_differences applies to sets-mode colourings")
     if c.dim < 2:
         raise PreconditionError("to_differences requires tuple arity >= 2")
@@ -280,14 +287,17 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     return _unchecked(DifferenceColouring, c.dim - 1, c.window, c.palette, table)
 
 
-def lift_translates(anchored, window) -> dict:
-    """A table colouring each translate inside [0, window] of every (tuple from 0, colour) pair."""
+def lift_translates(c: Colouring) -> Colouring:
+    """The sets colouring of every translate inside [0, c.window] of each tuple of ``c``.
+
+    The tuples of ``c`` all start at 0; the work follows them, not the window.
+    """
     table = {}
-    for t, colour in anchored:
-        room = window - t[-1] + 1  # the number of shifts that fit
+    for t, colour in c.table.items():
+        room = c.window - t[-1] + 1  # the number of shifts that fit
         for translate in zip(*[range(x, x + room) for x in t]):
             table[translate] = colour
-    return table
+    return _unchecked(Colouring, c.dim, c.window, c.palette, "sets", table)
 
 
 def _lift(table, dim, window, palette, limit=None) -> Colouring:
@@ -297,8 +307,8 @@ def _lift(table, dim, window, palette, limit=None) -> Colouring:
     translates are built.
     """
     charge_domain("sets", dim, window, limit)
-    anchored = ((_anchor(v), colour) for v, colour in table.items())
-    return _unchecked(Colouring, dim, window, palette, "sets", lift_translates(anchored, window))
+    return lift_translates(_unchecked(Colouring, dim, window, palette, "sets",
+                                      {_anchor(v): colour for v, colour in table.items()}))
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
@@ -307,6 +317,7 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     Each difference vector colours the translates of its partial sums from
     0; the rest is left uncoloured, so the result is shift-invariant.
     """
+    _expect(dc, DifferenceColouring, "from_differences")
     check_int(window, "window", 0, FormatError)
     return _lift(dc.table, dc.dim + 1, window, dc.palette)
 
@@ -322,6 +333,8 @@ def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):
     ``limit``, and with ``exhaustive`` so must the palette ** #variables
     tables an enumeration visits; both are refused before any is built.
     """
+    if mode not in MODES:
+        raise FormatError(f"unknown mode {mode!r}")
     if invariant:
         domain_mode, domain_dim, what = "vectors", dim - 1, "difference tables"
         colouring = partial(_lift, dim=dim, window=window, palette=palette, limit=limit)

@@ -33,6 +33,7 @@ from functools import cached_property
 from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
+    _expect,
     _unchecked,
     charge_domain,
     colouring_to_json,
@@ -135,8 +136,7 @@ def _checked(kind: str, instance) -> tuple[Reduction, int]:
     then the charge for a lift, in this order.
     """
     reduction = _reduction(kind)
-    if not isinstance(instance, Colouring):
-        raise PreconditionError(f"{kind} expects a Colouring instance, got {type(instance).__name__}")
+    _expect(instance, Colouring, kind)
     mode, invariant, _ = _SHAPES[reduction.source]
     if instance.mode != mode:
         raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
@@ -162,10 +162,7 @@ def _target(reduction: Reduction, instance: Colouring) -> Colouring:
 def _lifted(reduction: Reduction, instance: Colouring) -> Colouring:
     """The transformed instance of a checked instance: ``_target``, lifted when the target is ZRT."""
     target = _target(reduction, instance)
-    if _SHAPES[reduction.target][1]:
-        table = lift_translates(target.table.items(), target.window)
-        target = _unchecked(Colouring, target.dim, target.window, target.palette, target.mode, table)
-    return target
+    return lift_translates(target) if _SHAPES[reduction.target][1] else target
 
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
@@ -269,10 +266,10 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
 
     The searched colouring is ``_target``'s.  Into ZRT that is the lift's
     tuples from 0, searched from 0 since the lift's least witness starts
-    at 0 (the lemma in ``_find_mono_from_zero``), and the lift is not
-    built: the target domain is charged to the budget, as
-    ``forward_transform`` charges it, and ``ReductionReport.transformed``
-    builds the lift when it is read.
+    at 0 (the lemma in ``_find_mono_from_zero``), and the lift is built
+    only where that search is undecided: the target domain is charged to
+    the budget, as ``forward_transform`` charges it, and
+    ``ReductionReport.transformed`` builds the lift when it is read.
     """
     check_int(target, "target", 1)
     reduction, param = _checked(kind, instance)

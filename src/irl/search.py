@@ -22,7 +22,7 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import budget_limit
-from irl.colouring import Colouring, _shape, colouring_to_json
+from irl.colouring import Colouring, _shape, colouring_to_json, lift_translates
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError, check_int
 from irl.sums import _choose, _gaps, _run_tuples
@@ -71,19 +71,19 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
 
 
 def _find_mono_from_zero(c: Colouring, m: int):
-    """``find_mono_subset`` of the lift of ``c``, whose tuples all start at 0, without the lift.
+    """``find_mono_subset`` of ``lift_translates(c)``, whose tuples all start at 0, searched from 0.
 
     The lift colours every translate inside the window of each tuple of
-    ``c``, as ``colouring.lift_translates`` does, and ``c.dim`` is at least
-    2.  In a translate-closed colouring (every translate inside the window
-    of a coloured tuple coloured alike, as in every lift) the least witness
-    starts at 0: moving a witness down to 0 keeps each tuple's difference
-    vector and stays inside the window.  So only subsets from 0 are
-    searched, and a tuple is looked up by translating it to 0.  Each
-    element of a witness from 0 shares a tuple with 0, so the points of
-    ``c`` are the only candidates.  An m above both their count and
-    ``MAX_WITNESS`` is refused by its length, as ``find_mono_subset`` of the
-    lift refuses it, only when the lift holds at least m points.
+    ``c``, and ``c.dim`` is at least 2.  In a translate-closed colouring
+    (every translate inside the window of a coloured tuple coloured alike,
+    as in every lift) the least witness starts at 0: moving a witness down
+    to 0 keeps each tuple's difference vector and stays inside the window.
+    So only subsets from 0 are searched, and a tuple is looked up by
+    translating it to 0.  Each element of a witness from 0 shares a tuple
+    with 0, so the points of ``c`` are the only candidates.  Only an m
+    above both their count and ``MAX_WITNESS`` is left undecided: the lift
+    may hold m points, and ``find_mono_subset`` of the lift, which is then
+    built, either finds none or refuses m by its length.
     """
     table = c.table
     points = c.points  # 0 first, unless the table is empty
@@ -94,19 +94,9 @@ def _find_mono_from_zero(c: Colouring, m: int):
 
     # masks of their own: they index points[1:] and look tuples up from 0, unlike find_mono_subset's
     found = _least_subset(get, points[1:], {}, c.dim, m, prefix=(0,))
-    if found is None and m > max(len(points), MAX_WITNESS) and _lift_point_count(table, c.window) >= m:
-        _check_depth(m)
+    if found is None and m > max(len(points), MAX_WITNESS):
+        return find_mono_subset(lift_translates(c), m)
     return found
-
-
-def _lift_point_count(table, window):
-    """The number of points of the tuples in the lift of ``table`` to [0, window]."""
-    covered = 0
-    for t in table:
-        shifts = (1 << window - t[-1] + 1) - 1  # each point x of t covers x, ..., x + window - t[-1]
-        for x in t:
-            covered |= shifts << x
-    return covered.bit_count()
 
 
 def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=()):

@@ -305,6 +305,11 @@ def test_table_validation():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: next(enumerate_colourings(1, 2, 2, mode="bogus")), FormatError, "unknown mode 'bogus'"),
+    # the mode before the domain's charge: as vectors, these windows would be refused by the budget
+    pytest.param(lambda: next(enumerate_colourings(2, 1000, 2, mode="bogus")), FormatError, "unknown mode 'bogus'",
+                 id="enumerate-bogus-mode-at-window-1000"),
+    pytest.param(lambda: next(sample_colourings(2, 2000, 2, mode="bogus")), FormatError, "unknown mode 'bogus'",
+                 id="sample-bogus-mode-at-window-2000"),
     (lambda: Colouring(1, -1, 2, "sets", {}), FormatError, "window must be an integer >= 0, got -1"),
     (lambda: Colouring(1, 2, 0, "sets", {}), FormatError, "palette must be an integer >= 1, got 0"),
     (lambda: Colouring(1, 2, 2, "bogus", {}), FormatError, "mode must be one of ('sets', 'vectors'), got 'bogus'"),

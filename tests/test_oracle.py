@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from by_path import load
-from irl.bits import MAX_VALUE, highest_bit, lowest_bit
+from irl.bits import MAX_VALUE
 from irl.errors import BudgetExceededError, FormatError, OverflowLimitError, PreconditionError, WindowExhaustedError
 from irl.oracle import (
     EnumerationOracle,
@@ -241,10 +241,20 @@ def outcome(fn, *args):
         return type(error), str(error)
 
 
+def reference_value(x):
+    """The value rule of ``pair_colour`` and ``decode``, written out: a positive int of at most 64 bits."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise PreconditionError(f"expected a positive integer, got {x!r}")
+    if x < 1:
+        raise PreconditionError(f"expected a positive integer, got {x}")
+    if x > 2**64 - 1:
+        raise OverflowLimitError(f"value {x} exceeds the 64-bit limit")
+    return x
+
+
 def reference_pair_colour(oracle, x, y):
-    lx = lowest_bit(x)
-    i = lowest_bit(x) < lowest_bit(y)
-    return encode_colour(i, approx(oracle, lx, highest_bit(x)) == approx(oracle, lx, highest_bit(y)))
+    i, j = checks.coding_colour(oracle.events, reference_value(x), reference_value(y))
+    return 2 * i + j
 
 
 def reference_decode(seq, oracle, m):
@@ -254,8 +264,8 @@ def reference_decode(seq, oracle, m):
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:
-        if lowest_bit(x) > m:
-            return m in approx(oracle, lowest_bit(x), highest_bit(x))
+        if checks.low_bit(reference_value(x)) > m:
+            return any(e == m and s <= checks.high_bit(x) for e, s in oracle.events)
     raise WindowExhaustedError(f"window exhausted: no entry has its lowest bit above {m}")
 
 

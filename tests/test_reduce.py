@@ -19,6 +19,7 @@ from irl.colouring import (
     lift_translates,
     sample_colourings,
     sets_domain,
+    to_differences,
     vectors_domain,
 )
 from irl.errors import BudgetExceededError, IrlError, NotInvariantError, PreconditionError
@@ -328,6 +329,15 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
      "ZRT_TO_AHT expects a Colouring instance, got DifferenceColouring"),
     (lambda: verify_reduction("APAHT_TO_RT", DIFFERENCES, 2),
      "APAHT_TO_RT expects a Colouring instance, got DifferenceColouring"),
+    # each checked first: a sets table read as differences would lift to tuples that are not increasing
+    (lambda: from_differences(Colouring(2, 3, 2, "sets", {(0, 1): 0, (1, 2): 1}), 4),
+     "from_differences expects a DifferenceColouring instance, got Colouring"),
+    (lambda: from_differences(None, -1), "from_differences expects a DifferenceColouring instance, got NoneType"),
+    (lambda: to_differences(DIFFERENCES), "to_differences expects a Colouring instance, got DifferenceColouring"),
+    (lambda: invariance_witness(DIFFERENCES),
+     "invariance_witness expects a Colouring instance, got DifferenceColouring"),
+    (lambda: is_shift_invariant(DIFFERENCES),
+     "is_shift_invariant expects a Colouring instance, got DifferenceColouring"),
 ])
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:
@@ -414,8 +424,9 @@ def reference_zrt_to_aht(instance):
         raise PreconditionError(f"ZRT_TO_AHT expects a sets-mode instance, got {instance.mode!r}")
     if instance.dim < 2:
         raise PreconditionError("ZRT_TO_AHT expects tuple arity >= 2")
-    witness = invariance_witness(instance)
-    if witness is not None:
+    clash = checks.invariance_clash(instance.table)
+    if clash is not None:
+        witness = tuple((t, instance.table[t]) for t in clash)
         raise NotInvariantError("ZRT_TO_AHT requires a shift-invariant instance", witness=witness)
     dim, window = instance.dim - 1, instance.window
     if walk_is_short(dim, window):  # a vector of d entries from 1 is a d-subset of [1, window]
