@@ -65,7 +65,7 @@ def _count_text(count: int) -> str:
 
 
 def _domain_size(mode: str, dim: int, window: int, bound: int):
-    """Size of a ``standard_domain``, or None when it certainly exceeds ``bound``."""
+    """Size of the ``mode`` domain (``sets_domain``, ``vectors_domain``), or None when it surely exceeds ``bound``."""
     n = window + 1 if mode == "sets" else window
     if dim > n:
         return 0
@@ -76,7 +76,7 @@ def _domain_size(mode: str, dim: int, window: int, bound: int):
 
 
 def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
-    """Size of a ``standard_domain``, refused before it is built when above ``limit``.
+    """Size of the ``mode`` domain of dim-tuples, refused before it is built when above ``limit``.
 
     ``limit`` defaults to the candidate budget.  A domain of tuples longer
     than the limit is refused as well.  The refusal names the size, or
@@ -91,14 +91,6 @@ def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
         f"materializing {shown} {dim}-tuples over window {window} exceeds the budget of {limit}",
         count=size,
     )
-
-
-def standard_domain(mode: str, dim: int, window: int):
-    if mode == "sets":
-        return sets_domain(dim, window)
-    if mode == "vectors":
-        return vectors_domain(dim, window)
-    raise FormatError(f"unknown mode {mode!r}")
 
 
 def _check_shape(dim, window, palette):
@@ -159,9 +151,10 @@ def _check_table(table, dim, window, palette, mode):
 
 
 def _expect(obj, cls, name):
-    """``obj``, refused with "NAME expects a CLS instance, got TYPE" unless it is a ``cls``."""
+    """``obj``, refused with "NAME expects a CLS instance, got TYPE" unless ``isinstance(obj, cls)``."""
     if not isinstance(obj, cls):
-        raise PreconditionError(f"{name} expects a {cls.__name__} instance, got {type(obj).__name__}")
+        names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+        raise PreconditionError(f"{name} expects a {names} instance, got {type(obj).__name__}")
     return obj
 
 
@@ -287,10 +280,10 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     return _unchecked(DifferenceColouring, c.dim - 1, c.window, c.palette, table)
 
 
-def lift_translates(c: Colouring) -> Colouring:
+def _lift_translates(c: Colouring) -> Colouring:
     """The sets colouring of every translate inside [0, c.window] of each tuple of ``c``.
 
-    The tuples of ``c`` all start at 0; the work follows them, not the window.
+    The tuples of ``c`` must all start at 0 (unchecked); the work follows them, not the window.
     """
     table = {}
     for t, colour in c.table.items():
@@ -307,8 +300,8 @@ def _lift(table, dim, window, palette, limit=None) -> Colouring:
     translates are built.
     """
     charge_domain("sets", dim, window, limit)
-    return lift_translates(_unchecked(Colouring, dim, window, palette, "sets",
-                                      {_anchor(v): colour for v, colour in table.items()}))
+    return _lift_translates(_unchecked(Colouring, dim, window, palette, "sets",
+                                       {_anchor(v): colour for v, colour in table.items()}))
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
@@ -328,9 +321,9 @@ def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):
     A shift-invariant sets colouring is a colouring of its difference
     vectors, so an invariant shape's variables are the difference vectors
     of dim - 1 (at dim 1 the one empty vector) and its tables are lifted by
-    ``_lift``, charged to ``limit``.  Any other shape's variables are its
-    standard domain, in lexicographic order.  The variables must fit
-    ``limit``, and with ``exhaustive`` so must the palette ** #variables
+    ``_lift``, charged to ``limit``.  Any other shape's variables are the
+    ``sets_domain`` or ``vectors_domain`` of its mode.  The variables must
+    fit ``limit``, and with ``exhaustive`` so must the palette ** #variables
     tables an enumeration visits; both are refused before any is built.
     """
     if mode not in MODES:
@@ -347,7 +340,7 @@ def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):
             f"exhaustive enumeration needs {_count_text(count)} {what}, budget is {limit}", count=count
         )
     # a list: a tuple built from a generator on every call let the peak RSS creep up across calls
-    return list(standard_domain(domain_mode, domain_dim, window)), colouring
+    return list((sets_domain if domain_mode == "sets" else vectors_domain)(domain_dim, window)), colouring
 
 
 def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, budget=None):
@@ -396,6 +389,7 @@ def colouring_to_json(obj) -> dict:
     array ``[[x1, ..., xd], colour]``.  Sorting the keys alone keeps
     ``list.sort`` on its path for tuples of ints.
     """
+    _expect(obj, (Colouring, DifferenceColouring), "colouring_to_json")
     mode = "differences" if isinstance(obj, DifferenceColouring) else obj.mode
     table = obj.table
     return {

@@ -34,11 +34,11 @@ from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
     _expect,
+    _lift_translates,
     _unchecked,
     charge_domain,
     colouring_to_json,
     invariance_witness,
-    lift_translates,
 )
 from irl.errors import NotInvariantError, PreconditionError, check_int
 from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
@@ -162,7 +162,7 @@ def _target(reduction: Reduction, instance: Colouring) -> Colouring:
 def _lifted(reduction: Reduction, instance: Colouring) -> Colouring:
     """The transformed instance of a checked instance: ``_target``, lifted when the target is ZRT."""
     target = _target(reduction, instance)
-    return lift_translates(target) if _SHAPES[reduction.target][1] else target
+    return _lift_translates(target) if _SHAPES[reduction.target][1] else target
 
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:

@@ -22,7 +22,7 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import budget_limit
-from irl.colouring import Colouring, _shape, colouring_to_json, lift_translates
+from irl.colouring import Colouring, _expect, _lift_translates, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError, check_int
 from irl.sums import _choose, _gaps, _run_tuples
@@ -65,13 +65,13 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     gap from its last element is not a multiple of 2^(bit length of its
     last gap), which is the apartness test.
     """
-    if c.mode != "sets":
+    if _expect(c, Colouring, "find_mono_subset").mode != "sets":
         raise PreconditionError("find_mono_subset applies to sets-mode colourings")
     return _least_subset(c.table.get, c.points, vars(c).setdefault("_subset_masks", {}), c.dim, m, separated)
 
 
 def _find_mono_from_zero(c: Colouring, m: int):
-    """``find_mono_subset`` of ``lift_translates(c)``, whose tuples all start at 0, searched from 0.
+    """``find_mono_subset`` of ``_lift_translates(c)``, whose tuples all start at 0, searched from 0.
 
     The lift colours every translate inside the window of each tuple of
     ``c``, and ``c.dim`` is at least 2.  In a translate-closed colouring
@@ -95,7 +95,7 @@ def _find_mono_from_zero(c: Colouring, m: int):
     # masks of their own: they index points[1:] and look tuples up from 0, unlike find_mono_subset's
     found = _least_subset(get, points[1:], {}, c.dim, m, prefix=(0,))
     if found is None and m > max(len(points), MAX_WITNESS):
-        return find_mono_subset(lift_translates(c), m)
+        return find_mono_subset(_lift_translates(c), m)
     return found
 
 
@@ -183,7 +183,7 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     d-1 runs, and the last run is the rest of the prefix plus x.  Each
     prefix builds these once, so a candidate costs one key per tuple.
     """
-    if c.mode != "vectors":
+    if _expect(c, Colouring, "find_afs_mono").mode != "vectors":
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")
     check_int(m, "sequence length", 1)
     limit = check_int(c.window if window is None else window, "window", 1)
@@ -290,25 +290,27 @@ def _candidate_witnesses(principle, dim, m, window):
     one.  Candidates come in lexicographic order, so the first one is the
     least witness of a constant colouring.
 
-    A shift-invariant principle (ZRT, SEPZRT) colours a subset and each of
-    its translates alike, so only the subsets of ``[0, window]`` that start
-    at 0 are walked, by their gaps: any positive gaps for ZRT, apart gaps
-    for SEPZRT (which are therefore increasing), their tuples keyed by their
-    difference vectors, the adjacent (dim - 1)-tuples of the gaps.  Their
-    lexicographic order is that of the gap vectors, and the translate to 0
-    of any subset comes no later than it.  Each prefix is pruned by its
-    exact cheapest completion, so every prefix walked but a size's root
-    ends in a candidate.
+    RT takes the m-subsets of ``[0, window]``.  A shift-invariant principle
+    (ZRT, SEPZRT) colours a subset and its translates alike, and the
+    translate to 0 comes first, so it takes only the subsets from 0, keyed
+    by their difference vectors (the adjacent (dim - 1)-tuples of the
+    gaps): ZRT 0 and each (m - 1)-subset of ``[1, window]``, SEPZRT those
+    with apart gaps.  The increasing SEPZRT gaps and AHT/APAHT terms are
+    walked one by one, each prefix pruned by its exact cheapest completion,
+    so every prefix walked but a size's root ends in a candidate.
     """
     mode, invariant, apart = _SHAPES[principle]
     unit = comb(m, dim)  # the tuples of a sets-mode candidate
-    if mode == "sets" and not invariant:
-        for subset in _choose(range(window + 1), m):
-            yield subset, combinations(subset, dim), unit
+    if mode == "sets" and not apart:
+        if m > window + 1:  # no candidate fits, and _choose's len() of a huge range would overflow
+            return
+        head = (0,) if invariant else ()
+        for rest in _choose(range(len(head), window + 1), m - len(head)):
+            subset = head + rest
+            yield subset, _run_tuples(subset, dim - 1) if invariant else combinations(subset, dim), unit
         return
-    # a sets candidate is the partial sums of its m - 1 gaps from 0; the ZRT gaps may repeat
+    # a SEPZRT candidate is the partial sums of its m - 1 gaps from 0
     length = m - 1 if invariant else m
-    increasing = apart or not invariant
 
     def extend(prefix, sums, start, room):
         if len(prefix) == length:
@@ -325,13 +327,11 @@ def _candidate_witnesses(principle, dim, m, window):
             # the exact cheapest completion of the prefix through x
             if apart:  # x, 2^b, 2^(b+1), ... with b the bit length of x
                 least = x + (1 << x.bit_length()) * ((1 << after) - 1)
-            elif increasing:  # x, x+1, x+2, ...
+            else:  # x, x+1, x+2, ...
                 least = (after + 1) * x + after * (after + 1) // 2
-            else:  # x, 1, 1, ...: the ZRT gaps may repeat
-                least = x + after
             if least > room:
                 break
-            yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1 if increasing else 1, room - x)
+            yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1, room - x)
 
     yield from extend((), (0,), 1, window)
 
@@ -395,11 +395,11 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     the first candidate of the answer size's own enumeration, the least
     witness of the constant colouring.  Refuses once the query's budget
     units exceed the budget: one per size, per DFS node and per tuple of
-    each candidate walked (ZRT/SEPZRT walk only the subsets that start at
+    each candidate walked (ZRT/SEPZRT take only the subsets that start at
     0).  A refusal reports the count that charging one unit at a time
     reaches, the budget plus one.
     """
-    principle = query.principle
+    principle = _expect(query, FiniteNumberQuery, "finite_number").principle
     mode, invariant, _ = _SHAPES[principle]
     sets_mode = mode == "sets"
     dim, palette, m = query.dim, query.palette, query.size

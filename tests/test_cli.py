@@ -184,6 +184,9 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
      "reduce expects a colouring instance, not a difference table"),
     (("search", "--input", "{differences}", "--m", "2"), "precondition",
      "search expects a colouring instance, not a difference table"),
+    (("check-invariance", "--input", "{differences}"), "precondition",
+     "check-invariance expects a sets-mode colouring, not a difference table"),
+    (("from-differences", "--input", "{differences}"), "precondition", "from-differences requires --window"),
     (("finite-number", "--principle", "NOPE", "--dim", "1", "--k", "2", "--m", "3", "--cap", "4"), "precondition",
      "--principle must be one of ('RT', 'ZRT', 'SEPZRT', 'AHT', 'APAHT'), got 'NOPE'"),
     (("oracle-demo", "--oracle", "{oracle}", "--length", "2"), "precondition", "oracle-demo requires --query"),

@@ -202,7 +202,7 @@ def test_enumeration_refuses_a_huge_count_without_building_the_domain(monkeypatc
     def unbuilt(*args):
         raise AssertionError("the domain was materialized")
 
-    monkeypatch.setattr(colouring, "standard_domain", unbuilt)
+    monkeypatch.setattr(colouring, "sets_domain", unbuilt)
     with pytest.raises(BudgetExceededError) as info:
         next(enumerate_colourings(2, 1000, 2))  # 2 ** 500500 colourings
     assert info.value.count == 2 ** 500_500

@@ -12,11 +12,12 @@ from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
+    _lift_translates,
+    colouring_to_json,
     enumerate_colourings,
     from_differences,
     invariance_witness,
     is_shift_invariant,
-    lift_translates,
     sample_colourings,
     sets_domain,
     to_differences,
@@ -31,7 +32,7 @@ from irl.reduce import (
     forward_transform,
     verify_reduction,
 )
-from irl.search import _SHAPES, FiniteNumberQuery, find_mono_subset, finite_number
+from irl.search import _SHAPES, FiniteNumberQuery, find_afs_mono, find_mono_subset, finite_number
 
 checks = load("perfbench/checks.py")
 
@@ -338,6 +339,11 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
      "invariance_witness expects a Colouring instance, got DifferenceColouring"),
     (lambda: is_shift_invariant(DIFFERENCES),
      "is_shift_invariant expects a Colouring instance, got DifferenceColouring"),
+    (lambda: find_mono_subset(None, 3), "find_mono_subset expects a Colouring instance, got NoneType"),
+    (lambda: find_afs_mono(None, 3), "find_afs_mono expects a Colouring instance, got NoneType"),
+    (lambda: finite_number(None), "finite_number expects a FiniteNumberQuery instance, got NoneType"),
+    (lambda: colouring_to_json(None),
+     "colouring_to_json expects a Colouring or DifferenceColouring instance, got NoneType"),
 ])
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:
@@ -726,7 +732,7 @@ def test_report_builds_the_transformed_instance_when_read(monkeypatch, kind):
     instance = LAZY_INSTANCES[kind]
     expected = forward_transform(kind, instance)
     lifts = []
-    monkeypatch.setattr("irl.reduce.lift_translates", lambda *args: lifts.append(args) or lift_translates(*args))
+    monkeypatch.setattr("irl.reduce._lift_translates", lambda *args: lifts.append(args) or _lift_translates(*args))
     report = verify_reduction(kind, instance, 3)
     assert report.witness is not None and lifts == []  # into ZRT, verify searches the pairs from 0
     # verify charged the lift: a budget below its target domain refuses forward_transform, not the read

@@ -464,6 +464,11 @@ def test_huge_parameters_end_in_an_answer_or_a_structured_error():
     assert result.value is None and result.counterexample.window == 4
     with pytest.raises(PreconditionError, match="exceeds the supported maximum"):
         finite_number(FiniteNumberQuery("RT", 2000, 1, 2000, 2000))
+    # no candidate fits the one size; the counterexample's lift is refused, not the candidates' range
+    with pytest.raises(BudgetExceededError) as info:
+        finite_number(FiniteNumberQuery("ZRT", 1, 1, 10**20, 10**19))
+    assert str(info.value) == \
+        "materializing 10000000000000000000 1-tuples over window 9999999999999999999 exceeds the budget of 1000000"
     assert find_afs_mono(Colouring(3, 10**30, 2, "vectors", {}), 2) == (1, 2)
     wide = Colouring(1, 10**30, 2, "vectors", {})
     assert find_afs_mono(wide, 10**16) is None  # 1 + 2 + ... + m is above the window
