@@ -288,6 +288,20 @@ def test_json_rejects_malformed_payloads():
             colouring_from_json(data)
 
 
+@pytest.mark.parametrize("entries, message", [
+    ([[[1], 0], [[1], 1]], "duplicate tuple in entries: [1]"),
+    ([[[1.0], 0], [[1], 1]], "duplicate tuple in entries: [1]"),  # 1.0 == 1 and hashes alike
+    ([[[1], 0], [[1], 0], 5], "duplicate tuple in entries: [1]"),  # the repeat comes first
+    ([[[1], 0], 5, [[1], 0]], "malformed entry: 5"),  # the malformed entry comes first
+    ([[[[2]], 0], [[1], 0], [[1], 0]], "tuple entries must be integers: [[2]]"),
+])
+def test_json_refuses_the_first_faulty_entry_with_its_message(entries, message):
+    data = {"dim": 1, "window": 3, "palette": 2, "mode": "sets", "entries": entries}
+    with pytest.raises(FormatError) as info:
+        colouring_from_json(data)
+    assert str(info.value) == message
+
+
 def test_json_rejects_non_integer_key_components():
     data = {"dim": 2, "window": 3, "palette": 2, "mode": "sets", "entries": [[[0, [1]], 0]]}
     with pytest.raises(FormatError):

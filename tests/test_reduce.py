@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from by_path import load
 from irl.bits import block, is_apart
+from irl.cli import main
 from irl.colouring import (
     Colouring,
     DifferenceColouring,
@@ -636,8 +637,22 @@ def test_verify_fails_a_mapped_solution_with_an_uncoloured_tuple(monkeypatch):
     assert report.passed is False and report.colour is None
 
 
+def test_verify_fails_a_partial_instance_that_leaves_a_mapped_tuple_uncoloured(tmp_path, capsys):
+    # the forward map reads only the tuples from 0, but the mapped solution (1, 3)
+    # is checked on its own tuple, which this partial instance leaves uncoloured
+    instance = Colouring(2, 3, 2, "sets", {(0, 1): 0, (0, 2): 0, (0, 3): 0})
+    report = verify_reduction("ZRT_TO_AHT", instance, 2)
+    assert (report.witness, report.mapped, report.passed, report.colour) == ((1, 2), (1, 3), False, None)
+    path = tmp_path / "partial.json"
+    path.write_text(json.dumps(colouring_to_json(instance)))
+    assert main(["reduce", "--kind", "ZRT_TO_AHT", "--m", "2", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        '{"kind": "ZRT_TO_AHT", "params": 1, "window": 3, "target": 2, "witness": [1, 2], '
+        '"mapped": [1, 3], "pass": false, "colour": null}\n')
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: block(0.5, 2), "block requires 0 <= a <= b, got (0.5, 2)"),
+    (lambda: block(0.5, 2),"block requires 0 <= a <= b, got (0.5, 2)"),
     (lambda: block("a", 3), "block requires 0 <= a <= b, got (a, 3)"),
     (lambda: block(True, 3), "block requires 0 <= a <= b, got (True, 3)"),
     (lambda: block(1, 2.0), "block requires 0 <= a <= b, got (1, 2.0)"),
