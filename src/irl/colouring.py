@@ -415,17 +415,16 @@ def colouring_from_json(data):
     if not isinstance(entries, list):
         raise FormatError("entries must be a list of [tuple, colour] pairs")
     table = {}
-    for item in entries:
+    for read, item in enumerate(entries, 1):
         if not isinstance(item, list) or len(item) != 2 or not isinstance(item[0], list):
             raise FormatError(f"malformed entry: {item!r}")
         t = tuple(item[0])
         try:
-            duplicate = t in table
+            table[t] = item[1]
         except TypeError:  # an unhashable component, such as a nested list
             raise FormatError(f"tuple entries must be integers: {item[0]!r}") from None
-        if duplicate:
+        if len(table) < read:  # the store overwrote an entry read before
             raise FormatError(f"duplicate tuple in entries: {list(t)}")
-        table[t] = item[1]
     if mode == "differences":
         return DifferenceColouring(data["dim"], data["window"], data["palette"], table)
     return Colouring(data["dim"], data["window"], data["palette"], mode, table)

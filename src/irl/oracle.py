@@ -63,17 +63,19 @@ class EnumerationOracle:
     events: tuple
 
     def __post_init__(self):
+        if not isinstance(self.events, tuple):  # a list would leave the oracle unhashable
+            raise FormatError(f"events must be a tuple of (element, stage) pairs, got {type(self.events).__name__}")
         seen = set()
-        for event in self.events:
+        for read, event in enumerate(self.events, 1):
             if not isinstance(event, tuple) or len(event) != 2:
                 raise FormatError(f"events must be (element, stage) pairs, got {event!r}")
             element, stage = event
             for value in (element, stage):
                 if not isinstance(value, int) or isinstance(value, bool) or value < 0:
                     raise FormatError(f"elements and stages must be naturals, got {event!r}")
-            if element in seen:
-                raise FormatError(f"element {element} enumerated twice")
             seen.add(element)
+            if len(seen) < read:
+                raise FormatError(f"element {element} enumerated twice")
 
     @property
     def settle_stage(self) -> int:

@@ -195,11 +195,12 @@ class ReductionReport:
 
     ``passed`` is True when a witness was found and the mapped-back object
     is monochromatic on the original instance with the same colour, None
-    when the window held no witness, and False only on a genuine failure
-    of the reduction (which the theorems rule out).  The transformed
-    instance, ``forward_transform(kind, instance)``, and the digests are
-    computed on first access; ``verify_reduction`` has charged the budget
-    for a lift already, so reading them charges nothing.
+    when the window held no witness, and False otherwise.  A total instance
+    never fails (the theorems), but a partial one can leave a tuple of the
+    mapped solution uncoloured (``ZRT_TO_AHT`` reads only the tuples from 0).
+    The transformed instance, ``forward_transform(kind, instance)``, and
+    the digests are computed on first access; ``verify_reduction`` has
+    charged the budget for a lift already, so reading them charges nothing.
     """
 
     kind: str

@@ -418,8 +418,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         window = size - 1 if sets_mode else size
         variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
         index = {v: i for i, v in enumerate(variables)}
-        buckets = [[] for _ in variables]
-        seen = set()
+        buckets = [{} for _ in variables]  # ordered sets: a repeated constraint is stored once
         witness = None
         for candidate, tuples, unit in _candidate_witnesses(principle, dim, m, window):
             spent += unit
@@ -430,14 +429,11 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
             mask = 0
             for t in tuples:
                 mask |= 1 << index[t]
-            if mask in seen:
-                continue
-            seen.add(mask)
             if mask == 0:
                 # m < dim: a witness colouring no tuple exists, whatever the colours
                 return FiniteNumberResult(query, size, None, witness)
             last = mask.bit_length() - 1
-            buckets[last].append(mask ^ (1 << last))
+            buckets[last][mask ^ (1 << last)] = None
         assignment, spent = _least_witness_free(buckets, palette, spent, limit)
         if assignment is None:
             return FiniteNumberResult(query, size, None, witness)

@@ -221,6 +221,9 @@ def test_oracle_json_round_trip_and_rejections():
     (lambda: EnumerationOracle(events=((1, 2), (1, 3), (2, -1))), FormatError, "element 1 enumerated twice"),
     (lambda: EnumerationOracle(events=((2, -1), (1, 2), (1, 3))), FormatError,
      "elements and stages must be naturals, got (2, -1)"),
+    (lambda: EnumerationOracle(events=None), FormatError, "events must be a tuple of (element, stage) pairs, got NoneType"),
+    (lambda: EnumerationOracle(events=[(1, 2)]), FormatError, "events must be a tuple of (element, stage) pairs, got list"),
+    (lambda: EnumerationOracle(events=[(1,)]), FormatError, "events must be a tuple of (element, stage) pairs, got list"),
     (lambda: oracle_from_json({"events": [[1]]}), FormatError, "malformed event: [1]"),
     (lambda: lower_bound_colouring(W, 0), PreconditionError, "window must be an integer >= 1, got 0"),
     (lambda: synthesize_solution(W, 0), PreconditionError, "length must be an integer >= 1, got 0"),
