@@ -167,6 +167,12 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
     return extend((1 << n) - 1, None, 0)
 
 
+def _least_total(x, after, apart):
+    """Least total of x and ``after`` more increasing terms: x+1, x+2, ... or, apart, 2^b, 2^(b+1), ... (b the bit
+    length of x; each term a multiple of 2^(bit length of the one before)).  It grows with x."""
+    return x + (1 << x.bit_length()) * ((1 << after) - 1) if apart else (after + 1) * x + after * (after + 1) // 2
+
+
 def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour=None):
     """Lexicographically least increasing length-m sequence with monochromatic adjacent tuples.
 
@@ -187,11 +193,11 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")
     check_int(m, "sequence length", 1)
     limit = check_int(c.window if window is None else window, "window", 1)
-    if m * (m + 1) // 2 > limit:  # not even 1, 2, ..., m fits
+    if m * (m + 1) // 2 > limit:  # not even 1, ..., m fits; plain even when apart, so _check_depth refuses m first
         return None
     _check_depth(m)
     d = c.dim
-    if m < d:  # no adjacent d-tuple to check: the least candidate is the witness
+    if m < d:  # no adjacent d-tuple to check: the least candidate, built here, is the witness
         least = tuple(1 << j for j in range(m)) if apart else tuple(range(1, m + 1))
         return least if sum(least) <= limit else None
     get = c.table.get
@@ -208,8 +214,7 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
         runs = None  # built for the first candidate that reaches the tuple checks
         for j in range(start, len(points)):
             x = points[j]
-            # cheapest possible completion is x, x+1, ..., x+after
-            if total + (after + 1) * x + after * (after + 1) // 2 > limit:
+            if total + _least_total(x, after, apart) > limit:
                 break
             if x % step:
                 continue
@@ -324,12 +329,7 @@ def _candidate_witnesses(principle, dim, m, window):
         # x > prefix[-1] is apart from it iff x is a multiple of 2^(bit length of prefix[-1])
         step = 1 << prefix[-1].bit_length() if apart and prefix else 1
         for x in range(max(start, step), room + 1, step):
-            # the exact cheapest completion of the prefix through x
-            if apart:  # x, 2^b, 2^(b+1), ... with b the bit length of x
-                least = x + (1 << x.bit_length()) * ((1 << after) - 1)
-            else:  # x, x+1, x+2, ...
-                least = (after + 1) * x + after * (after + 1) // 2
-            if least > room:
+            if _least_total(x, after, apart) > room:
                 break
             yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1, room - x)
 
@@ -407,7 +407,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         raise PreconditionError(f"witness size {m} below tuple arity {dim}")
     limit = budget_limit(budget)
     spent = 0
-    # no witness fits in fewer than m points (sets) or a window below 1 + 2 + ... + m
+    # no witness fits below m points (sets) or 1 + 2 + ... + m (also apart: a tighter first moves budget units)
     first = m if sets_mode else m * (m + 1) // 2
     if first <= query.cap:
         _check_depth(m)

@@ -23,6 +23,7 @@ from irl.search import (
     FiniteNumberQuery,
     _candidate_witnesses,
     _find_mono_from_zero,
+    _least_total,
     find_afs_mono,
     find_mono_subset,
     finite_number,
@@ -448,6 +449,31 @@ def test_apart_walks_visit_only_prefixes_that_complete():
                         sums = cand if principle == "SEPZRT" else (0, *accumulate(cand))
                         starts.update(sums[:i] for i in range(1, len(sums) + 1))
                     assert visited <= starts, (principle, dim, m, window, sorted(visited - starts)[:3])
+
+
+def test_least_total_is_the_least_total_of_a_run_by_brute_force():
+    def brute(x, after, apart):
+        """The least x + y1 + ... + y_after over increasing runs x < y1 < ..., apart by the checks' definition."""
+        best = None
+
+        def walk(last, left, total):
+            nonlocal best
+            if left == 0:
+                best = total if best is None else min(best, total)
+                return
+            y = last + 1
+            while best is None or total + y * left < best:  # every later term exceeds y
+                if not apart or checks.apart((last, y)):
+                    walk(y, left - 1, total + y)
+                y += 1
+
+        walk(x, after, x)
+        return best
+
+    for apart in (False, True):
+        for x in range(1, 65):
+            for after in range(5):
+                assert _least_total(x, after, apart) == brute(x, after, apart), (x, after, apart)
 
 
 def test_find_afs_mono_on_a_sparse_wide_instance_is_fast():
