@@ -27,7 +27,8 @@ neither side) and three verdicts:
   base run.
 
 It also holds every run's seed, order, ``correct``, ``failed`` and
-metrics, and the Python version and CPU count.
+metrics, the Python version and CPU count, and under ``src_lines`` each
+side's line count of ``src/irl/*.py`` (the total ``wc -l`` prints).
 
 Under ``traced`` it holds three more alternating pairs per workload, run
 with ``--trace 1``, and each side's median of every per-layer metric, with
@@ -136,6 +137,11 @@ def benchmark_files(copy):
     return {p.relative_to(copy): p.read_bytes() for p in paths if p.is_file()}
 
 
+def src_lines(copy):
+    """The newlines in ``src/irl/*.py`` of ``copy``: the total that ``wc -l src/irl/*.py`` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in (copy / "src" / "irl").glob("*.py"))
+
+
 def run_once(command, copy, workload, seed, seconds, trace=0):
     argv = command + ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=copy, capture_output=True, text=True)
@@ -162,6 +168,7 @@ def main():
             export(revisions[side], copies[side])
         if benchmark_files(copies["base"]) != benchmark_files(copies["change"]):
             sys.exit("the two revisions hold different benchmark files")
+        lines = {side: src_lines(copies[side]) for side in SIDES}
         spec = json.loads((copies["base"] / "BENCHMARK.json").read_text())
         workloads = [w["name"] for w in spec["workloads"]]
         command = spec["command"]
@@ -195,6 +202,7 @@ def main():
         "python": python,
         "nproc": os.cpu_count(),
         "machine": platform.machine(),
+        "src_lines": lines,
         "summary": summarize(runs, spec["end_to_end"]),
         "runs": runs,
         "traced": {"command": command_line(1), "medians": layer_medians(traced), "runs": traced},

@@ -82,7 +82,10 @@ def is_apart(seq) -> bool:
     before it).  Vacuously true for sequences of length <= 1.  Zero entries
     are rejected because the bit endpoints are undefined there.
     """
-    entries = [_positive(x) for x in seq]
+    try:
+        entries = [_positive(x) for x in seq]
+    except TypeError:
+        raise PreconditionError(f"is_apart requires an iterable of integers, got {seq!r}") from None
     return all(b % (1 << a.bit_length()) == 0 for a, b in zip(entries, entries[1:]))
 
 
@@ -92,7 +95,10 @@ def is_separated(xs) -> bool:
     Vacuously true for length <= 2.  Entries may include 0 (only the gaps
     matter); non-increasing input is rejected.
     """
-    entries = list(xs)
+    try:
+        entries = list(xs)
+    except TypeError:
+        raise PreconditionError(f"is_separated requires an iterable of integers, got {xs!r}") from None
     if not entries:
         raise PreconditionError("is_separated requires a nonempty sequence")
     if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):

@@ -187,7 +187,10 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     The adjacent tuples that a next element x closes are fixed by the
     prefix but for x itself: d of the prefix's partial sums give the first
     d-1 runs, and the last run is the rest of the prefix plus x.  Each
-    prefix builds these once, so a candidate costs one key per tuple.
+    prefix builds these once, so a candidate costs one key per tuple.  A
+    prefix stops at the first x whose least completion, plain or apart
+    (``_least_total``, the rule of the finite-number walks), overruns the
+    window.
     """
     if _expect(c, Colouring, "find_afs_mono").mode != "vectors":
         raise PreconditionError("find_afs_mono applies to vectors-mode colourings")

@@ -44,7 +44,10 @@ def _run_tuples(sums, d):
 
 
 def _positive_entries(seq, name):
-    entries = tuple(seq)
+    try:
+        entries = tuple(seq)
+    except TypeError:
+        raise PreconditionError(f"{name} requires an iterable of integers, got {seq!r}") from None
     if not entries:
         raise PreconditionError(f"{name} requires a nonempty sequence")
     for x in entries:
@@ -55,7 +58,10 @@ def _positive_entries(seq, name):
 
 
 def _increasing_entries(seq, name, min_len=1):
-    entries = tuple(seq)
+    try:
+        entries = tuple(seq)
+    except TypeError:
+        raise PreconditionError(f"{name} requires an iterable of integers, got {seq!r}") from None
     if len(entries) < min_len:
         raise PreconditionError(f"{name} requires at least {min_len} entries")
     if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):

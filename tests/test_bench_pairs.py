@@ -1,6 +1,7 @@
 """The paired-run summary of scripts/bench_pairs.py, on canned benchmark result lines."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -107,6 +108,20 @@ def test_committed_bench_records_are_complete_correct_and_within_their_bounds():
             for spec in END_TO_END:
                 verdict = metrics[spec["name"]]
                 assert (verdict["within_bound"], verdict["unresolved"]) == (True, False), (path.name, w, spec["name"])
+
+
+def test_src_lines_is_the_total_that_wc_prints(tmp_path):
+    src_lines = load("scripts/bench_pairs.py").src_lines
+    trees = {"base": {"a.py": "x = 1\ny = 2\n", "b.py": "z = 3\n"},
+             "change": {"a.py": "x = 1\n", "b.py": "no newline at the end", "notes.txt": "not counted\n"}}
+    for side, files in trees.items():
+        package = tmp_path / side / "src" / "irl"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        total = subprocess.run(f"wc -l {package}/*.py | tail -1", shell=True, capture_output=True, text=True)
+        assert src_lines(tmp_path / side) == int(total.stdout.split()[0]), side
+    assert (src_lines(tmp_path / "base"), src_lines(tmp_path / "change")) == (3, 1)
 
 
 def test_traced_pairs_give_each_side_its_per_layer_medians():

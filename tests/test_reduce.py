@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from by_path import load
-from irl.bits import block, is_apart
+from irl.bits import block, is_apart, is_separated
 from irl.cli import main
 from irl.colouring import (
     Colouring,
@@ -34,6 +34,7 @@ from irl.reduce import (
     verify_reduction,
 )
 from irl.search import _SHAPES, FiniteNumberQuery, find_afs_mono, find_mono_subset, finite_number
+from irl.sums import adjacent_sums, adjacent_tuples, differences, gap_increasing, normalize, partial_sums
 
 checks = load("perfbench/checks.py")
 
@@ -345,6 +346,14 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
     (lambda: finite_number(None), "finite_number expects a FiniteNumberQuery instance, got NoneType"),
     (lambda: colouring_to_json(None),
      "colouring_to_json expects a Colouring or DifferenceColouring instance, got NoneType"),
+    (lambda: adjacent_sums(5), "adjacent_sums requires an iterable of integers, got 5"),
+    (lambda: adjacent_tuples(5, 2), "adjacent_tuples requires an iterable of integers, got 5"),
+    (lambda: normalize(5), "normalize requires an iterable of integers, got 5"),
+    (lambda: differences(5), "differences requires an iterable of integers, got 5"),
+    (lambda: gap_increasing(5), "gap_increasing requires an iterable of integers, got 5"),
+    (lambda: partial_sums(5), "partial_sums requires an iterable of integers, got 5"),
+    (lambda: is_apart(5), "is_apart requires an iterable of integers, got 5"),
+    (lambda: is_separated(None), "is_separated requires an iterable of integers, got None"),
 ])
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:

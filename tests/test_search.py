@@ -5,7 +5,7 @@ import time
 from collections import Counter
 from functools import cache
 from itertools import accumulate, combinations
-from math import comb
+from math import comb, inf
 
 import pytest
 
@@ -20,6 +20,7 @@ from irl.colouring import (
 )
 from irl.errors import BudgetExceededError, PreconditionError
 from irl.search import (
+    PRINCIPLES,
     FiniteNumberQuery,
     _candidate_witnesses,
     _find_mono_from_zero,
@@ -407,6 +408,31 @@ def test_separated_zrt_is_one_more_than_apart_aht(d, k, m, apaht):
     sepzrt = finite_number(FiniteNumberQuery("SEPZRT", d + 1, k, m + 1, 81), budget=3_000_000)
     assert finite_number(FiniteNumberQuery("APAHT", d, k, m, 80), budget=3_000_000).value == apaht
     assert sepzrt.value == (None if apaht is None else apaht + 1)
+
+
+def test_finite_numbers_keep_the_order_their_definitions_imply():
+    # a number does not fall as k or m grows; ZRT <= RT, since a shift-invariant colouring is a colouring;
+    # ZRT <= SEPZRT and AHT <= APAHT, since an apart solution is a solution.  A query decided at cap 12
+    # bounds its number by (value, value), an "exceeds cap" one by (13, inf); a refused one bounds nothing.
+    shapes = [(d, k, m) for d in (1, 2) for k in (1, 2, 3) for m in (2, 3, 4)]
+    grid = [(p, *shape) for p in PRINCIPLES for shape in shapes]
+    bounds = {}
+    for query in grid:
+        try:
+            value = finite_number(FiniteNumberQuery(*query, 12), budget=300_000).value
+        except BudgetExceededError:
+            continue
+        bounds[query] = (13, inf) if value is None else (value, value)
+    relations = [((p, d, k, m), (p, d, k + 1, m)) for p, d, k, m in grid]
+    relations += [((p, d, k, m), (p, d, k, m + 1)) for p, d, k, m in grid]
+    relations += [((low, *shape), (high, *shape)) for low, high in (("ZRT", "RT"), ("ZRT", "SEPZRT"), ("AHT", "APAHT"))
+                  for shape in shapes]
+    checked = 0
+    for low, high in relations:
+        if low in bounds and high in bounds and bounds[high][1] < inf:
+            assert bounds[low][0] <= bounds[high][1], (low, bounds[low], high, bounds[high])
+            checked += 1
+    assert len(bounds) >= 87 and checked >= 98  # decided and checked when the test was written
 
 
 @pytest.mark.parametrize("query, budget", [
