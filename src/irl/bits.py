@@ -22,7 +22,7 @@ need both bit endpoints, such as ``pair_colour`` and ``decode``, check a
 value once and read its endpoints from the checked int.
 """
 
-from irl.errors import OverflowLimitError, PreconditionError
+from irl.errors import OverflowLimitError, PreconditionError, check_entries
 
 WORD_BITS = 64
 MAX_VALUE = 2**WORD_BITS - 1
@@ -95,15 +95,6 @@ def is_separated(xs) -> bool:
     Vacuously true for length <= 2.  Entries may include 0 (only the gaps
     matter); non-increasing input is rejected.
     """
-    try:
-        entries = list(xs)
-    except TypeError:
-        raise PreconditionError(f"is_separated requires an iterable of integers, got {xs!r}") from None
-    if not entries:
-        raise PreconditionError("is_separated requires a nonempty sequence")
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):
-        raise PreconditionError("is_separated requires non-negative integer entries")
-    if any(a >= b for a, b in zip(entries, entries[1:])):
-        raise PreconditionError(f"not strictly increasing: {entries}")
+    entries = check_entries(xs, "is_separated", 0, increasing=True)
     check_value(entries[-1])
     return is_apart([b - a for a, b in zip(entries, entries[1:])])

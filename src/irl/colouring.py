@@ -422,7 +422,7 @@ def colouring_from_json(data):
         try:
             table[t] = item[1]
         except TypeError:  # an unhashable component, such as a nested list
-            raise FormatError(f"tuple entries must be integers: {item[0]!r}") from None
+            raise FormatError(f"tuple entries must be integers: {t!r}") from None
         if len(table) < read:  # the store overwrote an entry read before
             raise FormatError(f"duplicate tuple in entries: {list(t)}")
     if mode == "differences":

@@ -64,3 +64,25 @@ def check_int(value, name, least, error=PreconditionError):
     if not isinstance(value, int) or isinstance(value, bool) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
     return value
+
+
+def check_entries(seq, name, least, increasing=False, min_len=1):
+    """``seq`` as a tuple of at least ``min_len`` ints, not bools, each at least ``least`` (0 or 1).
+
+    With ``increasing`` the entries must also strictly increase.  Otherwise
+    raise ``PreconditionError`` for the first fault, checked in that order.
+    """
+    try:
+        entries = tuple(seq)
+    except TypeError:
+        raise PreconditionError(f"{name} requires an iterable of integers, got {seq!r}") from None
+    if len(entries) < min_len:
+        raise PreconditionError(f"{name} requires a nonempty sequence" if min_len == 1
+                                else f"{name} requires at least {min_len} entries")
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool) or x < least:
+            sign = "positive" if least else "non-negative"
+            raise PreconditionError(f"{name} requires {sign} integer entries, got {x!r}")
+    if increasing and any(a >= b for a, b in zip(entries, entries[1:])):
+        raise PreconditionError(f"{name} requires a strictly increasing sequence, got {entries}")
+    return entries

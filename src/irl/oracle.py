@@ -206,12 +206,11 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
     stage values.  Entries are checked in order, each once, up to the one
     consulted; the entries after it stay unchecked.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise PreconditionError(f"query must be a natural, got {m!r}")
+    check_int(m, "query", 0)
     try:
         entries = tuple(seq)
     except TypeError:
-        raise PreconditionError(f"decode requires a sequence of values, got {seq!r}") from None
+        raise PreconditionError(f"decode requires an iterable of integers, got {seq!r}") from None
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")
     for x in entries:

@@ -40,7 +40,7 @@ from irl.colouring import (
     colouring_to_json,
     invariance_witness,
 )
-from irl.errors import NotInvariantError, PreconditionError, check_int
+from irl.errors import NotInvariantError, PreconditionError, check_entries, check_int
 from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
@@ -64,12 +64,6 @@ def _anchored_differences(instance, window):
     return {_gaps(t): colour for t, colour in instance.table.items() if t[0] == 0}
 
 
-def _consecutive_blocks(positions):
-    if positions[0] < 0:
-        raise PreconditionError("bit positions must be non-negative")
-    return tuple(block(a, b - 1) for a, b in zip(positions, positions[1:]))
-
-
 def _half_open_blocks(instance, window):
     limit = 1 << window
     table = {}
@@ -86,12 +80,6 @@ def _half_open_blocks(instance, window):
         else:
             table[tuple(positions)] = colour
     return table
-
-
-def _minus_least(subset):
-    if subset[0] < 0:
-        raise PreconditionError("subset entries must be non-negative")
-    return tuple(x - subset[0] for x in subset[1:])
 
 
 @dataclass(frozen=True)
@@ -111,12 +99,14 @@ class Reduction:
 # The backward maps look their helpers up at call time, so wrappers installed
 # on this module's names see the calls.
 REDUCTIONS: dict[str, Reduction] = {f"{r.source}_TO_{r.target}": r for r in (
-    Reduction("RT", "ZRT", +1, _sets_from_zero, _minus_least, extra=1),
+    Reduction("RT", "ZRT", +1, _sets_from_zero, lambda witness: tuple(x - witness[0] for x in witness[1:]), extra=1),
     Reduction("ZRT", "AHT", -1, _anchored_differences, lambda witness: partial_sums(witness)),
     Reduction("AHT", "ZRT", +1,
               lambda instance, window: {_anchor(v): c for v, c in instance.table.items() if sum(v) <= window},
               lambda witness: differences(gap_increasing(witness)), min_len=2),
-    Reduction("APAHT", "RT", +1, _half_open_blocks, _consecutive_blocks, window=bit_window, extra=1, min_len=2),
+    Reduction("APAHT", "RT", +1, _half_open_blocks,
+              lambda witness: tuple(block(a, b - 1) for a, b in zip(witness, witness[1:])),
+              window=bit_window, extra=1, min_len=2),
 )}
 KINDS = tuple(REDUCTIONS)
 
@@ -171,22 +161,14 @@ def forward_transform(kind: str, instance: Colouring) -> Colouring:
 
 
 def backward_transform(kind: str, solution) -> tuple:
-    """Map a solution of the target problem back to one of the source problem."""
+    """Map a solution of the target problem back to one of the source problem.
+
+    ``check_entries`` refuses, under the kind's name, a solution shorter than ``min_len``, one with an
+    entry below 0 into a sets-mode target (RT, ZRT) or below 1 into AHT, or one not strictly increasing.
+    """
     reduction = _reduction(kind)
-    try:
-        entries = tuple(solution)
-    except TypeError:
-        raise PreconditionError(f"solution must be an iterable of integers, got {solution!r}") from None
-    if not entries:
-        raise PreconditionError("backward_transform requires a nonempty solution")
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise PreconditionError(f"solution entries must be integers, got {x!r}")
-    if any(a >= b for a, b in zip(entries, entries[1:])):
-        raise PreconditionError(f"solution must be strictly increasing, got {entries}")
-    if len(entries) < reduction.min_len:
-        raise PreconditionError(f"{kind} needs a solution of length >= {reduction.min_len}")
-    return reduction.backward(entries)
+    least = 0 if _SHAPES[reduction.target][0] == "sets" else 1
+    return reduction.backward(check_entries(solution, kind, least, increasing=True, min_len=reduction.min_len))
 
 
 @dataclass(frozen=True)

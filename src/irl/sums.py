@@ -18,7 +18,7 @@ from itertools import accumulate, combinations
 from operator import sub
 
 from irl.bits import check_value
-from irl.errors import PreconditionError
+from irl.errors import check_entries, check_int
 
 
 def _gaps(t) -> tuple:
@@ -44,30 +44,13 @@ def _run_tuples(sums, d):
 
 
 def _positive_entries(seq, name):
-    try:
-        entries = tuple(seq)
-    except TypeError:
-        raise PreconditionError(f"{name} requires an iterable of integers, got {seq!r}") from None
-    if not entries:
-        raise PreconditionError(f"{name} requires a nonempty sequence")
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
-            raise PreconditionError(f"{name} requires positive integer entries, got {x!r}")
+    entries = check_entries(seq, name, 1)
     check_value(sum(entries))
     return entries
 
 
 def _increasing_entries(seq, name, min_len=1):
-    try:
-        entries = tuple(seq)
-    except TypeError:
-        raise PreconditionError(f"{name} requires an iterable of integers, got {seq!r}") from None
-    if len(entries) < min_len:
-        raise PreconditionError(f"{name} requires at least {min_len} entries")
-    if any(not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in entries):
-        raise PreconditionError(f"{name} requires non-negative integer entries")
-    if any(a >= b for a, b in zip(entries, entries[1:])):
-        raise PreconditionError(f"{name} requires a strictly increasing sequence, got {entries}")
+    entries = check_entries(seq, name, 0, increasing=True, min_len=min_len)
     check_value(entries[-1])
     return entries
 
@@ -84,8 +67,7 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     A tuple is determined by a start index and d run boundaries; runs are
     nonempty and leave no gap between one another.
     """
-    if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-        raise PreconditionError(f"arity must be >= 1, got {d!r}")
+    check_int(d, "arity", 1)
     entries = _positive_entries(seq, "adjacent_tuples")
     return frozenset(_run_tuples(_anchor(entries), d))
 

@@ -20,9 +20,10 @@ from irl.colouring import (
     sample_colourings,
 )
 from irl.errors import FormatError, PreconditionError
-from irl.oracle import EnumerationOracle, lower_bound_colouring, synthesize_solution
+from irl.oracle import EnumerationOracle, decode, lower_bound_colouring, synthesize_solution
 from irl.reduce import bit_window, verify_reduction
 from irl.search import FiniteNumberQuery, find_afs_mono
+from irl.sums import adjacent_tuples
 
 SETS = Colouring(1, 4, 2, "sets", {(x,): x % 2 for x in range(5)})
 VECTORS = Colouring(1, 6, 2, "vectors", {(x,): 0 for x in range(1, 7)})
@@ -50,6 +51,8 @@ SITES = [
       for field in ("dim", "palette", "size", "cap")),
     ("lower_bound_colouring", "window", 1, PreconditionError, lambda v: lower_bound_colouring(ORACLE, v)),
     ("synthesize_solution", "length", 1, PreconditionError, lambda v: synthesize_solution(ORACLE, v)),
+    ("adjacent_tuples arity", "arity", 1, PreconditionError, lambda v: adjacent_tuples([1, 2, 4], v)),
+    ("decode query", "query", 0, PreconditionError, lambda v: decode(synthesize_solution(ORACLE, 4), ORACLE, v)),
     ("_check_shape dim", "dim", 1, FormatError, lambda v: next(enumerate_colourings(v, 3, 2))),
     ("_check_shape window", "window", 0, FormatError, lambda v: next(enumerate_colourings(1, v, 2))),
     ("_check_shape palette", "palette", 1, FormatError, lambda v: next(enumerate_colourings(1, 3, v))),

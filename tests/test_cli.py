@@ -176,7 +176,7 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", '[1, "a"]'), "format",
      "solution must be a JSON array of integers"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", "[-1,2]"), "precondition",
-     "subset entries must be non-negative"),
+     "RT_TO_ZRT requires non-negative integer entries, got -1"),
     (("to-differences", "--input", "{vectors}"), "precondition", "to_differences applies to sets-mode colourings"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward"), "precondition", "reduce --op forward requires --input"),
     (("reduce", "--kind", "RT_TO_ZRT", "--input", "{parity}"), "precondition", "reduce --op verify requires --m"),

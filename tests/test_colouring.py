@@ -293,7 +293,7 @@ def test_json_rejects_malformed_payloads():
     ([[[1.0], 0], [[1], 1]], "duplicate tuple in entries: [1]"),  # 1.0 == 1 and hashes alike
     ([[[1], 0], [[1], 0], 5], "duplicate tuple in entries: [1]"),  # the repeat comes first
     ([[[1], 0], 5, [[1], 0]], "malformed entry: 5"),  # the malformed entry comes first
-    ([[[[2]], 0], [[1], 0], [[1], 0]], "tuple entries must be integers: [[2]]"),
+    ([[[[2]], 0], [[1], 0], [[1], 0]], "tuple entries must be integers: ([2],)"),
 ])
 def test_json_refuses_the_first_faulty_entry_with_its_message(entries, message):
     data = {"dim": 1, "window": 3, "palette": 2, "mode": "sets", "entries": entries}

@@ -227,7 +227,7 @@ def test_oracle_json_round_trip_and_rejections():
     (lambda: oracle_from_json({"events": [[1]]}), FormatError, "malformed event: [1]"),
     (lambda: lower_bound_colouring(W, 0), PreconditionError, "window must be an integer >= 1, got 0"),
     (lambda: synthesize_solution(W, 0), PreconditionError, "length must be an integer >= 1, got 0"),
-    (lambda: decode(5, W, 1), PreconditionError, "decode requires a sequence of values, got 5"),
+    (lambda: decode(5, W, 1), PreconditionError, "decode requires an iterable of integers, got 5"),
     (lambda: pair_colour("x", 1, 2), PreconditionError, "expected an EnumerationOracle, got str"),
     (lambda: decode((1, 2), None, 0), PreconditionError, "expected an EnumerationOracle, got NoneType"),
     (lambda: lower_bound_colouring(None, 4), PreconditionError, "expected an EnumerationOracle, got NoneType"),
@@ -265,7 +265,7 @@ def reference_pair_colour(oracle, x, y):
 
 def reference_decode(seq, oracle, m):
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise PreconditionError(f"query must be a natural, got {m!r}")
+        raise PreconditionError(f"query must be an integer >= 0, got {m!r}")
     entries = tuple(seq)
     if not entries:
         raise PreconditionError("decode requires a nonempty sequence")

@@ -35,6 +35,7 @@ from irl.reduce import (
 )
 from irl.search import _SHAPES, FiniteNumberQuery, find_afs_mono, find_mono_subset, finite_number
 from irl.sums import adjacent_sums, adjacent_tuples, differences, gap_increasing, normalize, partial_sums
+from test_golden_cli import VERIFY_SHAPES, _instance as golden_instance
 
 checks = load("perfbench/checks.py")
 
@@ -132,16 +133,19 @@ def test_backward_preconditions():
     ([None, 5], None), (["a", "b"], "a"), ([0.5, 1.5], 0.5), ([1, 2.0], 2.0), ([True, 2], True), ([0, 1, False], False),
 ])
 def test_backward_refuses_a_non_integer_entry_before_comparing(kind, solution, bad):
+    if kind == "ZRT_TO_AHT" and solution[0] == 0:
+        bad = 0  # the entries of an AHT witness are positive, so its 0 is refused first
     with pytest.raises(PreconditionError) as info:
         backward_transform(kind, solution)
-    assert str(info.value) == f"solution entries must be integers, got {bad!r}"
+    sign = "positive" if kind == "ZRT_TO_AHT" else "non-negative"
+    assert str(info.value) == f"{kind} requires {sign} integer entries, got {bad!r}"
 
 
 @pytest.mark.parametrize("kind, message", [
-    ("RT_TO_ZRT", "subset entries must be non-negative"),
-    ("ZRT_TO_AHT", "partial_sums requires positive integer entries, got -1"),
-    ("AHT_TO_ZRT", "gap_increasing requires non-negative integer entries"),
-    ("APAHT_TO_RT", "bit positions must be non-negative"),
+    ("RT_TO_ZRT", "RT_TO_ZRT requires non-negative integer entries, got -1"),
+    ("ZRT_TO_AHT", "ZRT_TO_AHT requires positive integer entries, got -1"),
+    ("AHT_TO_ZRT", "AHT_TO_ZRT requires non-negative integer entries, got -1"),
+    ("APAHT_TO_RT", "APAHT_TO_RT requires non-negative integer entries, got -1"),
 ])
 def test_backward_refuses_a_negative_entry_for_every_kind(kind, message):
     with pytest.raises(PreconditionError) as info:
@@ -234,6 +238,21 @@ def test_verify_apaht_round_trip():
     assert seen_pass > 5
 
 
+def test_verify_maps_each_witness_back_as_backward_transform_does():
+    # verify calls the backward maps on search witnesses without backward_transform's checks;
+    # the instances are seeded ones of the golden CLI file's reduction shapes
+    rng = random.Random(33)
+    mapped = dict.fromkeys(KINDS, 0)
+    for _ in range(3):
+        for kind, maker, dim, window, palette, target in VERIFY_SHAPES:
+            mode, w, table = golden_instance(rng, maker, dim, window, palette)
+            report = verify_reduction(kind, Colouring(dim, w, palette, mode, table), target)
+            if report.witness is not None:
+                assert report.mapped == backward_transform(kind, report.witness), (kind, report.witness)
+                mapped[kind] += 1
+    assert min(mapped.values()) > 0, mapped
+
+
 def test_report_json_shape_and_determinism():
     instance = invariant_pairs(12, lambda z: z % 2)
     first = verify_reduction("ZRT_TO_AHT", instance, 3)
@@ -322,8 +341,8 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: backward_transform("RT_TO_ZRT", 5), "solution must be an iterable of integers, got 5"),
-    (lambda: backward_transform("RT_TO_ZRT", None), "solution must be an iterable of integers, got None"),
+    (lambda: backward_transform("RT_TO_ZRT", 5), "RT_TO_ZRT requires an iterable of integers, got 5"),
+    (lambda: backward_transform("RT_TO_ZRT", None), "RT_TO_ZRT requires an iterable of integers, got None"),
     (lambda: forward_transform("RT_TO_ZRT", {"dim": 1}), "RT_TO_ZRT expects a Colouring instance, got dict"),
     (lambda: verify_reduction("RT_TO_ZRT", None, 2), "RT_TO_ZRT expects a Colouring instance, got NoneType"),
     (lambda: forward_transform("AHT_TO_ZRT", DIFFERENCES),

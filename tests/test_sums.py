@@ -199,12 +199,12 @@ def test_adjacent_tuples_raise_the_same_errors():
         (OverflowLimitError, f"value {2**64} exceeds the 64-bit limit"),
         (OverflowLimitError, f"value {2**64} exceeds the 64-bit limit"),
         (PreconditionError, "adjacent_tuples requires positive integer entries, got 1.5"),
-        (PreconditionError, "arity must be >= 1, got 0"),
-        (PreconditionError, "arity must be >= 1, got -1"),
-        (PreconditionError, "arity must be >= 1, got True"),
+        (PreconditionError, "arity must be an integer >= 1, got 0"),
+        (PreconditionError, "arity must be an integer >= 1, got -1"),
+        (PreconditionError, "arity must be an integer >= 1, got True"),
         ("value", frozenset()),
-        (PreconditionError, "arity must be >= 1, got 0"),
-        (PreconditionError, "arity must be >= 1, got '1'"),
+        (PreconditionError, "arity must be an integer >= 1, got 0"),
+        (PreconditionError, "arity must be an integer >= 1, got '1'"),
     ]
     assert [outcome(adjacent_tuples, seq, d) for seq, d in cases] == expected
 
