@@ -18,7 +18,7 @@ import sys
 
 from irl.colouring import Colouring, DifferenceColouring, colouring_from_json, colouring_to_json, from_differences
 from irl.colouring import invariance_witness, to_differences
-from irl.errors import FormatError, IrlError, PreconditionError
+from irl.errors import FormatError, IrlError, PreconditionError, check_instance
 from irl.oracle import decode, encode_colour, oracle_from_json, pair_colour, synthesize_solution
 from irl.reduce import KINDS, backward_transform, forward_transform, verify_reduction
 from irl.search import (
@@ -54,12 +54,9 @@ def _load_json(path):
         raise FormatError(f"cannot read {path}: {exc}") from None
 
 
-def _load_colouring(path, cls, refusal):
-    """The colouring or difference table at ``path``, refused with ``refusal`` unless it is a ``cls``."""
-    instance = colouring_from_json(_load_json(path))
-    if not isinstance(instance, cls):
-        raise PreconditionError(refusal)
-    return instance
+def _load_colouring(path, cls, command):
+    """The colouring or difference table at ``path``, refused in ``command``'s name unless it is a ``cls``."""
+    return check_instance(colouring_from_json(_load_json(path)), cls, command)
 
 
 def _load_sequence(text):
@@ -81,8 +78,7 @@ def _check_dim(args, instance):
 
 
 def _cmd_check_invariance(args):
-    instance = _load_colouring(args.input, Colouring,
-                               "check-invariance expects a sets-mode colouring, not a difference table")
+    instance = _load_colouring(args.input, Colouring, args.command)
     witness = invariance_witness(instance)
     if witness is None:
         return _encode({"invariant": True})
@@ -90,13 +86,12 @@ def _cmd_check_invariance(args):
 
 
 def _cmd_to_differences(args):
-    instance = _load_colouring(args.input, Colouring, "to-differences expects a sets-mode colouring")
+    instance = _load_colouring(args.input, Colouring, args.command)
     return _encode(colouring_to_json(to_differences(instance)))
 
 
 def _cmd_from_differences(args):
-    table = _load_colouring(args.input, DifferenceColouring,
-                            "from-differences expects a difference table (mode 'differences')")
+    table = _load_colouring(args.input, DifferenceColouring, args.command)
     if args.window is None:
         raise PreconditionError("from-differences requires --window")
     return _encode(colouring_to_json(from_differences(table, args.window)))
@@ -112,7 +107,7 @@ def _cmd_reduce(args):
         return _encode(mapped)
     if args.input is None:
         raise PreconditionError(f"reduce --op {args.op} requires --input")
-    instance = _load_colouring(args.input, Colouring, "reduce expects a colouring instance, not a difference table")
+    instance = _load_colouring(args.input, Colouring, args.command)
     _check_dim(args, instance)
     if args.op == "forward":
         return _encode(colouring_to_json(forward_transform(args.kind, instance)))
@@ -123,7 +118,7 @@ def _cmd_reduce(args):
 
 
 def _cmd_search(args):
-    instance = _load_colouring(args.input, Colouring, "search expects a colouring instance, not a difference table")
+    instance = _load_colouring(args.input, Colouring, args.command)
     _check_dim(args, instance)
     if args.m is None:
         raise PreconditionError("search requires --m")

@@ -23,7 +23,8 @@ from itertools import product
 from math import comb
 
 from irl.budget import budget_limit, candidate_budget
-from irl.errors import BudgetExceededError, FormatError, NotInvariantError, OverflowLimitError, PreconditionError, check_int
+from irl.errors import BudgetExceededError, FormatError, NotInvariantError, OverflowLimitError, PreconditionError
+from irl.errors import check_instance, check_int
 from irl.sums import _anchor, _choose, _gaps
 
 MODES = ("sets", "vectors")
@@ -150,14 +151,6 @@ def _check_table(table, dim, window, palette, mode):
             raise FormatError(f"difference vector total {sum(t)} exceeds window {window}: {t!r}")
 
 
-def _expect(obj, cls, name):
-    """``obj``, refused with "NAME expects a CLS instance, got TYPE" unless ``isinstance(obj, cls)``."""
-    if not isinstance(obj, cls):
-        names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
-        raise PreconditionError(f"{name} expects a {names} instance, got {type(obj).__name__}")
-    return obj
-
-
 def _unchecked(cls, *values):
     """A Colouring or DifferenceColouring built by this package, without validation.
 
@@ -250,14 +243,12 @@ def invariance_witness(c: Colouring):
     against the earliest representative of its difference vector, whatever
     the table's own order.
     """
-    if _expect(c, Colouring, "invariance_witness").mode != "sets":
-        raise PreconditionError("shift invariance is defined for sets-mode colourings")
-    return _difference_scan(c)[0]
+    return _difference_scan(check_instance(c, Colouring, "invariance_witness", "sets"))[0]
 
 
 def is_shift_invariant(c: Colouring) -> bool:
     """True iff the colouring is unchanged by shifting every tuple entry alike."""
-    return invariance_witness(_expect(c, Colouring, "is_shift_invariant")) is None
+    return invariance_witness(check_instance(c, Colouring, "is_shift_invariant", "sets")) is None
 
 
 def to_differences(c: Colouring) -> DifferenceColouring:
@@ -266,9 +257,7 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     Rejects non-invariant input with a witness pair of equal-difference
     tuples carrying unequal colours.
     """
-    if _expect(c, Colouring, "to_differences").mode != "sets":
-        raise PreconditionError("to_differences applies to sets-mode colourings")
-    if c.dim < 2:
+    if check_instance(c, Colouring, "to_differences", "sets").dim < 2:
         raise PreconditionError("to_differences requires tuple arity >= 2")
     witness, table = _difference_scan(c)
     if witness is not None:
@@ -310,7 +299,7 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     Each difference vector colours the translates of its partial sums from
     0; the rest is left uncoloured, so the result is shift-invariant.
     """
-    _expect(dc, DifferenceColouring, "from_differences")
+    check_instance(dc, DifferenceColouring, "from_differences")
     check_int(window, "window", 0, FormatError)
     return _lift(dc.table, dc.dim + 1, window, dc.palette)
 
@@ -325,7 +314,10 @@ def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):
     ``sets_domain`` or ``vectors_domain`` of its mode.  The variables must
     fit ``limit``, and with ``exhaustive`` so must the palette ** #variables
     tables an enumeration visits; both are refused before any is built.
+    An invariant shape must be sets-mode, checked before an unknown mode is refused.
     """
+    if invariant and mode != "sets":
+        raise PreconditionError(f"invariant colourings are sets-mode colourings, got mode {mode!r}")
     if mode not in MODES:
         raise FormatError(f"unknown mode {mode!r}")
     if invariant:
@@ -358,8 +350,6 @@ def enumerate_colourings(dim, window, palette, mode="sets", invariant=False, bud
     """
     _check_shape(dim, window, palette)
     limit = budget_limit(budget)
-    if invariant and mode != "sets":
-        raise PreconditionError("invariant enumeration applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit, exhaustive=True)
     for assignment in product(range(palette), repeat=len(variables)):
         yield colouring(dict(zip(variables, assignment)))
@@ -375,8 +365,6 @@ def sample_colourings(dim, window, palette, mode="sets", invariant=False, seed=0
     _check_shape(dim, window, palette)
     limit = candidate_budget()
     rng = random.Random(seed)
-    if invariant and mode != "sets":
-        raise PreconditionError("invariant sampling applies to sets-mode colourings")
     variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
     for _ in range(check_int(count, "count", 0)):
         yield colouring({t: rng.randrange(palette) for t in variables})
@@ -389,7 +377,7 @@ def colouring_to_json(obj) -> dict:
     array ``[[x1, ..., xd], colour]``.  Sorting the keys alone keeps
     ``list.sort`` on its path for tuples of ints.
     """
-    _expect(obj, (Colouring, DifferenceColouring), "colouring_to_json")
+    check_instance(obj, (Colouring, DifferenceColouring), "colouring_to_json")
     mode = "differences" if isinstance(obj, DifferenceColouring) else obj.mode
     table = obj.table
     return {

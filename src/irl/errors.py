@@ -66,6 +66,22 @@ def check_int(value, name, least, error=PreconditionError):
     return value
 
 
+def class_refusal(obj, cls, name) -> PreconditionError:
+    """The refusal "NAME expects a CLS instance, got TYPE" (with "an" before a vowel)."""
+    names = " or ".join(c.__name__ for c in cls) if isinstance(cls, tuple) else cls.__name__
+    article = "an" if names[0] in "AEIOU" else "a"
+    return PreconditionError(f"{name} expects {article} {names} instance, got {type(obj).__name__}")
+
+
+def check_instance(obj, cls, name, mode=None):
+    """``obj`` when it is a ``cls`` and, with ``mode``, of that mode; otherwise raise ``PreconditionError``."""
+    if not isinstance(obj, cls):
+        raise class_refusal(obj, cls, name)
+    if mode is not None and obj.mode != mode:
+        raise PreconditionError(f"{name} expects a {mode}-mode instance, got {obj.mode!r}")
+    return obj
+
+
 def check_entries(seq, name, least, increasing=False, min_len=1):
     """``seq`` as a tuple of at least ``min_len`` ints, not bools, each at least ``least`` (0 or 1).
 

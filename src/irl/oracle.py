@@ -43,7 +43,9 @@ from irl.errors import (
     OverflowLimitError,
     PreconditionError,
     WindowExhaustedError,
+    check_instance,
     check_int,
+    class_refusal,
 )
 
 
@@ -101,15 +103,12 @@ class EnumerationOracle:
         return tuple(accumulate(marks, or_)), stage_of
 
 
-def _not_an_oracle(oracle) -> PreconditionError:
-    return PreconditionError(f"expected an EnumerationOracle, got {type(oracle).__name__}")
-
-
 def approx(oracle: EnumerationOracle, bound: int, stage: int) -> frozenset:
     """Elements below ``bound`` enumerated at stages <= ``stage``."""
-    return frozenset(
-        element for element, s in oracle.events if element < bound and s <= stage
-    )
+    events = check_instance(oracle, EnumerationOracle, "approx").events
+    check_int(bound, "bound", 0)
+    check_int(stage, "stage", 0)
+    return frozenset(element for element, s in events if element < bound and s <= stage)
 
 
 def _approximations_differ(oracle: EnumerationOracle, bound: int, stage: int, other: int) -> bool:
@@ -122,8 +121,8 @@ def _approximations_differ(oracle: EnumerationOracle, bound: int, stage: int, ot
     """
     try:
         masks, _ = oracle.stage_profile
-    except AttributeError:
-        raise _not_an_oracle(oracle) from None
+    except AttributeError:  # pair_colour's oracle, refused here at no cost per call
+        raise class_refusal(oracle, EnumerationOracle, "pair_colour") from None
     return (masks[bound] & abs((2 << stage) - (2 << other))) != 0
 
 
@@ -162,6 +161,7 @@ def lower_bound_colouring(oracle: EnumerationOracle, window: int) -> Colouring:
         raise OverflowLimitError(f"lower_bound_colouring window {window} holds more than {sys.maxsize} points")
     if pairs > sys.maxsize:  # the table below holds window^2 entries
         raise OverflowLimitError(f"lower_bound_colouring window {window} has {pairs} pairs, more than {sys.maxsize}")
+    check_instance(oracle, EnumerationOracle, "lower_bound_colouring")
     low = [0] * (window + 1)
     high = [0] * (window + 1)
     for v in range(1, window + 1):
@@ -186,10 +186,7 @@ def synthesize_solution(oracle: EnumerationOracle, m: int) -> tuple:
     so the compared approximations are already settled.
     """
     check_int(m, "length", 1)
-    try:
-        start = oracle.settle_stage
-    except AttributeError:
-        raise _not_an_oracle(oracle) from None
+    start = check_instance(oracle, EnumerationOracle, "synthesize_solution").settle_stage
     if start + 2 * m - 1 >= WORD_BITS:
         raise OverflowLimitError(
             f"synthesized entry would need bit {start + 2 * m - 1}, above the {WORD_BITS}-bit limit"
@@ -221,7 +218,7 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
             try:
                 _, stage_of = oracle.stage_profile
             except AttributeError:
-                raise _not_an_oracle(oracle) from None
+                raise class_refusal(oracle, EnumerationOracle, "decode") from None
             stage = stage_of.get(m)
             return stage is not None and stage <= x.bit_length() - 1
     raise WindowExhaustedError(
@@ -230,7 +227,8 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
 
 
 def oracle_to_json(oracle: EnumerationOracle) -> dict:
-    return {"events": [[element, stage] for element, stage in oracle.events]}
+    events = check_instance(oracle, EnumerationOracle, "oracle_to_json").events
+    return {"events": [[element, stage] for element, stage in events]}
 
 
 def oracle_from_json(data) -> EnumerationOracle:
@@ -239,9 +237,4 @@ def oracle_from_json(data) -> EnumerationOracle:
     events = data["events"]
     if not isinstance(events, list):
         raise FormatError("'events' must be a list of [element, stage] pairs")
-    parsed = []
-    for item in events:
-        if not isinstance(item, list) or len(item) != 2:
-            raise FormatError(f"malformed event: {item!r}")
-        parsed.append((item[0], item[1]))
-    return EnumerationOracle(events=tuple(parsed))
+    return EnumerationOracle(events=tuple(tuple(item) if isinstance(item, list) else item for item in events))

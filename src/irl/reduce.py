@@ -33,14 +33,13 @@ from functools import cached_property
 from irl.bits import block, is_apart
 from irl.colouring import (
     Colouring,
-    _expect,
     _lift_translates,
     _unchecked,
     charge_domain,
     colouring_to_json,
     invariance_witness,
 )
-from irl.errors import NotInvariantError, PreconditionError, check_entries, check_int
+from irl.errors import NotInvariantError, PreconditionError, check_entries, check_instance, check_int
 from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
 
@@ -126,10 +125,8 @@ def _checked(kind: str, instance) -> tuple[Reduction, int]:
     then the charge for a lift, in this order.
     """
     reduction = _reduction(kind)
-    _expect(instance, Colouring, kind)
     mode, invariant, _ = _SHAPES[reduction.source]
-    if instance.mode != mode:
-        raise PreconditionError(f"{kind} expects a {mode}-mode instance, got {instance.mode!r}")
+    check_instance(instance, Colouring, kind, mode)
     if instance.dim + reduction.shift < 1:
         raise PreconditionError(f"{kind} expects tuple arity >= {1 - reduction.shift}")
     if invariant:

@@ -22,9 +22,9 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import budget_limit
-from irl.colouring import Colouring, _expect, _lift_translates, _shape, colouring_to_json
+from irl.colouring import Colouring, _lift_translates, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
-from irl.errors import BudgetExceededError, PreconditionError, check_int
+from irl.errors import BudgetExceededError, PreconditionError, check_instance, check_int
 from irl.sums import _choose, _gaps, _run_tuples
 
 # principle -> (mode, whether its colourings are shift-invariant, whether its solutions are apart),
@@ -65,8 +65,7 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     gap from its last element is not a multiple of 2^(bit length of its
     last gap), which is the apartness test.
     """
-    if _expect(c, Colouring, "find_mono_subset").mode != "sets":
-        raise PreconditionError("find_mono_subset applies to sets-mode colourings")
+    check_instance(c, Colouring, "find_mono_subset", "sets")
     return _least_subset(c.table.get, c.points, vars(c).setdefault("_subset_masks", {}), c.dim, m, separated)
 
 
@@ -192,8 +191,7 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     (``_least_total``, the rule of the finite-number walks), overruns the
     window.
     """
-    if _expect(c, Colouring, "find_afs_mono").mode != "vectors":
-        raise PreconditionError("find_afs_mono applies to vectors-mode colourings")
+    check_instance(c, Colouring, "find_afs_mono", "vectors")
     check_int(m, "sequence length", 1)
     limit = check_int(c.window if window is None else window, "window", 1)
     if m * (m + 1) // 2 > limit:  # not even 1, ..., m fits; plain even when apart, so _check_depth refuses m first
@@ -402,7 +400,7 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     0).  A refusal reports the count that charging one unit at a time
     reaches, the budget plus one.
     """
-    principle = _expect(query, FiniteNumberQuery, "finite_number").principle
+    principle = check_instance(query, FiniteNumberQuery, "finite_number").principle
     mode, invariant, _ = _SHAPES[principle]
     sets_mode = mode == "sets"
     dim, palette, m = query.dim, query.palette, query.size

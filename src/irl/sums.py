@@ -114,4 +114,6 @@ def gap_increasing(xs) -> tuple:
 
 def partial_sums(ys) -> tuple:
     """All nonempty initial sums y1, y1+y2, ... of an increasing positive sequence."""
-    return tuple(accumulate(_increasing_entries(_positive_entries(ys, "partial_sums"), "partial_sums")))
+    entries = check_entries(ys, "partial_sums", 1, increasing=True)
+    check_value(sum(entries))
+    return tuple(accumulate(entries))

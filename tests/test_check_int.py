@@ -20,7 +20,7 @@ from irl.colouring import (
     sample_colourings,
 )
 from irl.errors import FormatError, PreconditionError
-from irl.oracle import EnumerationOracle, decode, lower_bound_colouring, synthesize_solution
+from irl.oracle import EnumerationOracle, approx, decode, lower_bound_colouring, synthesize_solution
 from irl.reduce import bit_window, verify_reduction
 from irl.search import FiniteNumberQuery, find_afs_mono
 from irl.sums import adjacent_tuples
@@ -51,6 +51,8 @@ SITES = [
       for field in ("dim", "palette", "size", "cap")),
     ("lower_bound_colouring", "window", 1, PreconditionError, lambda v: lower_bound_colouring(ORACLE, v)),
     ("synthesize_solution", "length", 1, PreconditionError, lambda v: synthesize_solution(ORACLE, v)),
+    ("approx bound", "bound", 0, PreconditionError, lambda v: approx(ORACLE, v, 9)),
+    ("approx stage", "stage", 0, PreconditionError, lambda v: approx(ORACLE, 9, v)),
     ("adjacent_tuples arity", "arity", 1, PreconditionError, lambda v: adjacent_tuples([1, 2, 4], v)),
     ("decode query", "query", 0, PreconditionError, lambda v: decode(synthesize_solution(ORACLE, 4), ORACLE, v)),
     ("_check_shape dim", "dim", 1, FormatError, lambda v: next(enumerate_colourings(v, 3, 2))),

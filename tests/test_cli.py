@@ -177,15 +177,16 @@ def test_error_paths_have_stable_codes(files, capsys, argv, expected_code):
      "solution must be a JSON array of integers"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "backward", "--solution", "[-1,2]"), "precondition",
      "RT_TO_ZRT requires non-negative integer entries, got -1"),
-    (("to-differences", "--input", "{vectors}"), "precondition", "to_differences applies to sets-mode colourings"),
+    (("to-differences", "--input", "{vectors}"), "precondition",
+     "to_differences expects a sets-mode instance, got 'vectors'"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward"), "precondition", "reduce --op forward requires --input"),
     (("reduce", "--kind", "RT_TO_ZRT", "--input", "{parity}"), "precondition", "reduce --op verify requires --m"),
     (("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", "{differences}"), "precondition",
-     "reduce expects a colouring instance, not a difference table"),
+     "reduce expects a Colouring instance, got DifferenceColouring"),
     (("search", "--input", "{differences}", "--m", "2"), "precondition",
-     "search expects a colouring instance, not a difference table"),
+     "search expects a Colouring instance, got DifferenceColouring"),
     (("check-invariance", "--input", "{differences}"), "precondition",
-     "check-invariance expects a sets-mode colouring, not a difference table"),
+     "check-invariance expects a Colouring instance, got DifferenceColouring"),
     (("from-differences", "--input", "{differences}"), "precondition", "from-differences requires --window"),
     (("finite-number", "--principle", "NOPE", "--dim", "1", "--k", "2", "--m", "3", "--cap", "4"), "precondition",
      "--principle must be one of ('RT', 'ZRT', 'SEPZRT', 'AHT', 'APAHT'), got 'NOPE'"),

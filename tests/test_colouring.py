@@ -101,7 +101,7 @@ def test_to_differences_refuses_a_vectors_colouring():
     c = Colouring(2, 4, 2, "vectors", {(1, 1): 0, (1, 2): 1})
     with pytest.raises(PreconditionError) as info:
         to_differences(c)
-    assert str(info.value) == "to_differences applies to sets-mode colourings"
+    assert str(info.value) == "to_differences expects a sets-mode instance, got 'vectors'"
 
 
 def test_from_differences_examples():
@@ -332,9 +332,12 @@ def test_table_validation():
     (lambda: from_differences(DifferenceColouring(1, 2, 2, {}), -1), FormatError,
      "window must be an integer >= 0, got -1"),
     (lambda: next(enumerate_colourings(2, 3, 2, mode="vectors", invariant=True)), PreconditionError,
-     "invariant enumeration applies to sets-mode colourings"),
+     "invariant colourings are sets-mode colourings, got mode 'vectors'"),
+    # invariance before the mode is known: a bogus mode is no format error here
+    (lambda: next(enumerate_colourings(2, 3, 2, mode="bogus", invariant=True)), PreconditionError,
+     "invariant colourings are sets-mode colourings, got mode 'bogus'"),
     (lambda: next(sample_colourings(2, 3, 2, mode="vectors", invariant=True)), PreconditionError,
-     "invariant sampling applies to sets-mode colourings"),
+     "invariant colourings are sets-mode colourings, got mode 'vectors'"),
     (lambda: colouring_from_json([]), FormatError, "expected a JSON object, got list"),
 ])
 def test_shape_and_mode_checks_raise_their_own_errors(call, error, message):

@@ -216,7 +216,7 @@ def test_oracle_json_round_trip_and_rejections():
         oracle_from_json({"wrong": []})
 
 
-@pytest.mark.parametrize("call, error, message", [
+ORACLE_CHECKS = [
     (lambda: EnumerationOracle(events=((1,),)), FormatError, "events must be (element, stage) pairs, got (1,)"),
     (lambda: EnumerationOracle(events=((1, 2), (1, 3), (2, -1))), FormatError, "element 1 enumerated twice"),
     (lambda: EnumerationOracle(events=((2, -1), (1, 2), (1, 3))), FormatError,
@@ -224,15 +224,27 @@ def test_oracle_json_round_trip_and_rejections():
     (lambda: EnumerationOracle(events=None), FormatError, "events must be a tuple of (element, stage) pairs, got NoneType"),
     (lambda: EnumerationOracle(events=[(1, 2)]), FormatError, "events must be a tuple of (element, stage) pairs, got list"),
     (lambda: EnumerationOracle(events=[(1,)]), FormatError, "events must be a tuple of (element, stage) pairs, got list"),
-    (lambda: oracle_from_json({"events": [[1]]}), FormatError, "malformed event: [1]"),
+    # JSON and Python refuse a malformed event with one wording
+    (lambda: oracle_from_json({"events": [[1]]}), FormatError, "events must be (element, stage) pairs, got (1,)"),
+    (lambda: oracle_from_json({"events": [5]}), FormatError, "events must be (element, stage) pairs, got 5"),
     (lambda: lower_bound_colouring(W, 0), PreconditionError, "window must be an integer >= 1, got 0"),
     (lambda: synthesize_solution(W, 0), PreconditionError, "length must be an integer >= 1, got 0"),
     (lambda: decode(5, W, 1), PreconditionError, "decode requires an iterable of integers, got 5"),
-    (lambda: pair_colour("x", 1, 2), PreconditionError, "expected an EnumerationOracle, got str"),
-    (lambda: decode((1, 2), None, 0), PreconditionError, "expected an EnumerationOracle, got NoneType"),
-    (lambda: lower_bound_colouring(None, 4), PreconditionError, "expected an EnumerationOracle, got NoneType"),
-    (lambda: synthesize_solution(None, 3), PreconditionError, "expected an EnumerationOracle, got NoneType"),
-])
+    (lambda: pair_colour("x", 1, 2), PreconditionError, "pair_colour expects an EnumerationOracle instance, got str"),
+    (lambda: decode((1, 2), None, 0), PreconditionError, "decode expects an EnumerationOracle instance, got NoneType"),
+    (lambda: lower_bound_colouring(None, 4), PreconditionError,
+     "lower_bound_colouring expects an EnumerationOracle instance, got NoneType"),
+    # the window and its budget first: the oracle is read only once the pairs are built
+    (lambda: lower_bound_colouring(None, 0), PreconditionError, "window must be an integer >= 1, got 0"),
+    (lambda: synthesize_solution(None, 3), PreconditionError,
+     "synthesize_solution expects an EnumerationOracle instance, got NoneType"),
+    (lambda: approx(None, 1, 1), PreconditionError, "approx expects an EnumerationOracle instance, got NoneType"),
+    (lambda: oracle_to_json(None), PreconditionError,
+     "oracle_to_json expects an EnumerationOracle instance, got NoneType"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", ORACLE_CHECKS)
 def test_oracle_checks_raise_their_own_errors(call, error, message):
     with pytest.raises(error) as info:
         call()

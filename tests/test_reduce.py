@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -7,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
+import irl
 from by_path import load
 from irl.bits import block, is_apart, is_separated
 from irl.cli import main
@@ -25,6 +27,7 @@ from irl.colouring import (
     vectors_domain,
 )
 from irl.errors import BudgetExceededError, IrlError, NotInvariantError, PreconditionError
+from irl.oracle import EnumerationOracle
 from irl.reduce import (
     KINDS,
     REDUCTIONS,
@@ -36,6 +39,7 @@ from irl.reduce import (
 from irl.search import _SHAPES, FiniteNumberQuery, find_afs_mono, find_mono_subset, finite_number
 from irl.sums import adjacent_sums, adjacent_tuples, differences, gap_increasing, normalize, partial_sums
 from test_golden_cli import VERIFY_SHAPES, _instance as golden_instance
+from test_oracle import ORACLE_CHECKS
 
 checks = load("perfbench/checks.py")
 
@@ -340,7 +344,10 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
     assert str(info.value) == f"kind must be one of {KINDS}, got 'NOPE'"
 
 
-@pytest.mark.parametrize("call, message", [
+SETS = Colouring(1, 4, 2, "sets", {(1,): 0})
+VECTORS = Colouring(2, 4, 2, "vectors", {(1, 1): 0})
+
+WRONG_TYPE = [
     (lambda: backward_transform("RT_TO_ZRT", 5), "RT_TO_ZRT requires an iterable of integers, got 5"),
     (lambda: backward_transform("RT_TO_ZRT", None), "RT_TO_ZRT requires an iterable of integers, got None"),
     (lambda: forward_transform("RT_TO_ZRT", {"dim": 1}), "RT_TO_ZRT expects a Colouring instance, got dict"),
@@ -365,6 +372,12 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
     (lambda: finite_number(None), "finite_number expects a FiniteNumberQuery instance, got NoneType"),
     (lambda: colouring_to_json(None),
      "colouring_to_json expects a Colouring or DifferenceColouring instance, got NoneType"),
+    # the mode, checked after the class by the same rule
+    (lambda: invariance_witness(VECTORS), "invariance_witness expects a sets-mode instance, got 'vectors'"),
+    (lambda: is_shift_invariant(VECTORS), "is_shift_invariant expects a sets-mode instance, got 'vectors'"),
+    (lambda: to_differences(VECTORS), "to_differences expects a sets-mode instance, got 'vectors'"),
+    (lambda: find_mono_subset(VECTORS, 3), "find_mono_subset expects a sets-mode instance, got 'vectors'"),
+    (lambda: find_afs_mono(SETS, 3), "find_afs_mono expects a vectors-mode instance, got 'sets'"),
     (lambda: adjacent_sums(5), "adjacent_sums requires an iterable of integers, got 5"),
     (lambda: adjacent_tuples(5, 2), "adjacent_tuples requires an iterable of integers, got 5"),
     (lambda: normalize(5), "normalize requires an iterable of integers, got 5"),
@@ -373,11 +386,25 @@ def test_unknown_kind_is_refused_before_any_other_fault(call):
     (lambda: partial_sums(5), "partial_sums requires an iterable of integers, got 5"),
     (lambda: is_apart(5), "is_apart requires an iterable of integers, got 5"),
     (lambda: is_separated(None), "is_separated requires an iterable of integers, got None"),
-])
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPE)
 def test_entry_points_refuse_an_argument_of_the_wrong_type(call, message):
     with pytest.raises(PreconditionError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_every_entry_point_that_takes_a_package_object_has_a_wrong_class_row():
+    # found by signature, so a new entry point needs a row here or in the oracle checks
+    classes = (Colouring, DifferenceColouring, EnumerationOracle, FiniteNumberQuery)
+    takes_one = {name for name, value in vars(irl).items() if inspect.isfunction(value)
+                 and any(p.annotation in classes for p in inspect.signature(value).parameters.values())}
+    assert len(takes_one) == 15
+    rows = [*WRONG_TYPE, *((call, message) for call, _, message in ORACLE_CHECKS)]
+    refused = {call.__code__.co_names[0] for call, message in rows if " instance, got " in message}
+    assert takes_one | {"colouring_to_json"} <= refused
 
 
 def test_verify_checks_the_target_before_the_kind():

@@ -283,10 +283,10 @@ SETS = Colouring(1, 4, 2, "sets", {(1,): 0})
 
 @pytest.mark.parametrize("call, message", [
     # the mode is checked before the length and the window
-    (lambda: find_mono_subset(VECTORS, 2), "find_mono_subset applies to sets-mode colourings"),
-    (lambda: find_mono_subset(VECTORS, 0), "find_mono_subset applies to sets-mode colourings"),
-    (lambda: find_afs_mono(SETS, 0), "find_afs_mono applies to vectors-mode colourings"),
-    (lambda: find_afs_mono(SETS, 2, window=0), "find_afs_mono applies to vectors-mode colourings"),
+    (lambda: find_mono_subset(VECTORS, 2), "find_mono_subset expects a sets-mode instance, got 'vectors'"),
+    (lambda: find_mono_subset(VECTORS, 0), "find_mono_subset expects a sets-mode instance, got 'vectors'"),
+    (lambda: find_afs_mono(SETS, 0), "find_afs_mono expects a vectors-mode instance, got 'sets'"),
+    (lambda: find_afs_mono(SETS, 2, window=0), "find_afs_mono expects a vectors-mode instance, got 'sets'"),
     (lambda: find_afs_mono(VECTORS, 0), "sequence length must be an integer >= 1, got 0"),
     (lambda: find_afs_mono(VECTORS, 2, window=0), "window must be an integer >= 1, got 0"),
     (lambda: FiniteNumberQuery("NOPE", 1, 2, 3, 4),

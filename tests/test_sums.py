@@ -98,6 +98,8 @@ def test_differences_and_partial_sums_reject_non_increasing_input(fn, xs):
     ([3, 1], PreconditionError, "partial_sums requires a strictly increasing sequence, got (3, 1)"),
     ([2, 2], PreconditionError, "partial_sums requires a strictly increasing sequence, got (2, 2)"),
     ([1, 2**64], OverflowLimitError, f"value {2**64 + 1} exceeds the 64-bit limit"),
+    # one pass: the order before the total, as in differences and gap_increasing
+    ([2**64, 1], PreconditionError, f"partial_sums requires a strictly increasing sequence, got {(2**64, 1)}"),
 ])
 def test_partial_sums_refusals(ys, error, message):
     with pytest.raises(error) as info:
