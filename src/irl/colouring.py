@@ -76,14 +76,13 @@ def _domain_size(mode: str, dim: int, window: int, bound: int):
     return comb(n, k) if k <= bound.bit_length() else None
 
 
-def charge_domain(mode: str, dim: int, window: int, limit=None) -> int:
+def charge_domain(mode: str, dim: int, window: int, limit: int) -> int:
     """Size of the ``mode`` domain of dim-tuples, refused before it is built when above ``limit``.
 
-    ``limit`` defaults to the candidate budget.  A domain of tuples longer
-    than the limit is refused as well.  The refusal names the size, or
-    None when the size is too large to be worth computing exactly.
+    A domain of tuples longer than the limit is refused as well.  The
+    refusal names the size, or None when the size is too large to be worth
+    computing exactly.
     """
-    limit = candidate_budget() if limit is None else limit
     size = _domain_size(mode, dim, window, limit)
     if size is not None and size <= limit and (size == 0 or dim <= limit):  # an empty domain is free
         return size
@@ -269,11 +268,15 @@ def to_differences(c: Colouring) -> DifferenceColouring:
     return _unchecked(DifferenceColouring, c.dim - 1, c.window, c.palette, table)
 
 
-def _lift_translates(c: Colouring) -> Colouring:
+def _lift_translates(c: Colouring, limit: int) -> Colouring:
     """The sets colouring of every translate inside [0, c.window] of each tuple of ``c``.
 
-    The tuples of ``c`` must all start at 0 (unchecked); the work follows them, not the window.
+    The one function that builds a lift, so the one that charges it: the
+    whole target domain is charged to ``limit`` before anything is built,
+    although only the translates of the coloured tuples are.  The tuples of
+    ``c`` must all start at 0 (unchecked); the work follows them, not the window.
     """
+    charge_domain("sets", c.dim, c.window, limit)
     table = {}
     for t, colour in c.table.items():
         room = c.window - t[-1] + 1  # the number of shifts that fit
@@ -282,15 +285,10 @@ def _lift_translates(c: Colouring) -> Colouring:
     return _unchecked(Colouring, c.dim, c.window, c.palette, "sets", table)
 
 
-def _lift(table, dim, window, palette, limit=None) -> Colouring:
-    """``from_differences`` of a difference table, charged to ``limit`` (default: the candidate budget).
-
-    The whole target domain is charged, although only the coloured
-    translates are built.
-    """
-    charge_domain("sets", dim, window, limit)
+def _lift(table, dim, window, palette, limit) -> Colouring:
+    """``from_differences`` of a difference table, charged to ``limit`` by ``_lift_translates``."""
     return _lift_translates(_unchecked(Colouring, dim, window, palette, "sets",
-                                       {_anchor(v): colour for v, colour in table.items()}))
+                                       {_anchor(v): colour for v, colour in table.items()}), limit)
 
 
 def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
@@ -301,7 +299,7 @@ def from_differences(dc: DifferenceColouring, window: int) -> Colouring:
     """
     check_instance(dc, DifferenceColouring, "from_differences")
     check_int(window, "window", 0, FormatError)
-    return _lift(dc.table, dc.dim + 1, window, dc.palette)
+    return _lift(dc.table, dc.dim + 1, window, dc.palette, candidate_budget())
 
 
 def _shape(mode, dim, window, palette, invariant, limit, exhaustive=False):

@@ -221,6 +221,7 @@ def decode(seq, oracle: EnumerationOracle, m: int) -> bool:
                 raise class_refusal(oracle, EnumerationOracle, "decode") from None
             stage = stage_of.get(m)
             return stage is not None and stage <= x.bit_length() - 1
+    check_instance(oracle, EnumerationOracle, "decode")
     raise WindowExhaustedError(
         f"window exhausted: no entry has its lowest bit above {m}"
     )

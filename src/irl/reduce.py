@@ -31,14 +31,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from irl.bits import block, is_apart
-from irl.colouring import (
-    Colouring,
-    _lift_translates,
-    _unchecked,
-    charge_domain,
-    colouring_to_json,
-    invariance_witness,
-)
+from irl.budget import candidate_budget
+from irl.colouring import Colouring, _lift_translates, _unchecked, colouring_to_json, invariance_witness
 from irl.errors import NotInvariantError, PreconditionError, check_entries, check_instance, check_int
 from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
@@ -118,11 +112,12 @@ def _reduction(kind) -> Reduction:
 
 
 def _checked(kind: str, instance) -> tuple[Reduction, int]:
-    """The kind's record and arity parameter (its n or d), once ``instance`` passes and a lift is charged.
+    """The kind's record and arity parameter (its n or d), once ``instance`` passes.
 
     ``forward_transform`` and ``verify_reduction`` share this one pass: the
-    kind, the ``Colouring`` type, the source mode, the arity, invariance,
-    then the charge for a lift, in this order.
+    kind, the ``Colouring`` type, the source mode, the arity, then
+    invariance, in this order.  It charges nothing: a lift is charged where
+    it is built.
     """
     reduction = _reduction(kind)
     mode, invariant, _ = _SHAPES[reduction.source]
@@ -133,9 +128,6 @@ def _checked(kind: str, instance) -> tuple[Reduction, int]:
         witness = invariance_witness(instance)
         if witness is not None:
             raise NotInvariantError(f"{kind} requires a shift-invariant instance", witness=witness)
-    mode, invariant, _ = _SHAPES[reduction.target]
-    if invariant:  # only a lift is charged, for its whole target domain
-        charge_domain(mode, instance.dim + reduction.shift, reduction.window(instance.window))
     return reduction, min(instance.dim, instance.dim + reduction.shift)
 
 
@@ -149,7 +141,7 @@ def _target(reduction: Reduction, instance: Colouring) -> Colouring:
 def _lifted(reduction: Reduction, instance: Colouring) -> Colouring:
     """The transformed instance of a checked instance: ``_target``, lifted when the target is ZRT."""
     target = _target(reduction, instance)
-    return _lift_translates(target) if _SHAPES[reduction.target][1] else target
+    return _lift_translates(target, candidate_budget()) if _SHAPES[reduction.target][1] else target
 
 
 def forward_transform(kind: str, instance: Colouring) -> Colouring:
@@ -178,8 +170,8 @@ class ReductionReport:
     never fails (the theorems), but a partial one can leave a tuple of the
     mapped solution uncoloured (``ZRT_TO_AHT`` reads only the tuples from 0).
     The transformed instance, ``forward_transform(kind, instance)``, and
-    the digests are computed on first access; ``verify_reduction`` has
-    charged the budget for a lift already, so reading them charges nothing.
+    the digests are computed on first access; into ZRT the first read
+    builds the lift and charges it to the budget, as ``forward_transform`` does.
     """
 
     kind: str
@@ -246,10 +238,9 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
 
     The searched colouring is ``_target``'s.  Into ZRT that is the lift's
     tuples from 0, searched from 0 since the lift's least witness starts
-    at 0 (the lemma in ``_find_mono_from_zero``), and the lift is built
-    only where that search is undecided: the target domain is charged to
-    the budget, as ``forward_transform`` charges it, and
-    ``ReductionReport.transformed`` builds the lift when it is read.
+    at 0 (the lemma in ``_find_mono_from_zero``).  Verify builds no lift,
+    so it charges none; ``ReductionReport.transformed`` builds and charges
+    the lift when it is read.
     """
     check_int(target, "target", 1)
     reduction, param = _checked(kind, instance)

@@ -22,7 +22,7 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import budget_limit
-from irl.colouring import Colouring, _lift_translates, _shape, colouring_to_json
+from irl.colouring import Colouring, _shape, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError, check_instance, check_int
 from irl.sums import _choose, _gaps, _run_tuples
@@ -70,7 +70,7 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
 
 
 def _find_mono_from_zero(c: Colouring, m: int):
-    """``find_mono_subset`` of ``_lift_translates(c)``, whose tuples all start at 0, searched from 0.
+    """``find_mono_subset`` of the lift of ``c``, whose tuples all start at 0, searched from 0.
 
     The lift colours every translate inside the window of each tuple of
     ``c``, and ``c.dim`` is at least 2.  In a translate-closed colouring
@@ -79,10 +79,9 @@ def _find_mono_from_zero(c: Colouring, m: int):
     to 0 keeps each tuple's difference vector and stays inside the window.
     So only subsets from 0 are searched, and a tuple is looked up by
     translating it to 0.  Each element of a witness from 0 shares a tuple
-    with 0, so the points of ``c`` are the only candidates.  Only an m
-    above both their count and ``MAX_WITNESS`` is left undecided: the lift
-    may hold m points, and ``find_mono_subset`` of the lift, which is then
-    built, either finds none or refuses m by its length.
+    with 0, so the points of ``c`` are the only candidates: with fewer of
+    them than m the lift holds no witness, whatever its own points, and
+    ``MAX_WITNESS`` is checked only past that, as in every search.
     """
     table = c.table
     points = c.points  # 0 first, unless the table is empty
@@ -92,10 +91,7 @@ def _find_mono_from_zero(c: Colouring, m: int):
         return table.get(tuple([x - low for x in t]) if low else t)
 
     # masks of their own: they index points[1:] and look tuples up from 0, unlike find_mono_subset's
-    found = _least_subset(get, points[1:], {}, c.dim, m, prefix=(0,))
-    if found is None and m > max(len(points), MAX_WITNESS):
-        return find_mono_subset(_lift_translates(c), m)
-    return found
+    return _least_subset(get, points[1:], {}, c.dim, m, prefix=(0,))
 
 
 def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=()):

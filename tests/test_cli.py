@@ -323,13 +323,29 @@ def wide(tmp_path):
     ("from-differences", "--input", "{differences}", "--window", "100000"),
     ("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", "{sets}"),
     ("reduce", "--kind", "AHT_TO_ZRT", "--op", "forward", "--input", "{vectors}"),
-    ("reduce", "--kind", "RT_TO_ZRT", "--input", "{sets}", "--m", "3"),
 ])
 def test_materialization_beyond_the_budget_is_refused(wide, argv):
     code, out = fresh(*(arg.format(**wide) for arg in argv))
     assert code == 1
     assert out.count("\n") == 1
     assert json.loads(out)["error"]["code"] == "budget"
+
+
+def test_verify_into_zrt_builds_no_lift_and_charges_none(wide):
+    # the forward map's lift of the wide sets file is refused, while verify's search follows its two entries
+    refusal = ('{"error": {"code": "budget", "message": "materializing 166666666650000 3-tuples '
+               'over window 100000 exceeds the budget of 1000000"}}\n')
+    assert fresh("reduce", "--kind", "RT_TO_ZRT", "--op", "forward", "--input", wide["sets"]) == (1, refusal)
+    assert fresh("reduce", "--kind", "RT_TO_ZRT", "--m", "2", "--input", wide["sets"]) == (0, (
+        '{"kind": "RT_TO_ZRT", "params": 2, "window": 100000, "target": 2, "witness": [0, 7, 99999], '
+        '"mapped": [7, 99999], "pass": true, "colour": 1}\n'))
+    assert fresh("reduce", "--kind", "RT_TO_ZRT", "--m", "3", "--input", wide["sets"]) == (0, (
+        '{"kind": "RT_TO_ZRT", "params": 2, "window": 100000, "target": 3, "witness": null, '
+        '"mapped": null, "pass": null, "colour": null}\n'))
+    # with no charge first, verify's own target check answers
+    assert fresh("reduce", "--kind", "AHT_TO_ZRT", "--m", "2", "--input", wide["vectors"]) == (1, (
+        '{"error": {"code": "precondition", "message": "AHT_TO_ZRT needs target >= 3 on a dim-2 instance, '
+        'got 2"}}\n'))
 
 
 @pytest.mark.parametrize("kind, payload, expected", [

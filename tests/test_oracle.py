@@ -232,6 +232,9 @@ ORACLE_CHECKS = [
     (lambda: decode(5, W, 1), PreconditionError, "decode requires an iterable of integers, got 5"),
     (lambda: pair_colour("x", 1, 2), PreconditionError, "pair_colour expects an EnumerationOracle instance, got str"),
     (lambda: decode((1, 2), None, 0), PreconditionError, "decode expects an EnumerationOracle instance, got NoneType"),
+    # an exhausted window still refuses a non-oracle by its class, not by the window
+    (lambda: decode((1,), None, 5), PreconditionError, "decode expects an EnumerationOracle instance, got NoneType"),
+    (lambda: decode((1, 2), "x", 3), PreconditionError, "decode expects an EnumerationOracle instance, got str"),
     (lambda: lower_bound_colouring(None, 4), PreconditionError,
      "lower_bound_colouring expects an EnumerationOracle instance, got NoneType"),
     # the window and its budget first: the oracle is read only once the pairs are built

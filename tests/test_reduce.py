@@ -731,18 +731,21 @@ def test_public_entry_points_refuse_malformed_numbers(call, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("entry, points, verdict", [
-    (301, 600, None),  # translates of (0, 301) cover [0, 299] and [301, 600]
-    (400, 402, None),
-    (300, 601, "witness length 601 exceeds the supported maximum of 500"),
-    (1, 601, "witness length 601 exceeds the supported maximum of 500"),
-])
-def test_verify_counts_the_lift_points_before_the_witness_length(monkeypatch, entry, points, verdict):
-    # at target 600 the witness has 601 elements: a lift with fewer points holds none,
-    # and one with 601 or more is refused by the 500-element limit, whatever its window
+@pytest.mark.parametrize("entries, lift_points, from_zero, verdict", [
+    ((301,), 600, 2, None),  # translates of (0, 301) cover [0, 299] and [301, 600]
+    ((400,), 402, 2, None),
+    ((300,), 601, 2, None),
+    ((1,), 601, 2, None),
+    (range(1, 601), 601, 601, "witness length 601 exceeds the supported maximum of 500"),
+], ids=["301", "400", "300", "1", "1-600"])
+def test_verify_counts_the_points_from_zero_before_the_witness_length(monkeypatch, entries, lift_points, from_zero,
+                                                                       verdict):
+    # at target 600 the witness has 601 elements, each sharing a tuple with 0: fewer points
+    # from 0 hold none, whatever the lift's points, and 601 are refused by the 500-element limit
     monkeypatch.delenv("IRL_BUDGET", raising=False)
-    instance = Colouring(1, 600, 2, "sets", {(entry,): 1})
-    assert len(forward_transform("RT_TO_ZRT", instance).points) == points
+    instance = Colouring(1, 600, 2, "sets", {(k,): 1 for k in entries})
+    assert len(forward_transform("RT_TO_ZRT", instance).points) == lift_points
+    assert len(set().union(*REDUCTIONS["RT_TO_ZRT"].forward(instance, 600))) == from_zero
     if verdict is None:
         report = verify_reduction("RT_TO_ZRT", instance, 600)
         assert (report.witness, report.mapped, report.passed) == (None, None, None)
@@ -801,19 +804,48 @@ def test_report_builds_the_transformed_instance_when_read(monkeypatch, kind):
     monkeypatch.delenv("IRL_BUDGET", raising=False)
     instance = LAZY_INSTANCES[kind]
     expected = forward_transform(kind, instance)
+    lifted = _SHAPES[REDUCTIONS[kind].target][1]
     lifts = []
     monkeypatch.setattr("irl.reduce._lift_translates", lambda *args: lifts.append(args) or _lift_translates(*args))
+    # verify builds no lift and charges none; the read builds the lift and is charged as forward_transform is
+    monkeypatch.setenv("IRL_BUDGET", "2")
     report = verify_reduction(kind, instance, 3)
     assert report.witness is not None and lifts == []  # into ZRT, verify searches the pairs from 0
-    # verify charged the lift: a budget below its target domain refuses forward_transform, not the read
-    monkeypatch.setenv("IRL_BUDGET", "2")
-    lifted = _SHAPES[REDUCTIONS[kind].target][1]
     if lifted:
-        with pytest.raises(BudgetExceededError):
-            forward_transform(kind, instance)
+        for build in (lambda: forward_transform(kind, instance), lambda: report.transformed):
+            with pytest.raises(BudgetExceededError) as info:
+                build()
+            assert str(info.value) == "materializing 78 2-tuples over window 12 exceeds the budget of 2"
+        lifts.clear()
+    monkeypatch.delenv("IRL_BUDGET")
     assert report.transformed == expected
     assert report.transformed is report.transformed
-    assert len(lifts) == lifted  # the read's lift: the refused forward_transform built none
+    assert len(lifts) == lifted  # the read's one lift
+
+
+def test_verify_does_not_depend_on_the_budget(monkeypatch):
+    # verify charges no lift, so its reports are the same under a budget of 1, where
+    # forward_transform into ZRT is still refused with its own message
+    rng = random.Random(35)
+    cases = [(kind, LAZY_INSTANCES[kind], 3) for kind in KINDS]
+    for kind, maker, dim, window, palette, target in VERIFY_SHAPES:
+        mode, w, table = golden_instance(rng, maker, dim, window, palette)
+        cases.append((kind, Colouring(dim, w, palette, mode, table), target))
+    monkeypatch.delenv("IRL_BUDGET", raising=False)
+    expected = [verify_reduction(*case).to_json_dict() for case in cases]
+    monkeypatch.setenv("IRL_BUDGET", "1")
+    assert [verify_reduction(*case).to_json_dict() for case in cases] == expected
+    refused = 0
+    for kind, instance, _ in cases:
+        if _SHAPES[REDUCTIONS[kind].target][1]:
+            with pytest.raises(BudgetExceededError) as info:
+                forward_transform(kind, instance)
+            # only the window-3 domain, C(4, 3) = 4 triples, is small enough to be sized exactly
+            dim, window = instance.dim + 1, instance.window
+            shown = "4" if window == 3 else "more than 1"
+            assert str(info.value) == f"materializing {shown} {dim}-tuples over window {window} exceeds the budget of 1"
+            refused += 1
+    assert refused == 2 + 9
 
 
 @pytest.mark.parametrize("kind, instance, target, message", [
