@@ -26,6 +26,12 @@ neither side) and three verdicts:
   so the runs cannot show it held, unless every change run beats every
   base run.
 
+Each workload's summary also holds, under ``kind_medians``, each side's
+median over its runs of every op kind's median latency in ms, with no
+verdict: it shows which op moved (``subset.separated``, say) and which did
+not.  Each untraced run keeps, as ``latency_by_kind_ms``, that part of the
+record the benchmark writes under its export's ``perfbench/results/``.
+
 It also holds every run's seed, order, ``correct``, ``failed`` and
 metrics, the Python version and CPU count, and under ``src_lines`` each
 side's line count of ``src/irl/*.py`` (the total ``wc -l`` prints).
@@ -108,8 +114,24 @@ def summarize(runs, end_to_end):
                                and run["result"]["failed"] == 0
                                for run in runs if run["workload"] == workload),
             "metrics": metrics,
+            "kind_medians": kind_medians(run for run in runs if run["workload"] == workload),
         }
     return out
+
+
+def kind_medians(runs):
+    """Each side's median over ``runs`` of every op kind's median latency, from the runs that kept them."""
+    values = {side: {} for side in SIDES}
+    for run in runs:
+        for kind, latency in (run.get("latency_by_kind_ms") or {}).items():
+            values[run["side"]].setdefault(kind, []).append(latency["median"])
+    return {side: {kind: statistics.median(v) for kind, v in sorted(kinds.items())} for side, kinds in values.items()}
+
+
+def latency_by_kind(copy, workload, seed):
+    """``latency_by_kind_ms`` of the untraced record that the benchmark in ``copy`` wrote for this run."""
+    record = copy / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    return json.loads(record.read_text()).get("latency_by_kind_ms") if record.is_file() else None
 
 
 def layer_medians(runs):
@@ -185,6 +207,8 @@ def main():
                     result = run_once(command, copies[side], workload, seed, seconds, trace)
                     runs.append({"workload": workload, "pair": pair, "seed": seed, "side": side,
                                  "ran": "first" if position == 0 else "second", "result": result})
+                    if not trace and result is not None:
+                        runs[-1]["latency_by_kind_ms"] = latency_by_kind(copies[side], workload, seed)
                     status = "no result" if result is None else f"correct {result['correct']}, failed {result['failed']}"
                     print(f"{workload} {'traced ' if trace else ''}pair {pair} {side}: {status}", flush=True)
             return runs

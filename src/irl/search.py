@@ -63,7 +63,11 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     prefix with fewer candidates than elements still needed is dropped.
     A separated prefix of two or more elements skips each candidate whose
     gap from its last element is not a multiple of 2^(bit length of its
-    last gap), which is the apartness test.
+    last gap), which is the apartness test.  A separated prefix stops at
+    the first candidate x whose least completion ends past the last point:
+    with g the gap from the prefix's last element to x and k elements
+    still needed after x, each later gap apart from the one before, that
+    end is x - g + ``_least_total(g, k, True)``, which grows with x.
     """
     check_instance(c, Colouring, "find_mono_subset", "sets")
     return _least_subset(c.table.get, c.points, vars(c).setdefault("_subset_masks", {}), c.dim, m, separated)
@@ -99,7 +103,10 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
 
     ``points`` are the increasing candidates above the prefix; fewer than
     m points in all means no witness.  The depth-first search that
-    ``find_mono_subset`` describes; a prefix is shorter than dim.
+    ``find_mono_subset`` describes, stopping a separated prefix at its
+    first candidate whose least apart completion passes ``points[-1]``; a
+    prefix is shorter than dim.  Each prefix builds once the (dim-2)-subsets
+    of itself that close a tuple with a candidate, once it can close one.
     ``colour_masks`` maps (S, colour) to the points y above S with
     S + (y,) of that colour; it may hold masks of earlier searches with
     the same ``get`` and ``points``, and gains this search's.
@@ -111,6 +118,7 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
         return None
     _check_depth(m)
     prefix = list(prefix)
+    top = points[-1]
 
     def colour_mask(rest, colour, low):
         # low is the index above rest[-1] (0 for an empty rest).  A sets key is strictly
@@ -129,15 +137,23 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
         # allowed: the candidates above the prefix; low: the index above its last element
         need = m - len(prefix)
         size = len(prefix) + 1  # the prefix's size once x joins it
-        # separated: x - prefix[-1] a multiple of step, so apart from the last gap
-        step = 1 << (prefix[-1] - prefix[-2]).bit_length() if separated and size > 2 else 1
+        bounded = separated and size > 1
+        if bounded:  # x - prefix[-1] a multiple of step, so apart from the last gap
+            step = 1 << (prefix[-1] - prefix[-2]).bit_length() if size > 2 else 1
+        # the (dim-2)-subsets of the prefix that close a tuple with x
+        closers = () if size < dim or dim < 2 else ((),) if dim == 2 else tuple(combinations(prefix, dim - 2))
         while allowed.bit_count() >= need:
             bit = allowed & -allowed
             allowed ^= bit
             j = bit.bit_length() - 1
             x = points[j]
-            if step > 1 and (x - prefix[-1]) % step:
-                continue
+            if bounded:
+                gap = x - prefix[-1]
+                # the need - 1 later gaps, each apart from the one before, end past the last point
+                if prefix[-1] + _least_total(gap, need - 1, True) > top:
+                    break
+                if gap % step:
+                    continue
             got = colour
             if size == dim:  # x completes the first tuple, which fixes the colour
                 got = get(tuple(prefix) + (x,))
@@ -148,9 +164,8 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
             after = allowed
             if size == dim:
                 after &= colour_mask(tuple(prefix), got, low)
-            if size >= dim > 1:
-                for rest in combinations(prefix, dim - 2):
-                    after &= colour_mask(rest + (x,), got, j + 1)
+            for rest in closers:
+                after &= colour_mask(rest + (x,), got, j + 1)
             if after.bit_count() >= need - 1:
                 prefix.append(x)
                 found = extend(after, got, j + 1)
@@ -164,7 +179,12 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
 
 def _least_total(x, after, apart):
     """Least total of x and ``after`` more increasing terms: x+1, x+2, ... or, apart, 2^b, 2^(b+1), ... (b the bit
-    length of x; each term a multiple of 2^(bit length of the one before)).  It grows with x."""
+    length of x; each term a multiple of 2^(bit length of the one before)).  It grows with x.
+
+    The one statement of this rule for its three users: ``find_afs_mono`` and the finite-number candidate walk
+    (``_candidate_witnesses``) bound a sum by it, and the separated subset search (``_least_subset``) bounds the
+    last element by its apart form over the gaps.
+    """
     return x + (1 << x.bit_length()) * ((1 << after) - 1) if apart else (after + 1) * x + after * (after + 1) // 2
 
 
@@ -184,8 +204,8 @@ def find_afs_mono(c: Colouring, m: int, window=None, apart: bool = False, colour
     d-1 runs, and the last run is the rest of the prefix plus x.  Each
     prefix builds these once, so a candidate costs one key per tuple.  A
     prefix stops at the first x whose least completion, plain or apart
-    (``_least_total``, the rule of the finite-number walks), overruns the
-    window.
+    (``_least_total``, the rule of the finite-number walks and the separated
+    subset search), overruns the window.
     """
     check_instance(c, Colouring, "find_afs_mono", "vectors")
     check_int(m, "sequence length", 1)

@@ -56,7 +56,8 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
     out = summarize(runs_of("w", pairs), METRICS)["w"]
     assert out["pairs"] == 2 and out["all_correct"] is False
     assert out["metrics"]["ops_per_s"]["pairs_won"] == 2
-    assert summarize(runs_of("v", [(None, None)]), METRICS) == {"v": {"pairs": 0, "all_correct": False, "metrics": {}}}
+    assert summarize(runs_of("v", [(None, None)]), METRICS) == {
+        "v": {"pairs": 0, "all_correct": False, "metrics": {}, "kind_medians": {"base": {}, "change": {}}}}
 
 
 def test_a_gain_needs_ten_complete_pairs():
@@ -88,6 +89,34 @@ def test_each_metric_is_checked_against_its_bound_or_reported_unresolved():
     # the same spread with every change run above every base run is resolved
     above = [(line(100 + 200 * (i % 2), 1), line(301 + i, 1)) for i in range(10)]
     assert verdict(above, "ops_per_s") == (True, False)
+
+
+def test_each_workload_summary_gives_each_side_its_per_kind_medians(tmp_path):
+    bench_pairs = load("scripts/bench_pairs.py")
+
+    def by_kind(separated, afs):
+        return {"subset.separated": {"samples": 40, "median": separated, "max": 2 * separated, "share": 0.1},
+                "afs.plain": {"samples": 20, "median": afs, "max": 3 * afs, "share": 0.3}}
+
+    runs = runs_of("search-oracle", [(line(100, 1), line(120, 1))] * 3)
+    for i, run in enumerate(runs):
+        if run["side"] == "base":
+            run["latency_by_kind_ms"] = by_kind(0.6 + i / 10, 2.0)
+        elif i < 4:  # a run that kept no record counts for no kind, as in older BENCH files
+            run["latency_by_kind_ms"] = by_kind(0.08 + i / 100, 2.1)
+    medians = bench_pairs.summarize(runs, METRICS)["search-oracle"]["kind_medians"]
+    assert medians == {"base": {"afs.plain": 2.0, "subset.separated": pytest.approx(0.8)},
+                       "change": {"afs.plain": 2.1, "subset.separated": pytest.approx(0.1)}}
+    older = [{key: value for key, value in run.items() if key != "latency_by_kind_ms"} for run in runs]
+    assert bench_pairs.summarize(older, METRICS)["search-oracle"]["kind_medians"] == {"base": {}, "change": {}}
+
+    # read from the record that perfbench/run.py writes for the run's workload and seed, untraced
+    results = tmp_path / "perfbench" / "results"
+    results.mkdir(parents=True)
+    (results / "search-oracle-seed7-trace0.json").write_text(json.dumps({"latency_by_kind_ms": by_kind(0.5, 2.0)}))
+    (results / "search-oracle-seed7-trace1.json").write_text(json.dumps({"metrics": {}}))
+    assert bench_pairs.latency_by_kind(tmp_path, "search-oracle", 7) == by_kind(0.5, 2.0)
+    assert bench_pairs.latency_by_kind(tmp_path, "search-oracle", 8) is None
 
 
 def test_committed_bench_records_are_complete_correct_and_within_their_bounds():

@@ -30,6 +30,7 @@ from irl.search import (
     finite_number,
     witness_colour,
 )
+from test_search_work import CountingTable
 
 checks = load("perfbench/checks.py")
 
@@ -601,6 +602,36 @@ def test_separated_search_answers_for_gaps_beyond_the_word_width():
     assert find_mono_subset(c, 3, separated=True) == (0, 1, far)
     odd = Colouring(2, far + 1, 1, "sets", {(0, 1): 0, (0, far + 1): 0, (1, far + 1): 0})
     assert find_mono_subset(odd, 3, separated=True) is None
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_least_separated_subset_of_a_constant_colouring_is_the_powers_of_two_less_one(dim):
+    # gaps 1, 2, 4, ...: the least separated m-subset ends at 2^(m-1) - 1, so the least
+    # completion bound must let it through at that window and, one point lower, stop
+    # every prefix at its first candidate, before any tuple is looked up
+    for m in range(dim, 8):
+        least = tuple((1 << i) - 1 for i in range(m))
+        for window, want in ((least[-1], least), (least[-1] - 1, None)):
+            c = Colouring(dim, window, 1, "sets", CountingTable.fromkeys(sets_domain(dim, window), 0))
+            assert find_mono_subset(c, m, separated=True) == want, (m, window)
+            assert want is not None or c.table.lookups == 0, (m, window)
+
+
+def test_separated_search_is_bounded_by_its_last_point_not_its_window():
+    # constant on the pairs of these points, the last far below the window: the least
+    # separated 5-subset 2, 3, 5, 9, 17 ends at the last point, and no 6-subset fits
+    table = dict.fromkeys(combinations((2, 3, 4, 5, 6, 9, 10, 17), 2), 0)
+    for window in (17, 40):
+        least = {m: checks.least_subset(table, window, 2, m, 1, True) for m in range(2, 7)}
+        assert least[5] == (2, 3, 5, 9, 17) and least[6] is None
+        c = Colouring(2, window, 1, "sets", CountingTable(table))
+        # from any first element, gaps 1, 2, 4, 8, 16 already end past 17: no tuple is looked up
+        assert find_mono_subset(c, 6, separated=True) is None and c.table.lookups == 0, window
+        assert {m: find_mono_subset(c, m, separated=True) for m in least} == least, window
+        # again after plain searches of the same object filled its cached masks
+        for m in least:
+            find_mono_subset(c, m)
+        assert {m: find_mono_subset(c, m, separated=True) for m in least} == least, window
 
 
 def test_apart_adjacent_search_answers_for_points_beyond_the_word_width():
