@@ -29,8 +29,11 @@ neither side) and three verdicts:
 Each workload's summary also holds, under ``kind_medians``, each side's
 median over its runs of every op kind's median latency in ms, with no
 verdict: it shows which op moved (``subset.separated``, say) and which did
-not.  Each untraced run keeps, as ``latency_by_kind_ms``, that part of the
-record the benchmark writes under its export's ``perfbench/results/``.
+not.  Under ``kind_shares`` it holds, the same way, each side's median of
+every op kind's ``share`` of the cycle, which shows a kind's part of the
+cycle fall or rise.  Each untraced run keeps, as ``latency_by_kind_ms``,
+that part of the record the benchmark writes under its export's
+``perfbench/results/``.
 
 It also holds every run's seed, order, ``correct``, ``failed`` and
 metrics, the Python version and CPU count, and under ``src_lines`` each
@@ -114,17 +117,19 @@ def summarize(runs, end_to_end):
                                and run["result"]["failed"] == 0
                                for run in runs if run["workload"] == workload),
             "metrics": metrics,
-            "kind_medians": kind_medians(run for run in runs if run["workload"] == workload),
+            "kind_medians": by_kind(runs, workload, "median"),
+            "kind_shares": by_kind(runs, workload, "share"),
         }
     return out
 
 
-def kind_medians(runs):
-    """Each side's median over ``runs`` of every op kind's median latency, from the runs that kept them."""
+def by_kind(runs, workload, field):
+    """Each side's median over the workload's runs of every op kind's ``field``, from the runs that kept them."""
     values = {side: {} for side in SIDES}
     for run in runs:
-        for kind, latency in (run.get("latency_by_kind_ms") or {}).items():
-            values[run["side"]].setdefault(kind, []).append(latency["median"])
+        if run["workload"] == workload:
+            for kind, latency in (run.get("latency_by_kind_ms") or {}).items():
+                values[run["side"]].setdefault(kind, []).append(latency[field])
     return {side: {kind: statistics.median(v) for kind, v in sorted(kinds.items())} for side, kinds in values.items()}
 
 

@@ -65,9 +65,10 @@ def find_mono_subset(c: Colouring, m: int, separated: bool = False):
     gap from its last element is not a multiple of 2^(bit length of its
     last gap), which is the apartness test.  A separated prefix stops at
     the first candidate x whose least completion ends past the last point:
-    with g the gap from the prefix's last element to x and k elements
-    still needed after x, each later gap apart from the one before, that
-    end is x - g + ``_least_total(g, k, True)``, which grows with x.
+    with g the gap from the prefix's last element to x (0 for an empty
+    prefix, whose first gap is then free) and k elements still needed
+    after x, each later gap apart from the one before, that end is
+    x - g + ``_least_total(g, k, True)``, which grows with x.
     """
     check_instance(c, Colouring, "find_mono_subset", "sets")
     return _least_subset(c.table.get, c.points, vars(c).setdefault("_subset_masks", {}), c.dim, m, separated)
@@ -137,8 +138,7 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
         # allowed: the candidates above the prefix; low: the index above its last element
         need = m - len(prefix)
         size = len(prefix) + 1  # the prefix's size once x joins it
-        bounded = separated and size > 1
-        if bounded:  # x - prefix[-1] a multiple of step, so apart from the last gap
+        if separated:  # x - prefix[-1] a multiple of step, so apart from the last gap
             step = 1 << (prefix[-1] - prefix[-2]).bit_length() if size > 2 else 1
         # the (dim-2)-subsets of the prefix that close a tuple with x
         closers = () if size < dim or dim < 2 else ((),) if dim == 2 else tuple(combinations(prefix, dim - 2))
@@ -147,10 +147,10 @@ def _least_subset(get, points, colour_masks, dim, m, separated=False, prefix=())
             allowed ^= bit
             j = bit.bit_length() - 1
             x = points[j]
-            if bounded:
-                gap = x - prefix[-1]
+            if separated:
+                gap = x - prefix[-1] if prefix else 0  # a first element leaves the next gap free
                 # the need - 1 later gaps, each apart from the one before, end past the last point
-                if prefix[-1] + _least_total(gap, need - 1, True) > top:
+                if x - gap + _least_total(gap, need - 1, True) > top:
                     break
                 if gap % step:
                     continue

@@ -4,7 +4,12 @@ An adjacent sum of a finite sequence is the total of one contiguous run of
 entries; an adjacent d-tuple collects d consecutive, gap-free runs, which
 are the gaps of d + 1 of its prefix sums from 0.  The private helpers below
 state that rule once for the package: ``_gaps``, its inverse ``_anchor``
-on tuples from 0, ``_choose`` and ``_run_tuples``.  The transforms here
+on tuples from 0, ``_choose`` and ``_run_tuples``.  ``_gaps`` is the
+kernel under adjacent tuples, difference scans and run walks alike: it
+unpacks a tuple of length 2 or 3 (arity 1 or 2) in one step and sends
+every other length through ``map``, the tuple's length picking the
+branch.  The adjacent sums and tuples of a sequence check its total on
+the last prefix sum they build.  The transforms here
 (greedy renormalization into a strictly increasing sequence, gap-increasing
 extraction, initial partial sums) are the solution-side halves of the
 reductions in ``irl.reduce``.
@@ -22,7 +27,13 @@ from irl.errors import check_entries, check_int
 
 
 def _gaps(t) -> tuple:
-    """Successive differences of a tuple: (t1 - t0, ..., tn - t(n-1))."""
+    """Successive differences of a tuple: (t1 - t0, ..., tn - t(n-1)); lengths 2 and 3 unpacked."""
+    n = len(t)
+    if n == 3:
+        a, b, c = t
+        return (b - a, c - b)
+    if n == 2:
+        return (t[1] - t[0],)
     return tuple(map(sub, t[1:], t))
 
 
@@ -43,10 +54,11 @@ def _run_tuples(sums, d):
     return map(_gaps, _choose(sums, d + 1))
 
 
-def _positive_entries(seq, name):
-    entries = check_entries(seq, name, 1)
-    check_value(sum(entries))
-    return entries
+def _positive_sums(seq, name):
+    """The prefix sums from 0 of a positive sequence, its total checked on the last of them."""
+    sums = _anchor(check_entries(seq, name, 1))
+    check_value(sums[-1])
+    return sums
 
 
 def _increasing_entries(seq, name, min_len=1):
@@ -57,8 +69,7 @@ def _increasing_entries(seq, name, min_len=1):
 
 def adjacent_sums(seq) -> frozenset:
     """All sums of contiguous nonempty runs of the sequence (a set of ints)."""
-    entries = _positive_entries(seq, "adjacent_sums")
-    return frozenset(b - a for a, b in combinations(_anchor(entries), 2))
+    return frozenset(b - a for a, b in combinations(_positive_sums(seq, "adjacent_sums"), 2))
 
 
 def adjacent_tuples(seq, d: int) -> frozenset:
@@ -68,8 +79,7 @@ def adjacent_tuples(seq, d: int) -> frozenset:
     nonempty and leave no gap between one another.
     """
     check_int(d, "arity", 1)
-    entries = _positive_entries(seq, "adjacent_tuples")
-    return frozenset(_run_tuples(_anchor(entries), d))
+    return frozenset(_run_tuples(_positive_sums(seq, "adjacent_tuples"), d))
 
 
 def normalize(seq) -> tuple:
@@ -80,7 +90,8 @@ def normalize(seq) -> tuple:
     output entry.  A trailing block that cannot exceed it is discarded, so
     every adjacent sum of the output is an adjacent sum of the input.
     """
-    entries = _positive_entries(seq, "normalize")
+    entries = check_entries(seq, "normalize", 1)
+    check_value(sum(entries))
     out = []
     total = 0  # the sum of the block since the last output entry
     for x in entries:

@@ -57,7 +57,8 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
     assert out["pairs"] == 2 and out["all_correct"] is False
     assert out["metrics"]["ops_per_s"]["pairs_won"] == 2
     assert summarize(runs_of("v", [(None, None)]), METRICS) == {
-        "v": {"pairs": 0, "all_correct": False, "metrics": {}, "kind_medians": {"base": {}, "change": {}}}}
+        "v": {"pairs": 0, "all_correct": False, "metrics": {}, "kind_medians": {"base": {}, "change": {}},
+              "kind_shares": {"base": {}, "change": {}}}}
 
 
 def test_a_gain_needs_ten_complete_pairs():
@@ -94,21 +95,27 @@ def test_each_metric_is_checked_against_its_bound_or_reported_unresolved():
 def test_each_workload_summary_gives_each_side_its_per_kind_medians(tmp_path):
     bench_pairs = load("scripts/bench_pairs.py")
 
-    def by_kind(separated, afs):
-        return {"subset.separated": {"samples": 40, "median": separated, "max": 2 * separated, "share": 0.1},
+    def by_kind(separated, afs, share=0.1):
+        return {"subset.separated": {"samples": 40, "median": separated, "max": 2 * separated, "share": share},
                 "afs.plain": {"samples": 20, "median": afs, "max": 3 * afs, "share": 0.3}}
 
     runs = runs_of("search-oracle", [(line(100, 1), line(120, 1))] * 3)
     for i, run in enumerate(runs):
         if run["side"] == "base":
-            run["latency_by_kind_ms"] = by_kind(0.6 + i / 10, 2.0)
+            run["latency_by_kind_ms"] = by_kind(0.6 + i / 10, 2.0, 0.4 - i / 100)
         elif i < 4:  # a run that kept no record counts for no kind, as in older BENCH files
-            run["latency_by_kind_ms"] = by_kind(0.08 + i / 100, 2.1)
-    medians = bench_pairs.summarize(runs, METRICS)["search-oracle"]["kind_medians"]
-    assert medians == {"base": {"afs.plain": 2.0, "subset.separated": pytest.approx(0.8)},
-                       "change": {"afs.plain": 2.1, "subset.separated": pytest.approx(0.1)}}
+            run["latency_by_kind_ms"] = by_kind(0.08 + i / 100, 2.1, 0.05 * i)
+    # another workload's runs count for neither summary of this one
+    runs += [dict(run, workload="cli-mix", latency_by_kind_ms=by_kind(9.0, 9.0, 0.9)) for run in runs]
+    summary = bench_pairs.summarize(runs, METRICS)["search-oracle"]
+    assert summary["kind_medians"] == {"base": {"afs.plain": 2.0, "subset.separated": pytest.approx(0.8)},
+                                       "change": {"afs.plain": 2.1, "subset.separated": pytest.approx(0.1)}}
+    # each kind's share of the cycle, the median of each side's runs that kept it
+    assert summary["kind_shares"] == {"base": {"afs.plain": 0.3, "subset.separated": pytest.approx(0.38)},
+                                      "change": {"afs.plain": 0.3, "subset.separated": pytest.approx(0.1)}}
     older = [{key: value for key, value in run.items() if key != "latency_by_kind_ms"} for run in runs]
-    assert bench_pairs.summarize(older, METRICS)["search-oracle"]["kind_medians"] == {"base": {}, "change": {}}
+    for name in ("kind_medians", "kind_shares"):
+        assert bench_pairs.summarize(older, METRICS)["search-oracle"][name] == {"base": {}, "change": {}}
 
     # read from the record that perfbench/run.py writes for the run's workload and seed, untraced
     results = tmp_path / "perfbench" / "results"

@@ -48,16 +48,25 @@ def test_invariance_examples():
 
 
 def test_invariance_witness_is_the_first_clash_in_any_table_order():
-    rng = random.Random(8)
-    for trial in range(200):
-        dim, window = rng.randint(1, 3), rng.randint(1, 8)
-        c = next(sample_colourings(dim, window, 2, seed=trial))
+    def check(c, rng):
         items = list(c.table.items())
         rng.shuffle(items)
         for table in (dict(items), dict(reversed(list(c.table.items())))):
-            shuffled = Colouring(dim, window, 2, "sets", table)
+            shuffled = Colouring(c.dim, c.window, 2, "sets", table)
             clash = invariance_clash(table)  # the pair alone; the witness carries the colours
             assert invariance_witness(shuffled) == (None if clash is None else tuple((t, table[t]) for t in clash))
+
+    rng = random.Random(8)
+    for trial in range(200):
+        dim, window = rng.randint(1, 3), rng.randint(1, 8)
+        check(next(sample_colourings(dim, window, 2, seed=trial)), rng)
+    # dims 4-5: tuples whose gaps take the map branch of the kernel, not the unpacked one;
+    # every third draw is invariant, so the whole table is scanned without a clash
+    rng = random.Random(37)
+    for trial in range(60):
+        dim = rng.randint(4, 5)
+        window = rng.randint(dim - 1, 8)
+        check(next(sample_colourings(dim, window, 2, invariant=trial % 3 == 0, seed=trial)), rng)
 
 
 def test_invariance_rejects_vectors_mode():
