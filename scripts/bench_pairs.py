@@ -31,7 +31,10 @@ median over its runs of every op kind's median latency in ms, with no
 verdict: it shows which op moved (``subset.separated``, say) and which did
 not.  Under ``kind_shares`` it holds, the same way, each side's median of
 every op kind's ``share`` of the cycle, which shows a kind's part of the
-cycle fall or rise.  Each untraced run keeps, as ``latency_by_kind_ms``,
+cycle fall or rise.  Under ``attempted`` it holds each side's median over
+its runs of the ``attempted`` op count that the run's last line reports,
+also with no verdict: a faster side completes more ops in the same run
+length, and the benchmark's RSS grows with them.  Each untraced run keeps, as ``latency_by_kind_ms``,
 that part of the record the benchmark writes under its export's
 ``perfbench/results/``.
 
@@ -119,8 +122,17 @@ def summarize(runs, end_to_end):
             "metrics": metrics,
             "kind_medians": by_kind(runs, workload, "median"),
             "kind_shares": by_kind(runs, workload, "share"),
+            "attempted": attempted(runs, workload),
         }
     return out
+
+
+def attempted(runs, workload):
+    """Each side's median over the workload's runs that gave a result of their ``attempted`` count, or None."""
+    counts = {side: [run["result"]["attempted"] for run in runs
+                     if run["workload"] == workload and run["side"] == side and run["result"] is not None]
+              for side in SIDES}
+    return {side: statistics.median(values) if values else None for side, values in counts.items()}
 
 
 def by_kind(runs, workload, field):

@@ -70,10 +70,11 @@ def _domain_size(mode: str, dim: int, window: int, bound: int):
     n = window + 1 if mode == "sets" else window
     if dim > n:
         return 0
-    # C(n, k) >= 2^k for k <= n/2, and an exact C(n, k) with k in the
-    # hundreds of thousands takes seconds
+    # an exact C(n, k) is cheap for k <= 32 (about 10 ms at n = 2^10000) but
+    # takes seconds for k in the hundreds of thousands; there C(n, k) >= 2^k
+    # (k <= n/2) shows the size is past the bound once k passes its bit length
     k = min(dim, n - dim)
-    return comb(n, k) if k <= bound.bit_length() else None
+    return comb(n, k) if k <= 32 or k <= bound.bit_length() else None
 
 
 def charge_domain(mode: str, dim: int, window: int, limit: int) -> int:

@@ -380,20 +380,24 @@ def _least_witness_free(buckets, palette, spent, limit):
         if colour >= 0:
             members[colour] ^= 1 << i
         highest = min(palette - 1, top[i] + 1)
+        bucket = buckets[i]
         for colour in range(colour + 1, highest + 1):
             spent += 1
             if spent > limit:
                 raise _over_budget(limit)
             same = members[colour]
-            if not any(rest & same == rest for rest in buckets[i]):
-                break
+            for rest in bucket:
+                if rest & same == rest:
+                    break
+            else:
+                break  # no candidate of bucket i is monochromatic: the colour is accepted
         else:
             assignment[i] = -1
             i -= 1
             continue
         assignment[i] = colour
         members[colour] |= 1 << i
-        top[i + 1] = max(top[i], colour)
+        top[i + 1] = colour if colour > top[i] else top[i]
         i += 1
     return (assignment if i == n else None), spent
 

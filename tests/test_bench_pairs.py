@@ -10,9 +10,9 @@ from by_path import ROOT, load
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
 
-def line(ops, rss, correct=True, failed=0):
+def line(ops, rss, correct=True, failed=0, attempted=100):
     """A result line as perfbench/run.py prints it, with two of its metrics."""
-    return {"correct": correct, "attempted": 100, "failed": failed, "metrics": {
+    return {"correct": correct, "attempted": attempted, "failed": failed, "metrics": {
         "ops_per_s": {"value": ops, "unit": "1/s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
 
@@ -26,7 +26,8 @@ METRICS = [spec for spec in END_TO_END if spec["name"] in ("ops_per_s", "peak_rs
 
 def test_summary_reports_medians_quartiles_and_pairs_won():
     summarize = load("scripts/bench_pairs.py").summarize
-    pairs = [(line(100 + i, 50.0), line(150 + i, 50.0 + (i % 3 == 0))) for i in range(10)]
+    pairs = [(line(100 + i, 50.0, attempted=1000 + i), line(150 + i, 50.0 + (i % 3 == 0), attempted=1500 + 10 * i))
+             for i in range(10)]
     out = summarize(runs_of("w", pairs), METRICS)["w"]
     assert out["pairs"] == 10 and out["all_correct"] is True
     ops = out["metrics"]["ops_per_s"]
@@ -38,6 +39,8 @@ def test_summary_reports_medians_quartiles_and_pairs_won():
     rss = out["metrics"]["peak_rss_mb"]  # lower is better: 4 pairs lost, 6 tied
     assert (rss["pairs_won"], rss["pairs_lost"], rss["gain"]) == (0, 4, False)
     assert rss["base_iqr"] == 0 and rss["change_median"] == 50.0
+    # each side's median op count, with no verdict: RSS grows with the ops a run completes
+    assert out["attempted"] == {"base": 1004.5, "change": 1545}
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_spread():
@@ -58,7 +61,7 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
     assert out["metrics"]["ops_per_s"]["pairs_won"] == 2
     assert summarize(runs_of("v", [(None, None)]), METRICS) == {
         "v": {"pairs": 0, "all_correct": False, "metrics": {}, "kind_medians": {"base": {}, "change": {}},
-              "kind_shares": {"base": {}, "change": {}}}}
+              "kind_shares": {"base": {}, "change": {}}, "attempted": {"base": None, "change": None}}}
 
 
 def test_a_gain_needs_ten_complete_pairs():

@@ -835,15 +835,16 @@ def test_verify_does_not_depend_on_the_budget(monkeypatch):
     expected = [verify_reduction(*case).to_json_dict() for case in cases]
     monkeypatch.setenv("IRL_BUDGET", "1")
     assert [verify_reduction(*case).to_json_dict() for case in cases] == expected
+    # each refusal names the exact size of the lift's domain, C(window + 1, dim + 1), whatever the budget
+    sizes = iter([78, 78, 55, 78, 84, 165, 4, 105, 105, 286, 165])
     refused = 0
     for kind, instance, _ in cases:
         if _SHAPES[REDUCTIONS[kind].target][1]:
             with pytest.raises(BudgetExceededError) as info:
                 forward_transform(kind, instance)
-            # only the window-3 domain, C(4, 3) = 4 triples, is small enough to be sized exactly
-            dim, window = instance.dim + 1, instance.window
-            shown = "4" if window == 3 else "more than 1"
-            assert str(info.value) == f"materializing {shown} {dim}-tuples over window {window} exceeds the budget of 1"
+            dim, window, size = instance.dim + 1, instance.window, next(sizes)
+            assert str(info.value) == f"materializing {size} {dim}-tuples over window {window} exceeds the budget of 1"
+            assert info.value.count == size
             refused += 1
     assert refused == 2 + 9
 
