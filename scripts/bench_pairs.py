@@ -34,9 +34,9 @@ every op kind's ``share`` of the cycle, which shows a kind's part of the
 cycle fall or rise.  Under ``attempted`` it holds each side's median over
 its runs of the ``attempted`` op count that the run's last line reports,
 also with no verdict: a faster side completes more ops in the same run
-length, and the benchmark's RSS grows with them.  Each untraced run keeps, as ``latency_by_kind_ms``,
-that part of the record the benchmark writes under its export's
-``perfbench/results/``.
+length, and the benchmark's RSS grows with them.  Each untraced run keeps,
+as ``latency_by_kind_ms``, that part of the record the benchmark writes
+under its export's ``perfbench/results/``.
 
 It also holds every run's seed, order, ``correct``, ``failed`` and
 metrics, the Python version and CPU count, and under ``src_lines`` each
@@ -128,7 +128,7 @@ def summarize(runs, end_to_end):
 
 
 def attempted(runs, workload):
-    """Each side's median over the workload's runs that gave a result of their ``attempted`` count, or None."""
+    """Each side's median ``attempted`` op count over the workload's runs that gave a result, or None if none did."""
     counts = {side: [run["result"]["attempted"] for run in runs
                      if run["workload"] == workload and run["side"] == side and run["result"] is not None]
               for side in SIDES}
