@@ -31,7 +31,12 @@ median over its runs of every op kind's median latency in ms, with no
 verdict: it shows which op moved (``subset.separated``, say) and which did
 not.  Under ``kind_shares`` it holds, the same way, each side's median of
 every op kind's ``share`` of the cycle, which shows a kind's part of the
-cycle fall or rise.  Under ``attempted`` it holds each side's median over
+cycle fall or rise.  Under ``kind_quartiles`` it holds each side's first
+and third quartile, over its runs, of every op kind's median latency.  A
+kind that mixes op sizes has a median that jumps between the sizes'
+clusters from run to run, so its ``kind_medians`` can move where nothing
+did; where the two sides' quartiles overlap, its ``kind_shares`` is the
+steadier reading.  Under ``attempted`` it holds each side's median over
 its runs of the ``attempted`` op count that the run's last line reports,
 also with no verdict: a faster side completes more ops in the same run
 length, and the benchmark's RSS grows with them.  Each untraced run keeps,
@@ -121,6 +126,7 @@ def summarize(runs, end_to_end):
                                for run in runs if run["workload"] == workload),
             "metrics": metrics,
             "kind_medians": by_kind(runs, workload, "median"),
+            "kind_quartiles": by_kind(runs, workload, "median", lambda v: list(quartiles(v)[::2])),
             "kind_shares": by_kind(runs, workload, "share"),
             "attempted": attempted(runs, workload),
         }
@@ -135,14 +141,14 @@ def attempted(runs, workload):
     return {side: statistics.median(values) if values else None for side, values in counts.items()}
 
 
-def by_kind(runs, workload, field):
-    """Each side's median over the workload's runs of every op kind's ``field``, from the runs that kept them."""
+def by_kind(runs, workload, field, over=statistics.median):
+    """Each side's ``over`` (the median) of every op kind's ``field``, across the workload's runs that kept them."""
     values = {side: {} for side in SIDES}
     for run in runs:
         if run["workload"] == workload:
             for kind, latency in (run.get("latency_by_kind_ms") or {}).items():
                 values[run["side"]].setdefault(kind, []).append(latency[field])
-    return {side: {kind: statistics.median(v) for kind, v in sorted(kinds.items())} for side, kinds in values.items()}
+    return {side: {kind: over(v) for kind, v in sorted(kinds.items())} for side, kinds in values.items()}
 
 
 def latency_by_kind(copy, workload, seed):

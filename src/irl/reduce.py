@@ -24,15 +24,12 @@ whose least witness starts at 0.  A window too small to hold any witness
 yields a report with a null verdict, not an error.
 """
 
-import hashlib
-import json
 from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 from irl.bits import block, is_apart
 from irl.budget import candidate_budget
-from irl.colouring import Colouring, _lift_translates, _unchecked, colouring_to_json, invariance_witness
+from irl.colouring import Colouring, _lift_translates, _unchecked, invariance_witness
 from irl.errors import NotInvariantError, PreconditionError, check_entries, check_instance, check_int
 from irl.search import _SHAPES, _find_mono_from_zero, find_afs_mono, find_mono_subset, witness_colour
 from irl.sums import _anchor, _choose, _gaps, adjacent_tuples, differences, gap_increasing, partial_sums
@@ -138,15 +135,14 @@ def _target(reduction: Reduction, instance: Colouring) -> Colouring:
                       _SHAPES[reduction.target][0], reduction.forward(instance, window))
 
 
-def _lifted(reduction: Reduction, instance: Colouring) -> Colouring:
-    """The transformed instance of a checked instance: ``_target``, lifted when the target is ZRT."""
+def forward_transform(kind: str, instance: Colouring) -> Colouring:
+    """Transform an instance of the source problem into one of the target problem.
+
+    Into ZRT the forward map's table is lifted, and the lift is charged to the budget.
+    """
+    reduction = _checked(kind, instance)[0]
     target = _target(reduction, instance)
     return _lift_translates(target, candidate_budget()) if _SHAPES[reduction.target][1] else target
-
-
-def forward_transform(kind: str, instance: Colouring) -> Colouring:
-    """Transform an instance of the source problem into one of the target problem."""
-    return _lifted(_checked(kind, instance)[0], instance)
 
 
 def backward_transform(kind: str, solution) -> tuple:
@@ -169,9 +165,6 @@ class ReductionReport:
     when the window held no witness, and False otherwise.  A total instance
     never fails (the theorems), but a partial one can leave a tuple of the
     mapped solution uncoloured (``ZRT_TO_AHT`` reads only the tuples from 0).
-    The transformed instance, ``forward_transform(kind, instance)``, and
-    the digests are computed on first access; into ZRT the first read
-    builds the lift and charges it to the budget, as ``forward_transform`` does.
     """
 
     kind: str
@@ -182,19 +175,6 @@ class ReductionReport:
     mapped: tuple | None
     passed: bool | None
     colour: int | None
-    instance: Colouring = field(repr=False, hash=False)
-
-    @cached_property
-    def transformed(self) -> Colouring:
-        return _lifted(REDUCTIONS[self.kind], self.instance)
-
-    @cached_property
-    def instance_digest(self) -> str:
-        return _digest(self.instance)
-
-    @cached_property
-    def transformed_digest(self) -> str:
-        return _digest(self.transformed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,11 +187,6 @@ class ReductionReport:
             "pass": self.passed,
             "colour": self.colour,
         }
-
-
-def _digest(instance: Colouring) -> str:
-    payload = json.dumps(colouring_to_json(instance), sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
 
 
 def _mono_colour(table, tuples):
@@ -239,8 +214,7 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
     The searched colouring is ``_target``'s.  Into ZRT that is the lift's
     tuples from 0, searched from 0 since the lift's least witness starts
     at 0 (the lemma in ``_find_mono_from_zero``).  Verify builds no lift,
-    so it charges none; ``ReductionReport.transformed`` builds and charges
-    the lift when it is read.
+    so it charges none.
     """
     check_int(target, "target", 1)
     reduction, param = _checked(kind, instance)
@@ -275,5 +249,4 @@ def verify_reduction(kind: str, instance: Colouring, target: int) -> ReductionRe
         mapped=mapped,
         passed=passed,
         colour=colour,
-        instance=instance,
     )

@@ -28,7 +28,11 @@ def test_summary_reports_medians_quartiles_and_pairs_won():
     summarize = load("scripts/bench_pairs.py").summarize
     pairs = [(line(100 + i, 50.0, attempted=1000 + i), line(150 + i, 50.0 + (i % 3 == 0), attempted=1500 + 10 * i))
              for i in range(10)]
-    out = summarize(runs_of("w", pairs), METRICS)["w"]
+    runs = runs_of("w", pairs)
+    for run in runs:  # one op kind: base medians 1.0-1.9 ms, change medians in two clusters, 2 and 3 ms
+        median = 1 + run["pair"] / 10 if run["side"] == "base" else 2 + run["pair"] % 2
+        run["latency_by_kind_ms"] = {"op": {"samples": 5, "median": median, "max": 4.0, "share": 1.0}}
+    out = summarize(runs, METRICS)["w"]
     assert out["pairs"] == 10 and out["all_correct"] is True
     ops = out["metrics"]["ops_per_s"]
     assert ops["better"] == "higher" and ops["unit"] == "1/s"
@@ -41,6 +45,9 @@ def test_summary_reports_medians_quartiles_and_pairs_won():
     assert rss["base_iqr"] == 0 and rss["change_median"] == 50.0
     # each side's median op count, with no verdict: RSS grows with the ops a run completes
     assert out["attempted"] == {"base": 1004.5, "change": 1545}
+    # each side's quartiles of the kind's per-run medians: the change's median falls between its clusters
+    assert out["kind_medians"] == {"base": {"op": pytest.approx(1.45)}, "change": {"op": 2.5}}
+    assert out["kind_quartiles"] == {"base": {"op": pytest.approx([1.225, 1.675])}, "change": {"op": [2, 3]}}
 
 
 def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_beyond_the_base_spread():
@@ -61,7 +68,8 @@ def test_failed_or_missing_runs_are_reported_and_left_out_of_the_pairs():
     assert out["metrics"]["ops_per_s"]["pairs_won"] == 2
     assert summarize(runs_of("v", [(None, None)]), METRICS) == {
         "v": {"pairs": 0, "all_correct": False, "metrics": {}, "kind_medians": {"base": {}, "change": {}},
-              "kind_shares": {"base": {}, "change": {}}, "attempted": {"base": None, "change": None}}}
+              "kind_quartiles": {"base": {}, "change": {}}, "kind_shares": {"base": {}, "change": {}},
+              "attempted": {"base": None, "change": None}}}
 
 
 def test_a_gain_needs_ten_complete_pairs():

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 import sys
@@ -29,7 +28,7 @@ from irl.colouring import (
 )
 from irl.errors import BudgetExceededError, FormatError, NotInvariantError, OverflowLimitError, PreconditionError
 from irl.oracle import EnumerationOracle, lower_bound_colouring
-from irl.reduce import _digest, forward_transform
+from irl.reduce import forward_transform
 from irl.search import FiniteNumberQuery, finite_number
 
 invariance_clash = load("perfbench/checks.py").invariance_clash
@@ -417,10 +416,10 @@ def test_trusted_outputs_pass_the_public_constructor():
 
 
 def test_json_entries_are_sorted_tuple_colour_pairs_written_as_lists():
-    """The entries text equals that of the ``[[list(t), colour], ...]`` form, and so do the digests."""
+    """The entries text equals that of the ``[[list(t), colour], ...]`` form."""
     outputs = [*_trusted_outputs(), to_differences(from_differences(
         DifferenceColouring(2, 9, 3, {v: sum(v) % 3 for v in vectors_domain(2, 9)}), 11))]
-    for i, c in enumerate(outputs):
+    for c in outputs:
         data = colouring_to_json(c)
         entries = data["entries"]
         assert all(type(t) is tuple and type(colour) is int for t, colour in entries)
@@ -428,9 +427,6 @@ def test_json_entries_are_sorted_tuple_colour_pairs_written_as_lists():
         listed = {**data, "entries": [[list(t), c.table[t]] for t in sorted(c.table)]}
         assert json.dumps(data) == json.dumps(listed)
         assert colouring_from_json(json.loads(json.dumps(data))) == c
-        if i % 50 == 0:
-            payload = json.dumps(listed, sort_keys=True).encode()
-            assert _digest(c) == hashlib.sha256(payload).hexdigest()[:16]
     assert isinstance(outputs[-1], DifferenceColouring) and outputs[-1].table
 
 

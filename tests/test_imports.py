@@ -7,9 +7,14 @@ module's namespace; the tracer's names are the only allowed exceptions.
 
 ``perfbench/checks.py`` is the tests' reference for the definitions, so
 it must not reuse the code it checks.
+
+Importing the CLI loads no ``hashlib``: nothing in the package digests.
 """
 
 import ast
+import os
+import subprocess
+import sys
 
 from by_path import ROOT, load
 
@@ -61,3 +66,11 @@ def test_package_imports_are_found():
 
 def test_checks_import_nothing_from_the_package():
     assert package_imports((ROOT / "perfbench" / "checks.py").read_text()) == set()
+
+
+def test_importing_the_cli_loads_no_hashlib():
+    code = "import sys; before = set(sys.modules); import irl.cli; print(sorted(set(sys.modules) - before))"
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+                          capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(done.stdout)
+    assert "irl.reduce" in loaded and "hashlib" not in loaded

@@ -1,7 +1,7 @@
 import inspect
 import json
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import accumulate, product
 from math import comb
 
@@ -31,6 +31,7 @@ from irl.oracle import EnumerationOracle
 from irl.reduce import (
     KINDS,
     REDUCTIONS,
+    ReductionReport,
     backward_transform,
     bit_window,
     forward_transform,
@@ -265,17 +266,18 @@ def test_report_json_shape_and_determinism():
     data = first.to_json_dict()
     assert list(data) == ["kind", "params", "window", "target", "witness", "mapped", "pass", "colour"]
     assert json.dumps(data) == json.dumps(second.to_json_dict())
-    assert first.instance_digest != first.transformed_digest
 
 
-def test_reports_of_different_instances_differ_even_with_equal_verdicts():
+def test_reports_of_different_instances_with_equal_verdicts_are_equal():
+    # a report holds its verdict only, so it compares and hashes by its eight fields
+    assert [f.name for f in fields(ReductionReport)] == [
+        "kind", "param", "window", "target", "witness", "mapped", "passed", "colour"]
     first = verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: 0), 3)
     second = verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: y), 3)
     assert first.to_json_dict() == second.to_json_dict()
-    assert first != second
-    assert first.instance_digest != second.instance_digest
-    assert first == verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: 0), 3)
-    assert len({first, second}) == 2  # reports stay hashable
+    assert first == second and hash(first) == hash(second)
+    assert len({first, second}) == 1
+    assert first != verify_reduction("RT_TO_ZRT", unary_colouring(1, lambda y: 0), 4)
 
 
 def test_kinds_are_complete():
@@ -791,7 +793,7 @@ def test_verify_into_zrt_finds_the_least_witness_of_the_lift():
                        ("AHT_TO_ZRT", False): 147, ("AHT_TO_ZRT", True): 213}
 
 
-LAZY_INSTANCES = {
+LIFT_INSTANCES = {
     "RT_TO_ZRT": unary_colouring(12, lambda y: y % 2),
     "ZRT_TO_AHT": invariant_pairs(12, lambda z: z % 2),
     "AHT_TO_ZRT": vector_colouring(1, 12, lambda t: t[0] % 3, palette=3),
@@ -800,34 +802,26 @@ LAZY_INSTANCES = {
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_report_builds_the_transformed_instance_when_read(monkeypatch, kind):
-    monkeypatch.delenv("IRL_BUDGET", raising=False)
-    instance = LAZY_INSTANCES[kind]
-    expected = forward_transform(kind, instance)
-    lifted = _SHAPES[REDUCTIONS[kind].target][1]
+def test_verify_builds_no_lift_where_forward_transform_is_refused(monkeypatch, kind):
+    instance = LIFT_INSTANCES[kind]
     lifts = []
     monkeypatch.setattr("irl.reduce._lift_translates", lambda *args: lifts.append(args) or _lift_translates(*args))
-    # verify builds no lift and charges none; the read builds the lift and is charged as forward_transform is
+    # verify builds no lift and charges none; forward_transform builds the lift and is charged for it
     monkeypatch.setenv("IRL_BUDGET", "2")
     report = verify_reduction(kind, instance, 3)
     assert report.witness is not None and lifts == []  # into ZRT, verify searches the pairs from 0
-    if lifted:
-        for build in (lambda: forward_transform(kind, instance), lambda: report.transformed):
-            with pytest.raises(BudgetExceededError) as info:
-                build()
-            assert str(info.value) == "materializing 78 2-tuples over window 12 exceeds the budget of 2"
-        lifts.clear()
-    monkeypatch.delenv("IRL_BUDGET")
-    assert report.transformed == expected
-    assert report.transformed is report.transformed
-    assert len(lifts) == lifted  # the read's one lift
+    if _SHAPES[REDUCTIONS[kind].target][1]:
+        with pytest.raises(BudgetExceededError) as info:
+            forward_transform(kind, instance)
+        assert str(info.value) == "materializing 78 2-tuples over window 12 exceeds the budget of 2"
+        assert len(lifts) == 1
 
 
 def test_verify_does_not_depend_on_the_budget(monkeypatch):
     # verify charges no lift, so its reports are the same under a budget of 1, where
     # forward_transform into ZRT is still refused with its own message
     rng = random.Random(35)
-    cases = [(kind, LAZY_INSTANCES[kind], 3) for kind in KINDS]
+    cases = [(kind, LIFT_INSTANCES[kind], 3) for kind in KINDS]
     for kind, maker, dim, window, palette, target in VERIFY_SHAPES:
         mode, w, table = golden_instance(rng, maker, dim, window, palette)
         cases.append((kind, Colouring(dim, w, palette, mode, table), target))
