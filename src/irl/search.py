@@ -22,7 +22,7 @@ from math import comb
 
 from irl.bits import highest_bit, lowest_bit  # noqa: F401  perfbench/tracer.py patches these names here
 from irl.budget import budget_limit
-from irl.colouring import Colouring, _shape, colouring_to_json
+from irl.colouring import Colouring, _shape, charge_domain, colouring_to_json
 from irl.colouring import enumerate_colourings  # noqa: F401  kept importable from irl.search
 from irl.errors import BudgetExceededError, PreconditionError, check_instance, check_int
 from irl.sums import _choose, _gaps, _run_tuples
@@ -305,30 +305,36 @@ class FiniteNumberResult:
 
 
 def _candidate_witnesses(principle, dim, m, window):
-    """Yield (candidate, tuples it colours, unit) for each candidate witness.
+    """Yield (candidate, tuples it colours, unit) for each candidate witness of extent ``window``.
 
-    ``unit`` is the budget charge of the candidate: its tuples, ``C(m, d)``
-    for a sets-mode one and the distinct adjacent tuples of an adjacent-sum
-    one.  Candidates come in lexicographic order, so the first one is the
-    least witness of a constant colouring.
+    A candidate's extent is its last element in sets mode and its total
+    in vectors mode, so the candidates that fit a window are those of
+    every extent up to it, and ``finite_number`` walks each one once, at
+    the first size it fits.  ``unit`` is the budget charge of the
+    candidate: its tuples, ``C(m, d)`` for a sets-mode one and the
+    distinct adjacent tuples of an adjacent-sum one.  Candidates come in
+    lexicographic order.
 
-    RT takes the m-subsets of ``[0, window]``.  A shift-invariant principle
-    (ZRT, SEPZRT) colours a subset and its translates alike, and the
-    translate to 0 comes first, so it takes only the subsets from 0, keyed
-    by their difference vectors (the adjacent (dim - 1)-tuples of the
-    gaps): ZRT 0 and each (m - 1)-subset of ``[1, window]``, SEPZRT those
-    with apart gaps.  The increasing SEPZRT gaps and AHT/APAHT terms are
-    walked one by one, each prefix pruned by its exact cheapest completion,
-    so every prefix walked but a size's root ends in a candidate.
+    RT takes the m-subsets of ``[0, window]`` that end at ``window``.  A
+    shift-invariant principle (ZRT, SEPZRT) colours a subset and its
+    translates alike, and the translate to 0 comes first, so it takes only
+    the subsets from 0, keyed by their difference vectors (the adjacent
+    (dim - 1)-tuples of the gaps): ZRT 0, each (m - 2)-subset of
+    ``[1, window - 1]`` and ``window``, SEPZRT those with apart gaps.  The
+    increasing SEPZRT gaps and AHT/APAHT terms are walked one by one, the
+    last one taking the rest of the room, each prefix pruned by its exact
+    cheapest completion, so every prefix walked but the root starts a
+    candidate of extent at most ``window``.
     """
     mode, invariant, apart = _SHAPES[principle]
     unit = comb(m, dim)  # the tuples of a sets-mode candidate
     if mode == "sets" and not apart:
-        if m > window + 1:  # no candidate fits, and _choose's len() of a huge range would overflow
+        head = (0,) if invariant and window else ()  # the one subset from 0 of extent 0 is (0,)
+        # none fits (and _choose's len() of a huge range would overflow), or (0,) alone would, at extent 0
+        if m > window + 1 or m == len(head):
             return
-        head = (0,) if invariant else ()
-        for rest in _choose(range(len(head), window + 1), m - len(head)):
-            subset = head + rest
+        for rest in _choose(range(len(head), window), m - len(head) - 1):
+            subset = (*head, *rest, window)
             yield subset, _run_tuples(subset, dim - 1) if invariant else combinations(subset, dim), unit
         return
     # a SEPZRT candidate is the partial sums of its m - 1 gaps from 0
@@ -336,6 +342,8 @@ def _candidate_witnesses(principle, dim, m, window):
 
     def extend(prefix, sums, start, room):
         if len(prefix) == length:
+            if room:  # only a SEPZRT candidate of no gaps, (0,), ends short of the window
+                return
             if invariant:
                 yield sums, _run_tuples(sums, dim - 1), unit
                 return
@@ -345,7 +353,10 @@ def _candidate_witnesses(principle, dim, m, window):
         after = length - len(prefix) - 1
         # x > prefix[-1] is apart from it iff x is a multiple of 2^(bit length of prefix[-1])
         step = 1 << prefix[-1].bit_length() if apart and prefix else 1
-        for x in range(max(start, step), room + 1, step):
+        terms = range(max(start, step), room + 1, step)
+        if not after:  # the last term takes the rest of the room
+            terms = (room,) if room in terms else ()
+        for x in terms:
             if _least_total(x, after, apart) > room:
                 break
             yield from extend(prefix + (x,), sums + (sums[-1] + x,), x + 1, room - x)
@@ -360,15 +371,16 @@ def _over_budget(limit):
         count=limit + 1)
 
 
-def _least_witness_free(buckets, palette, spent, limit):
+def _least_witness_free(buckets, bits, palette, spent, limit):
     """Least colour assignment with no monochromatic candidate, and the budget spent.
 
-    ``buckets[i]`` holds, as bitmasks, the other indices of every
-    candidate whose largest index is i.  Indices take colours ascending and
-    in first-use order (at most one above the largest colour used so far),
-    which keeps the least assignment of every colour-permutation orbit.
-    Returns (None, spent) when every assignment has a monochromatic
-    candidate.  Each node adds one to ``spent``.
+    Index i stands for bit ``bits[i]`` of the masks, and ``buckets[i]``
+    holds, as such masks, the other indices of every candidate whose
+    largest index is i.  Indices take colours ascending and in first-use
+    order (at most one above the largest colour used so far), which keeps
+    the least assignment of every colour-permutation orbit.  Returns
+    (None, spent) when every assignment has a monochromatic candidate.
+    Each node adds one to ``spent``.
     """
     n = len(buckets)
     assignment = [-1] * n
@@ -378,7 +390,7 @@ def _least_witness_free(buckets, palette, spent, limit):
     while 0 <= i < n:
         colour = assignment[i]
         if colour >= 0:
-            members[colour] ^= 1 << i
+            members[colour] ^= 1 << bits[i]
         highest = min(palette - 1, top[i] + 1)
         bucket = buckets[i]
         for colour in range(colour + 1, highest + 1):
@@ -396,7 +408,7 @@ def _least_witness_free(buckets, palette, spent, limit):
             i -= 1
             continue
         assignment[i] = colour
-        members[colour] |= 1 << i
+        members[colour] |= 1 << bits[i]
         top[i + 1] = colour if colour > top[i] else top[i]
         i += 1
     return (assignment if i == n else None), spent
@@ -412,13 +424,17 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
     pruning as soon as a candidate witness becomes monochromatic.  So the
     counterexample is the first witness-free colouring in
     ``enumerate_colourings`` order; a ZRT/SEPZRT one is lifted from its
-    difference table, the lift charged to the same budget.  The witness is
-    the first candidate of the answer size's own enumeration, the least
+    difference table, the lift charged to the same budget.  Every variable
+    and candidate that fits a size fits the next one, so the sizes share
+    one problem: each size adds the variables and walks the candidates of
+    its own extent, and keeps each variable's bit and each candidate's
+    constraint.  The witness is the first candidate walked, the least
     witness of the constant colouring.  Refuses once the query's budget
     units exceed the budget: one per size, per DFS node and per tuple of
-    each candidate walked (ZRT/SEPZRT take only the subsets that start at
-    0).  A refusal reports the count that charging one unit at a time
-    reaches, the budget plus one.
+    each candidate that fits the size (ZRT/SEPZRT take only the subsets
+    that start at 0), so a size charges again the candidates walked
+    before it.  A refusal reports the count that charging one unit at a
+    time reaches, the budget plus one.
     """
     principle = check_instance(query, FiniteNumberQuery, "finite_number").principle
     mode, invariant, _ = _SHAPES[principle]
@@ -428,36 +444,61 @@ def finite_number(query: FiniteNumberQuery, budget=None) -> FiniteNumberResult:
         raise PreconditionError(f"witness size {m} below tuple arity {dim}")
     limit = budget_limit(budget)
     spent = 0
-    # no witness fits below m points (sets) or 1 + 2 + ... + m (also apart: a tighter first moves budget units)
+    # no witness fits below m points (sets) or 1 + 2 + ... + m (also apart: a tighter first moves budget units),
+    # so no candidate has an extent below the first size's window
     first = m if sets_mode else m * (m + 1) // 2
     if first <= query.cap:
         _check_depth(m)
+    # the domain whose tuples are the variables, as _shape reads it
+    domain_mode, domain_dim = ("vectors", dim - 1) if invariant else (mode, dim)
+    variables = None  # lexicographic (enumeration) order, the kernel's order
+    bit = {}  # variable -> its bit in the constraint masks, numbered by first appearance
+    filed = {}  # variable -> the constraints whose lexicographically last variable it is, a dict as ordered set
+    carried = 0  # the units of every candidate walked so far, which each later size charges again
+    witness = None  # the first candidate walked
     for size in range(min(first, query.cap), query.cap + 1):
         spent += 1  # a size with nothing to search still costs one unit
         if spent > limit:
             raise _over_budget(limit)
         window = size - 1 if sets_mode else size
-        variables, colouring = _shape(mode, dim, window, palette, invariant, limit)
-        index = {v: i for i, v in enumerate(variables)}
-        buckets = [{} for _ in variables]  # ordered sets: a repeated constraint is stored once
-        witness = None
+        if variables is None:
+            variables, _ = _shape(mode, dim, window, palette, invariant, limit)
+            new = variables
+        else:
+            charge_domain(domain_mode, domain_dim, window, limit)
+            # the variables of extent window: (*c, window) in sets mode, the gaps of (0, *c, window) in vectors mode
+            if domain_mode == "sets":
+                new = [(*c, window) for c in _choose(range(window), domain_dim - 1)]
+            else:  # the one vector of no entries has extent 0
+                new = [_gaps((0, *c, window)) for c in _choose(range(1, window), domain_dim - 1)] if domain_dim else []
+            variables = sorted(variables + new)
+        for v in new:
+            bit[v] = len(bit)
+            filed[v] = {}
+        spent += carried
+        if spent > limit:
+            raise _over_budget(limit)
         for candidate, tuples, unit in _candidate_witnesses(principle, dim, m, window):
             spent += unit
             if spent > limit:
                 raise _over_budget(limit)
+            carried += unit
             if witness is None:
                 witness = candidate
-            mask = 0
-            for t in tuples:
-                mask |= 1 << index[t]
-            if mask == 0:
+            tuples = list(tuples)
+            if not tuples:
                 # m < dim: a witness colouring no tuple exists, whatever the colours
                 return FiniteNumberResult(query, size, None, witness)
-            last = mask.bit_length() - 1
-            buckets[last][mask ^ (1 << last)] = None
-        assignment, spent = _least_witness_free(buckets, palette, spent, limit)
+            mask = 0
+            for t in tuples:
+                mask |= 1 << bit[t]
+            last = max(tuples)
+            filed[last][mask ^ (1 << bit[last])] = None
+        assignment, spent = _least_witness_free(
+            [filed[v] for v in variables], [bit[v] for v in variables], palette, spent, limit)
         if assignment is None:
             return FiniteNumberResult(query, size, None, witness)
+    colouring = _shape(mode, dim, window, palette, invariant, limit)[1]  # the cap's, charged there already
     return FiniteNumberResult(query, None, colouring(dict(zip(variables, assignment))), None)
 
 

@@ -4,27 +4,34 @@ For each of the 11 pinned finite-number queries of perfbench's
 finite-numbers workload, ``finite_number_work.json`` holds the answer
 and, for each size searched: the DFS nodes, the distinct constraints
 handed to the kernel (the sum of its bucket sizes) and the budget units
-of the candidate walk.  The counts are read by wrapping the two private
-kernels, so neither the package nor the benchmark changes, and none of
-them depends on timing or hash order.  A change that moves the search's
+of the candidates that fit the size.  The counts are read by wrapping the
+walk and the kernel, so neither the package nor the benchmark changes,
+and none of them depends on timing or hash order.  A size's units are
+read from its charge, the budget spent when its kernel starts less the
+budget spent when the size before ended and the size's own unit, so they
+count again the candidates that an earlier size walked.  A change that moves the search's
 work shows here as a count diff, even when every answer holds.  Like
 the other golden files, its pins were written once and are not rewritten
 to make a test pass.
 
 The kernel itself, ``_least_witness_free``, is checked against a
-brute-force reference on random bucket sets: its answer, its node count
-and the refusal one unit short of that count.
+brute-force reference on random bucket sets, with each index at its own
+bit and again at a permuted one: its answer, its node count and the
+refusal one unit short of that count.
 """
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
+from by_path import load
 from irl import search
 from irl.errors import BudgetExceededError
 
+checks = load("perfbench/checks.py")
 GOLDEN = Path(__file__).with_name("golden") / "finite_number_work.json"
 QUERIES = [  # (principle, dim, k, m, cap), as perfbench/workloads.py FINITE_QUERIES lists them
     ("RT", 1, 2, 3, 12),
@@ -44,19 +51,20 @@ QUERIES = [  # (principle, dim, k, m, cap), as perfbench/workloads.py FINITE_QUE
 def work(monkeypatch, query):
     """(answer, [{"size", "nodes", "constraints", "units"} for each size searched])."""
     sizes = []
+    ended = [0]  # the budget spent when the last kernel returned
     candidates, kernel = search._candidate_witnesses, search._least_witness_free
 
     def counted_candidates(principle, dim, m, window):
         size = window + 1 if search._SHAPES[principle][0] == "sets" else window
         sizes.append({"size": size, "nodes": 0, "constraints": 0, "units": 0})
-        for candidate, tuples, unit in candidates(principle, dim, m, window):
-            sizes[-1]["units"] += unit
-            yield candidate, tuples, unit
+        return candidates(principle, dim, m, window)
 
-    def counted_kernel(buckets, palette, spent, limit):
-        assignment, after = kernel(buckets, palette, spent, limit)
+    def counted_kernel(buckets, bits, palette, spent, limit):
+        assignment, after = kernel(buckets, bits, palette, spent, limit)
         sizes[-1]["nodes"] = after - spent
         sizes[-1]["constraints"] = sum(map(len, buckets))
+        sizes[-1]["units"] = spent - ended[0] - 1  # the size's own unit is not a candidate's
+        ended[0] = after
         return assignment, after
 
     monkeypatch.setattr(search, "_candidate_witnesses", counted_candidates)
@@ -78,6 +86,40 @@ def test_finite_number_work_matches_its_pins(monkeypatch, query):
 
 def test_work_pins_cover_the_benchmark_queries():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(map(label, QUERIES))
+
+
+def fitting_candidates(principle, m, window):
+    """The candidate witnesses that fit a window, from the definitions: RT's m-subsets of [0, window], those
+    from 0 (ZRT) with apart gaps (SEPZRT), and AHT's increasing positive m-sequences of total at most window,
+    apart ones (APAHT)."""
+    mode, invariant, apart = search._SHAPES[principle]
+    if mode == "sets":
+        return {s for s in combinations(range(window + 1), m)
+                if (not invariant or s[0] == 0) and (not apart or checks.apart(checks.diffs(s)))}
+    return {s for s in combinations(range(1, window + 1), m) if sum(s) <= window and (not apart or checks.apart(s))}
+
+
+def test_each_candidate_is_walked_once(monkeypatch):
+    # a candidate that fits a size fits every later one, so a query walks each candidate once, where it first
+    # fits: the walks of all its sizes together yield the candidates of its last size, each once
+    candidates = search._candidate_witnesses
+    walked_in_all = 0
+    for query in QUERIES:
+        walked, windows = [], []
+
+        def recorded(principle, dim, m, window):
+            windows.append(window)
+            for candidate, tuples, unit in candidates(principle, dim, m, window):
+                walked.append(candidate)
+                yield candidate, tuples, unit
+
+        monkeypatch.setattr(search, "_candidate_witnesses", recorded)
+        search.finite_number(search.FiniteNumberQuery(*query))
+        principle, _, _, m, _ = query
+        assert len(set(walked)) == len(walked), query
+        assert set(walked) == fitting_candidates(principle, m, windows[-1]), query
+        walked_in_all += len(walked)
+    assert walked_in_all == 183  # the walks that rebuilt each size from scratch yielded 453
 
 
 def first_use(n, palette):
@@ -108,7 +150,9 @@ def reference(buckets, palette):
 
 
 def test_kernel_matches_a_brute_force_reference():
-    rng = random.Random(11)
+    # the reference reads bit j as index j; the kernel gets the same buckets with index j at bit bits[j],
+    # once with bits[j] = j and once with the bits permuted, as finite_number numbers them by first appearance
+    rng, shuffler = random.Random(11), random.Random(12)
     for draw in range(600):
         n, palette = rng.randint(1, 7), rng.randint(1, 3)
         buckets = [{} for _ in range(n)]  # filed under their largest index, as finite_number files them
@@ -117,7 +161,11 @@ def test_kernel_matches_a_brute_force_reference():
             last = mask.bit_length() - 1
             buckets[last][mask ^ (1 << last)] = None
         answer, nodes = reference(buckets, palette)
-        assert search._least_witness_free(buckets, palette, 0, nodes) == (answer, nodes), draw
-        with pytest.raises(BudgetExceededError) as info:
-            search._least_witness_free(buckets, palette, 0, nodes - 1)
-        assert info.value.count == nodes, draw
+        for bits in (list(range(n)), shuffler.sample(range(n), n)):
+            relabelled = [dict.fromkeys(sum(1 << bits[j] for j in range(n) if rest >> j & 1) for rest in bucket)
+                          for bucket in buckets]
+            where = draw, bits
+            assert search._least_witness_free(relabelled, bits, palette, 0, nodes) == (answer, nodes), where
+            with pytest.raises(BudgetExceededError) as info:
+                search._least_witness_free(relabelled, bits, palette, 0, nodes - 1)
+            assert info.value.count == nodes, where

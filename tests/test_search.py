@@ -453,7 +453,8 @@ def test_finite_number_refusal_inside_a_candidate_counts_the_budget_plus_one(que
 
 
 def test_apart_walks_visit_only_prefixes_that_complete():
-    # every prefix the walk enters, but the root (0,), is the start of a candidate's partial sums
+    # every prefix the walk of a window enters, but the root (0,), is the start of the partial sums of a
+    # candidate that fits the window, one of its own extent or of a smaller one
     extend = next(c for c in _candidate_witnesses.__code__.co_consts if getattr(c, "co_name", None) == "extend")
     for principle in ("APAHT", "SEPZRT"):
         for dim in (1, 2):
@@ -468,9 +469,12 @@ def test_apart_walks_visit_only_prefixes_that_complete():
                     before = sys.getprofile()
                     sys.setprofile(record)
                     try:
-                        candidates = [cand for cand, _, _ in _candidate_witnesses(principle, dim, m, window)]
+                        for _ in _candidate_witnesses(principle, dim, m, window):
+                            pass
                     finally:
                         sys.setprofile(before)
+                    candidates = [cand for extent in range(window + 1)
+                                  for cand, _, _ in _candidate_witnesses(principle, dim, m, extent)]
                     starts = {(0,)}
                     for cand in candidates:
                         sums = cand if principle == "SEPZRT" else (0, *accumulate(cand))
@@ -546,18 +550,20 @@ def test_every_two_colouring_of_k6_has_a_monochromatic_triangle():
 
 
 def test_apaht_candidates_step_through_the_apart_ones():
+    # each walk yields the candidates of its own extent, the total, in order
     for dim in (1, 2, 3):
         for m in range(1, 9):
-            apart = [cand for cand in _candidate_witnesses("AHT", dim, m, 40)
-                     if checks.apart(cand[0])]
             for window in range(1, 41):
+                plain = list(_candidate_witnesses("AHT", dim, m, window))
+                assert all(sum(cand[0]) == window for cand in plain), (dim, m, window)
                 assert list(_candidate_witnesses("APAHT", dim, m, window)) == \
-                    [cand for cand in apart if sum(cand[0]) <= window]
+                    [cand for cand in plain if checks.apart(cand[0])]
 
 
 def test_shift_invariant_candidates_stand_for_every_subset():
-    # brute force: every m-subset of [0, 20] is filed under its largest element,
-    # so the subsets of [0, w] are those filed at w or below, in the same order
+    # brute force: every m-subset of [0, 20] is filed under its extent, its largest element less its least,
+    # the largest element of its translate from 0; the subsets of [0, w] are those filed at w or below, and
+    # the walk of window w stands for those filed at w
     diffs = cache(checks.diffs)  # the dim-subsets of [0, 20] recur across the m-subsets
     for m in range(1, 7):
         separated = [checks.apart(checks.diffs(s)) for s in combinations(range(21), m)]
@@ -568,8 +574,8 @@ def test_shift_invariant_candidates_stand_for_every_subset():
                 vectors = frozenset(map(diffs, combinations(s, dim)))
                 for principle, (masks, firsts) in filed.items():
                     if passes or principle == "ZRT":
-                        masks[s[-1]].add(vectors)
-                        firsts[s[-1]] = firsts[s[-1]] or s
+                        masks[s[-1] - s[0]].add(vectors)
+                        firsts[s[-1] - s[0]] = firsts[s[-1] - s[0]] or s
             for principle, (masks, firsts) in filed.items():
                 for window in range(21):
                     walked, vectors, spent = [], set(), 0
@@ -579,8 +585,8 @@ def test_shift_invariant_candidates_stand_for_every_subset():
                         vectors.add(frozenset(tuples))
                     where = (principle, dim, m, window)
                     assert walked == sorted(walked), where
-                    assert vectors == set().union(*masks[:window + 1]), where
-                    assert (walked[0] if walked else None) == min(filter(None, firsts[:window + 1]), default=None), where
+                    assert vectors == masks[window], where
+                    assert (walked[0] if walked else None) == firsts[window], where
                     assert spent == comb(m, dim) * len(walked), where
 
 
