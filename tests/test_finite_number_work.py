@@ -9,10 +9,10 @@ walk and the kernel, so neither the package nor the benchmark changes,
 and none of them depends on timing or hash order.  A size's units are
 read from its charge, the budget spent when its kernel starts less the
 budget spent when the size before ended and the size's own unit, so they
-count again the candidates that an earlier size walked.  A change that moves the search's
-work shows here as a count diff, even when every answer holds.  Like
-the other golden files, its pins were written once and are not rewritten
-to make a test pass.
+count again the candidates that an earlier size walked.  A change that
+moves the search's work shows here as a count diff, even when every
+answer holds.  Like the other golden files, its pins were written once
+and are not rewritten to make a test pass.
 
 The kernel itself, ``_least_witness_free``, is checked against a
 brute-force reference on random bucket sets, with each index at its own
